@@ -2,10 +2,10 @@
 
 Both assignments, generator tuple to degree-k ideal piece and polynomial
 to degree-k Jacobian piece, are not just injective on their domains: at
-every sample point the assembled differential has zero kernel, computed
-here as the exact nullity of one rational matrix. For a direct sum the
-polynomial-side kernel is nonzero instead, picking up one direction per
-extra summand, which makes the two situations easy to tell apart.
+every sample point the differential has zero kernel, computed exactly
+from one small colon ideal. For a direct sum the polynomial-side kernel
+is nonzero instead, picking up exactly one direction per extra summand,
+which makes the two situations easy to tell apart.
 
 Run from the repository root:
 
@@ -45,7 +45,7 @@ def main() -> None:
     s = st_report(cubes).s
     report = tangent_kernel_at_poly(cubes, 2)
     print(f"the direct sum {cubes} has s = {s} summands:")
-    print(f"  k = 2: kernel dim {report.kernel_dim} (>= s - 1 = {s - 1})")
+    print(f"  k = 2: kernel dim {report.kernel_dim} (= s - 1)")
     for direction in report.basis:
         print(f"    kernel direction: {direction.h}")
 

@@ -18,6 +18,7 @@ from .deformation import (
     KernelReport,
     PolyTangentVector,
     TupleTangentVector,
+    colon_piece,
     membership_solutions,
     multiplication_matrix,
     tangent_image,
@@ -28,6 +29,7 @@ from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
     HilbertProfile,
+    check_size,
     hilbert_profile,
     ideal_piece,
     is_complete_intersection,

@@ -5,15 +5,31 @@ modulo span(W) componentwise, moves the degree-k ideal piece inside the
 quotient S_k / (I_W)_k. Writing each basis vector of (I_W)_k as
 b = sum_i u_i g_i, the induced map sends b to sum_i u_i h_i modulo
 (I_W)_k. The choice of the u_i is immaterial: two representations differ
-by a syzygy of the g_i, and for a complete intersection all syzygies in
-these degrees are Koszul, so the ambiguity sum_i u_i h_i lands inside
-(I_W)_k and dies in the quotient.
+by a syzygy of the g_i. For a complete intersection every syzygy is a
+combination of the Koszul ones g_j e_i - g_i e_j, whose images
+g_j h_i - g_i h_j already lie in I_W, so the ambiguity dies in the
+quotient.
 
-Moving a polynomial f by h in S_d modulo the line through f does the same
-with g_i the partials of f and u_i h_i replaced by u_i (dh/dx_i). The
-kernels of these assembled exact matrices are what an immersion statement
-predicts to vanish; for a direct sum the second kernel picks up the fiber
-directions instead.
+The kernels need no assembled matrix of that map. The map is fixed by its
+values on the spanning vectors u * g_i (u a monomial of degree k-d+1),
+which it sends to u * h_i. So h is in the kernel exactly when every h_i
+lies in the colon piece
+
+    C = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
+
+and the kernel at a tuple is n+1 copies of C / W, one small linear system
+(``colon_piece``). C always contains W. For d-1 <= k <= T it equals W by
+Gorenstein duality: the quotient algebra A pairs A_{d-1} perfectly with
+A_{T-d+1} = A_{T-k} * A_{k-d+1}, so a class killed by A_{k-d+1} is zero.
+C is still computed from the data every time, never assumed.
+
+Moving a polynomial f by h in S_d modulo the line through f moves its
+Jacobian tuple by the partials of h, so the kernel there is
+{h in S_d : every partial of h lies in C} modulo f. With C = W this is the
+fiber of ``reconstruction.fiber`` modulo the line through f, which the
+fiber always contains (Euler identity): the kernel vanishes at a smooth
+non-direct-sum form and has dimension exactly s - 1 at a direct sum with
+s summands.
 """
 
 from __future__ import annotations
@@ -24,16 +40,18 @@ from functools import lru_cache
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
+    check_size,
     ideal_piece,
     is_complete_intersection,
     is_smooth,
     jacobian_gens,
     socle_degree,
 )
-from .linalg import QuotientMap, nullspace, solve_columns, span_polys
-from .monomials import derivative_table, dim_graded, mono_basis, mono_index, product_index_table
+from .linalg import QuotientMap, Subspace, nullspace, rref, solve_columns, span_polys, span_vectors
+from .monomials import dim_graded, mono_basis, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
 from .rationals import ZERO
+from .reconstruction import forms_with_partials_in
 
 
 class TupleTangentVector:
@@ -93,7 +111,7 @@ class PolyTangentVector:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Exact kernel of an assembled tangent map at one degree k."""
+    """Exact kernel of a tangent map at one degree k, canonical basis."""
 
     k: int
     tangent_dim: int
@@ -153,10 +171,15 @@ def membership_solutions(w: GeneratorTuple, k: int):
     return piece, tuple(packed)
 
 
-def _check_tuple_pre(w: GeneratorTuple, k: int):
-    top = socle_degree(w.n, w.d)
-    if not w.d - 1 <= k <= top:
+def _check_degree(n: int, d: int, k: int):
+    check_size(n, d)
+    top = socle_degree(n, d)
+    if not d - 1 <= k <= top:
         raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
+
+
+def _check_tuple_pre(w: GeneratorTuple, k: int):
+    _check_degree(w.n, w.d, k)
     if not is_complete_intersection(w):
         raise PreconditionError("generator tuple is not a complete intersection")
 
@@ -200,115 +223,79 @@ def tangent_image(w: GeneratorTuple, h, k: int) -> tuple:
     return tuple(rows)
 
 
+def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
+    """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
+
+    Returns (that quotient map, canonical basis). One column per nonpivot
+    monomial of span(W), one row per monomial u of degree k-(d-1) and
+    quotient coordinate of S_k / (I_W)_k: the entry is that coordinate of
+    u times the column's monomial.
+    """
+    gq = QuotientMap(w.span)
+    qm = QuotientMap(ideal_piece(w, k))
+    rows = []
+    for tu in product_index_table(w.n, k - (w.d - 1), w.d - 1):
+        images = [qm.unit_coords(tu[j]) for j in gq.nonpivots]
+        rows.extend([img[q] for img in images] for q in range(qm.dim))
+    return gq, nullspace(rows, gq.dim)
+
+
+def _from_quotient_coords(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:
+    monos = mono_basis(n, degree)
+    return HomogeneousPolynomial(n, degree, {monos[j]: c for j, c in zip(qm.nonpivots, vec) if c})
+
+
+def colon_piece(w: GeneratorTuple, k: int) -> Subspace:
+    """C = ((I_W)_k : S_{k-(d-1)})_{d-1}, canonical basis, for k >= d-1.
+
+    The forms c of the generator degree with c * u in (I_W)_k for every
+    monomial u of degree k-(d-1). Contains span(W); equal to it at a
+    complete intersection for d-1 <= k <= T.
+    """
+    gq, extra = _colon_mod_span(w, k)
+    lifted = [_from_quotient_coords(gq, w.n, w.d - 1, v).coords() for v in extra]
+    return span_vectors(w.n, w.d - 1, [*w.span.rows, *lifted])
+
+
 def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
     """Kernel of the tangent map of W |-> (I_W)_k at a complete intersection.
 
     The tangent space has dimension (n+1) * (dim S_{d-1} - (n+1)); the
-    kernel is expected to vanish for every complete intersection and every
-    k between d-1 and the socle degree.
+    kernel is n+1 copies of C / W for the colon piece C, so its canonical
+    basis is the basis of C / W placed in each part in turn. It vanishes
+    for every complete intersection and every k between d-1 and the socle
+    degree.
     """
     _check_tuple_pre(w, k)
     n = w.n
-    piece, sols = membership_solutions(w, k)
-    qm = QuotientMap(piece)
-    gq = QuotientMap(w.span)
-    table = product_index_table(n, k - (w.d - 1), w.d - 1)
-    unit = qm.unit_coords
-    quot = qm.dim
-    per_part = gq.dim
-    tangent_dim = (n + 1) * per_part
-
-    columns = []
-    for i in range(n + 1):
-        for mono_pos in gq.nonpivots:
-            col = []
-            for sol in sols:
-                acc = [ZERO] * quot
-                for u_idx, uc in sol[i]:
-                    uvec = unit(table[u_idx][mono_pos])
-                    for q in range(quot):
-                        uq = uvec[q]
-                        if uq:
-                            acc[q] += uc * uq
-                col.extend(acc)
-            columns.append(col)
-
-    constraint_rows = [
-        [columns[c][r] for c in range(tangent_dim)] for r in range(len(sols) * quot)
-    ]
-    kernel_vectors = nullspace(constraint_rows, tangent_dim)
-
-    basis_monos = mono_basis(n, w.d - 1)
-    basis = []
-    for vec in kernel_vectors:
-        parts = []
-        for i in range(n + 1):
-            terms = {}
-            for c, mono_pos in enumerate(gq.nonpivots):
-                val = vec[i * per_part + c]
-                if val:
-                    terms[basis_monos[mono_pos]] = val
-            parts.append(HomogeneousPolynomial(n, w.d - 1, terms))
-        basis.append(TupleTangentVector(w, parts))
-    return KernelReport(k, tangent_dim, len(kernel_vectors), tuple(basis))
+    gq, block = _colon_mod_span(w, k)
+    zero = HomogeneousPolynomial.zero(n, w.d - 1)
+    forms = [_from_quotient_coords(gq, n, w.d - 1, v) for v in block]
+    basis = tuple(
+        TupleTangentVector(w, [form if i == slot else zero for i in range(n + 1)])
+        for slot in range(n + 1)
+        for form in forms
+    )
+    return KernelReport(k, (n + 1) * gq.dim, len(basis), basis)
 
 
 def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     """Kernel of the tangent map of f |-> degree-k Jacobian piece.
 
     Computed in S_d modulo the line through f, so the tangent space has
-    dimension dim(S_d) - 1. Zero kernel is the expected outcome for a
-    smooth non-direct-sum f; for a direct sum with s summands the kernel
-    contains the fiber directions and so has dimension at least s - 1.
+    dimension dim(S_d) - 1. The kernel is {h : every partial of h lies in
+    the colon piece} modulo f: zero for a smooth non-direct-sum f, and of
+    dimension s - 1 for a direct sum with s summands.
     """
     n, d = f.n, f.degree
-    top = socle_degree(n, d)
-    if not d - 1 <= k <= top:
-        raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
+    _check_degree(n, d, k)
     if not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
 
-    w = jacobian_gens(f)
-    piece, sols = membership_solutions(w, k)
-    qm = QuotientMap(piece)
     fq = QuotientMap(span_polys([f]))
-    table = product_index_table(n, k - (d - 1), d - 1)
-    dtab = derivative_table(n, d)
-    unit = qm.unit_coords
-    quot = qm.dim
-    tangent_dim = fq.dim  # = dim(S_d) - 1
-
-    columns = []
-    for mono_pos in fq.nonpivots:
-        col = []
-        for sol in sols:
-            acc = [ZERO] * quot
-            for i in range(n + 1):
-                hit = dtab[i][mono_pos]
-                if hit is None:
-                    continue
-                tj, factor = hit
-                for u_idx, uc in sol[i]:
-                    weight = uc * factor
-                    uvec = unit(table[u_idx][tj])
-                    for q in range(quot):
-                        uq = uvec[q]
-                        if uq:
-                            acc[q] += weight * uq
-            col.extend(acc)
-        columns.append(col)
-
-    constraint_rows = [
-        [columns[c][r] for c in range(tangent_dim)] for r in range(len(sols) * quot)
-    ]
-    kernel_vectors = nullspace(constraint_rows, tangent_dim)
-
-    basis_monos = mono_basis(n, d)
-    basis = []
-    for vec in kernel_vectors:
-        terms = {}
-        for c, mono_pos in enumerate(fq.nonpivots):
-            if vec[c]:
-                terms[basis_monos[mono_pos]] = vec[c]
-        basis.append(PolyTangentVector(f, HomogeneousPolynomial(n, d, terms)))
-    return KernelReport(k, tangent_dim, len(kernel_vectors), tuple(basis))
+    preimage = forms_with_partials_in(colon_piece(jacobian_gens(f), k))
+    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
+    basis = tuple(
+        PolyTangentVector(f, _from_quotient_coords(fq, n, d, vec)) for vec in kernel_vectors
+    )
+    return KernelReport(k, fq.dim, len(basis), basis)

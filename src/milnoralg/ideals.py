@@ -26,6 +26,16 @@ from .polynomials import HomogeneousPolynomial, partial
 from .rationals import ZERO
 
 
+def check_size(n: int, d: int) -> None:
+    """Reject sizes outside the theory: n+1 >= 2 variables, degree d >= 2.
+
+    Every entry point that builds a generator tuple or a Hilbert profile
+    goes through this one check, so they all accept the same domain.
+    """
+    if n < 1 or d < 2:
+        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+
+
 def socle_degree(n: int, d: int) -> int:
     """Top nonzero degree (n+1)(d-2) of the Artinian quotient algebra."""
     return (n + 1) * (d - 2)
@@ -67,8 +77,7 @@ def hilbert_profile(n: int, d: int) -> HilbertProfile:
     (d-1)^(n+1). Cached per (n, d); the cache is read-safe and
     idempotent under concurrent fills.
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    check_size(n, d)
     block = [1] * (d - 1)
     vals = [1]
     for _ in range(n + 1):
@@ -93,8 +102,7 @@ class GeneratorTuple:
 
     def __init__(self, n: int, d: int, gens):
         gens = tuple(gens)
-        if d < 2:
-            raise ValueError(f"need d >= 2, got d={d}")
+        check_size(n, d)
         if len(gens) != n + 1:
             raise ValueError(f"expected {n + 1} generators, got {len(gens)}")
         for g in gens:
@@ -185,8 +193,7 @@ def jacobian_gens(f: HomogeneousPolynomial) -> GeneratorTuple:
     Rejects forms whose partials are linearly dependent (cones): those lie
     outside the smooth locus and none of the reconstruction theory applies.
     """
-    if f.degree < 2:
-        raise ValueError(f"need degree >= 2, got {f.degree}")
+    check_size(f.n, f.degree)
     return GeneratorTuple(f.n, f.degree, [partial(f, i) for i in range(f.n + 1)])
 
 
@@ -225,8 +232,6 @@ def is_smooth(f: HomogeneousPolynomial) -> bool:
     Decided exactly: smoothness of a degree-d form is equivalent to its
     partials forming a complete intersection.
     """
-    if f.degree < 2:
-        raise ValueError(f"need degree >= 2, got {f.degree}")
     try:
         w = jacobian_gens(f)
     except PreconditionError:

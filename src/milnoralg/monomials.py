@@ -17,10 +17,6 @@ from functools import lru_cache
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
 
-def total_degree(alpha: Exponent) -> int:
-    return sum(alpha)
-
-
 def grlex_key(alpha: Exponent):
     """Sort key for the global term order: degree first, then lexicographic.
 

@@ -1,10 +1,11 @@
 """Exact rational scalars.
 
-All arithmetic in this package is exact. gmpy2's ``mpq`` is used when
-available (a large constant-factor win on elimination-heavy paths) with
-``fractions.Fraction`` as a drop-in fallback; both are hashable, reduce to
-lowest terms, and interoperate with Python ints, and nothing downstream
-depends on which one is active.
+All arithmetic in this package is exact. gmpy2 is optional (the ``fast``
+extra: ``pip install milnoralg[fast]``); when it is installed its ``mpq``
+is used, a large constant-factor win on elimination-heavy paths, and
+otherwise the standard library's ``fractions.Fraction``. Both are
+hashable, reduce to lowest terms, and interoperate with Python ints, and
+nothing downstream depends on which one is active.
 """
 
 from __future__ import annotations

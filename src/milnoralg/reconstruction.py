@@ -105,10 +105,10 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     """
     if (e.n, e.k) != (n, k):
         raise ValueError(f"subspace lives in {(e.n, e.k)}, not {(n, k)}")
+    profile = hilbert_profile(n, d)
     top = socle_degree(n, d)
     if not d - 1 <= k <= top:
         raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
-    profile = hilbert_profile(n, d)
     if e.dim != profile.b(k):
         raise PreconditionError(
             f"dimension {e.dim} does not match the expected piece dimension {profile.b(k)}"
@@ -138,16 +138,14 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     return w
 
 
-def fiber(w: GeneratorTuple, d: int) -> FiberResult:
-    """All degree-d forms whose partials all lie in span(W), canonical basis.
+def forms_with_partials_in(e: Subspace) -> tuple:
+    """Canonical basis of {g in S_{k+1} : all partials of g lie in E}, E in S_k.
 
-    Solved as one exact linear system. When W is the Jacobian tuple of
-    some f the fiber contains f itself (Euler identity), so s >= 1.
+    Solved as one exact linear system: every quotient coordinate of every
+    partial of g modulo E must vanish.
     """
-    if d != w.d:
-        raise ValueError(f"degree {d} does not match tuple degree {w.d}")
-    n = w.n
-    qm = QuotientMap(w.span)
+    n, d = e.n, e.k + 1
+    qm = QuotientMap(e)
     src_dim = dim_graded(n, d)
     dtab = derivative_table(n, d)
     unit = qm.unit_coords
@@ -167,8 +165,18 @@ def fiber(w: GeneratorTuple, d: int) -> FiberResult:
             rows.append(row)
 
     solutions = nullspace(rows, src_dim)
-    basis = tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
-    return FiberResult(d, basis)
+    return tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
+
+
+def fiber(w: GeneratorTuple, d: int) -> FiberResult:
+    """All degree-d forms whose partials all lie in span(W), canonical basis.
+
+    When W is the Jacobian tuple of some f the fiber contains f itself
+    (Euler identity), so s >= 1.
+    """
+    if d != w.d:
+        raise ValueError(f"degree {d} does not match tuple degree {w.d}")
+    return FiberResult(d, forms_with_partials_in(w.span))
 
 
 def reconstruct_poly(e: Subspace, k: int, n: int, d: int) -> FiberResult:

@@ -20,7 +20,7 @@ from .ideals import GeneratorTuple, HilbertProfile
 from .inverse_systems import AssociatedForm
 from .linalg import Subspace, span_vectors
 from .monomials import dim_graded
-from .polynomials import HomogeneousPolynomial, format_poly, parse_poly
+from .polynomials import format_poly, parse_poly
 from .rationals import format_rational, parse_rational
 from .reconstruction import FiberResult
 
@@ -128,11 +128,3 @@ def hilbert_to_dict(profile: HilbertProfile) -> dict:
         "a": list(profile.values),
         "b": [profile.b(k) for k in range(profile.socle + 2)],
     }
-
-
-def poly_to_str(f: HomogeneousPolynomial) -> str:
-    return format_poly(f)
-
-
-def poly_from_str(text: str, n=None, degree=None) -> HomogeneousPolynomial:
-    return parse_poly(text, n=n, degree=degree)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .ideals import GeneratorTuple, is_complete_intersection, is_smooth, jacobian_gens
+from .ideals import GeneratorTuple, check_size, is_complete_intersection, is_smooth, jacobian_gens
 from .monomials import mono_basis
 from .polynomials import HomogeneousPolynomial, fermat
 from .reconstruction import FiberResult, fiber
@@ -36,7 +36,13 @@ class STReport:
 
 
 def st_report(f: HomogeneousPolynomial) -> STReport:
-    """Decide direct-sum type by the fiber dimension (f must be smooth)."""
+    """Decide direct-sum type by the fiber dimension (f smooth, d >= 3).
+
+    For d = 2 the fiber is all of S_2, whose dimension is not a summand
+    count, so quadrics are rejected with ValueError.
+    """
+    if f.degree < 3:
+        raise ValueError(f"direct-sum analysis needs d >= 3, got d={f.degree}")
     if not is_smooth(f):
         raise PreconditionError("form is not smooth")
     result = fiber(jacobian_gens(f), f.degree)
@@ -92,8 +98,7 @@ def random_smooth(
     the Fermat form, always a direct sum; and every smooth binary cubic is
     a direct sum, so n=1, d=3 with require_non_st can never succeed).
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    check_size(n, d)
     if require_non_st and d < 3:
         raise ValueError("non-direct-sum sampling needs d >= 3")
     rng = random.Random(seed)
@@ -129,8 +134,7 @@ def random_ci_tuple(
     Each generator is x_i^(d-1) plus a bounded integer perturbation; the
     tuple is kept only if independent and a complete intersection.
     """
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    check_size(n, d)
     rng = random.Random(seed)
     monomials = mono_basis(n, d - 1)
     for _ in range(max_attempts):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from milnoralg import ideal_piece, random_ci_tuple
 from milnoralg.cli import main
 from milnoralg.serialize import gens_to_dict, subspace_to_dict
@@ -58,6 +60,12 @@ def test_st_singular_exit_3(capsys):
     code, _, err = run(capsys, "st", "--poly", "x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")
     assert code == 3
     assert "precondition" in err
+
+
+def test_st_rejects_quadric_exit_2(capsys):
+    # at d = 2 the fiber is all of S_2, so its dimension counts no summands
+    code, out, err = run(capsys, "st", "--poly", "x0^2+x1^2")
+    assert code == 2 and out == "" and "d >= 3" in err
 
 
 def test_fiber_command(capsys):
@@ -241,3 +249,43 @@ def test_suite_json(capsys):
     doc = json.loads(out)
     assert len(doc) == 10
     assert all(entry["ok"] for entry in doc)
+
+
+# -- one domain check at every entry point -----------------------------------------------
+
+
+def one_variable_files(tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"n": 0, "d": 3, "gens": ["x0^2"]}))
+    sub = tmp_path / "subspace.json"
+    sub.write_text(
+        json.dumps({"n": 0, "degree": 2, "order": "grlex", "dim": 1, "basis": [["1"]]})
+    )
+    return str(gens), str(sub)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--n", "0", "--d", "3"],
+        ["hilbert", "--n", "2", "--d", "1"],
+        ["smooth", "--poly", "x0^2"],
+        ["smooth", "--poly", "x0 + x1"],
+        ["st", "--poly", "x0^3"],
+        ["fiber", "--poly", "x0^3"],
+        ["fiber", "--poly", "x0 + x1"],
+        ["tangent-kernel", "--poly", "x0^3", "--k", "2"],
+        ["tangent-kernel", "--gens", "GENS", "--k", "2"],
+        ["inverse-system", "--gens", "GENS"],
+        ["reconstruct", "--subspace", "SUBSPACE", "--d", "3"],
+        ["random", "--n", "0", "--d", "3", "--seed", "1"],
+        ["random", "--n", "2", "--d", "1", "--seed", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) + "..." + argv[-1],
+)
+def test_size_outside_domain_exit_2(tmp_path, capsys, argv):
+    gens, sub = one_variable_files(tmp_path)
+    argv = [{"GENS": gens, "SUBSPACE": sub}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "need n >= 1 and d >= 2" in err

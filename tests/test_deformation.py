@@ -7,20 +7,27 @@ from milnoralg import (
     HomogeneousPolynomial,
     PolyTangentVector,
     PreconditionError,
+    QuotientMap,
     TupleTangentVector,
+    colon_piece,
     dim_graded,
     fermat,
     fiber,
+    format_poly,
+    full_subspace,
     ideal_piece,
     jacobian_gens,
+    linear_change,
     membership_solutions,
     mono_basis,
     multiplication_matrix,
     multiply,
     nullspace,
     parse_poly,
+    partial,
     random_ci_tuple,
     random_smooth,
+    random_unimodular,
     socle_degree,
     span_polys,
     tangent_image,
@@ -260,3 +267,123 @@ def test_poly_kernel_members_verified_by_direct_arithmetic():
         for image in induced_images(outside)
     )
     assert dim_u == len(u_basis)
+
+
+# -- the colon characterization against independent oracles -------------------------
+
+# a binary quartic that is not a direct sum, plus a fourth power: s = 2
+MIXED_SUM = parse_poly("-x0^4 + x0^3*x1 + x0^2*x1^2 - 2*x0*x1^3 + x2^4")
+
+DIRECT_SUMS = [
+    fermat(2, 3),
+    fermat(2, 4),
+    fermat(3, 3),
+    MIXED_SUM,
+    linear_change(fermat(2, 3), random_unimodular(2, seed=11, steps=4)),
+]
+
+
+def k_range(n, d):
+    return range(d - 1, socle_degree(n, d) + 1)
+
+
+def assembled_kernel(w, k, directions):
+    """Nullspace of the matrix whose columns are the flattened tangent images."""
+    columns = [
+        [x for row in tangent_image(w, parts, k) for x in row] for parts in directions
+    ]
+    rows = [list(r) for r in zip(*columns)]
+    return nullspace(rows, len(columns))
+
+
+def oracle_tuple_kernel(w, k):
+    """Tuple kernel rebuilt from tangent_image, as formatted parts."""
+    n, d = w.n, w.d
+    gq = QuotientMap(w.span)
+    monos = mono_basis(n, d - 1)
+    zero = HomogeneousPolynomial.zero(n, d - 1)
+    directions = []
+    for i in range(n + 1):
+        for j in gq.nonpivots:
+            parts = [zero] * (n + 1)
+            parts[i] = HomogeneousPolynomial.monomial(n, monos[j])
+            directions.append(parts)
+    per_part = gq.dim
+    basis = []
+    for vec in assembled_kernel(w, k, directions):
+        parts = [
+            HomogeneousPolynomial(
+                n,
+                d - 1,
+                {monos[j]: vec[i * per_part + c] for c, j in enumerate(gq.nonpivots)},
+            )
+            for i in range(n + 1)
+        ]
+        basis.append([format_poly(p) for p in TupleTangentVector(w, parts).parts])
+    return len(directions), basis
+
+
+def oracle_poly_kernel(f, k):
+    """Poly kernel rebuilt from tangent_image, as formatted representatives."""
+    n, d = f.n, f.degree
+    w = jacobian_gens(f)
+    fq = QuotientMap(span_polys([f]))
+    monos = mono_basis(n, d)
+    directions = []
+    for j in fq.nonpivots:
+        mono = HomogeneousPolynomial.monomial(n, monos[j])
+        directions.append([partial(mono, i) for i in range(n + 1)])
+    basis = []
+    for vec in assembled_kernel(w, k, directions):
+        h = HomogeneousPolynomial(n, d, {monos[j]: vec[c] for c, j in enumerate(fq.nonpivots)})
+        basis.append(format_poly(PolyTangentVector(f, h).h))
+    return len(directions), basis
+
+
+def test_tuple_kernel_matches_assembled_oracle():
+    w = random_ci_tuple(2, 4, seed=211)
+    for k in k_range(2, 4):
+        report = tangent_kernel_at_tuple(w, k)
+        tangent_dim, basis = oracle_tuple_kernel(w, k)
+        assert report.tangent_dim == tangent_dim
+        assert [[format_poly(p) for p in v.parts] for v in report.basis] == basis
+
+
+@pytest.mark.parametrize("f", [fermat(2, 3), fermat(2, 4), MIXED_SUM], ids=str)
+def test_poly_kernel_matches_assembled_oracle(f):
+    for k in k_range(f.n, f.degree):
+        report = tangent_kernel_at_poly(f, k)
+        tangent_dim, basis = oracle_poly_kernel(f, k)
+        assert report.tangent_dim == tangent_dim
+        assert [format_poly(v.h) for v in report.basis] == basis
+        assert basis  # a direct sum has a nonzero kernel at every k
+
+
+@pytest.mark.parametrize("f", DIRECT_SUMS, ids=str)
+def test_poly_kernel_vectors_have_zero_tangent_image(f):
+    w = jacobian_gens(f)
+    for k in k_range(f.n, f.degree):
+        for vec in tangent_kernel_at_poly(f, k).basis:
+            parts = [partial(vec.h, i) for i in range(f.n + 1)]
+            assert all(not any(row) for row in tangent_image(w, parts, k))
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (2, 4), (3, 3), (2, 5)])
+def test_colon_piece_is_the_span_at_ci(n, d):
+    # Gorenstein duality: nothing outside W is killed by S_{k-d+1} for k <= T
+    w = random_ci_tuple(n, d, seed=223 + 10 * n + d)
+    for k in k_range(n, d):
+        assert colon_piece(w, k) == w.span
+
+
+def test_colon_piece_past_the_socle_is_everything():
+    # (I_W)_4 = S_4 for the squares, so every quadric is in the colon
+    assert colon_piece(SQUARES, 4) == full_subspace(2, 2)
+
+
+@pytest.mark.parametrize("f", DIRECT_SUMS, ids=str)
+def test_poly_kernel_dim_is_fiber_dim_minus_one(f):
+    s = fiber(jacobian_gens(f), f.degree).s
+    assert s >= 2
+    for k in k_range(f.n, f.degree):
+        assert tangent_kernel_at_poly(f, k).kernel_dim == s - 1

@@ -5,6 +5,7 @@ import pytest
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
+    check_size,
     dim_graded,
     hilbert_profile,
     ideal_piece,
@@ -83,6 +84,22 @@ def test_hilbert_rejects_bad_sizes():
         hilbert_profile(0, 3)
     with pytest.raises(ValueError):
         hilbert_profile(2, 1)
+
+
+def test_one_size_check_at_every_entry_point():
+    check_size(1, 2)
+    for n, d in [(0, 3), (2, 1), (-1, 3)]:
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 2"):
+            check_size(n, d)
+    one_var = parse_poly("x0^2", n=0)
+    for call in (
+        lambda: is_smooth(one_var),
+        lambda: jacobian_gens(one_var),
+        lambda: GeneratorTuple(0, 3, [parse_poly("x0^2", n=0)]),
+        lambda: GeneratorTuple(2, 1, [parse_poly(t, n=2) for t in ("1", "1", "1")]),
+    ):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 2"):
+            call()
 
 
 def test_hilbert_agrees_with_fermat_jacobian_dimensions():

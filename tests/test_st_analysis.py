@@ -53,6 +53,12 @@ def test_st_report_rejects_singular():
         st_report(parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2"))
 
 
+def test_st_report_rejects_quadrics():
+    # the fiber of a quadric is all of S_2, not a summand count
+    with pytest.raises(ValueError):
+        st_report(fermat(2, 2))
+
+
 def test_two_disjoint_non_st_blocks_give_s_2():
     g = random_smooth(1, 4, seed=71, require_non_st=True)
     h = random_smooth(1, 4, seed=73, require_non_st=True)
