@@ -23,7 +23,6 @@ from .errors import PreconditionError
 from .linalg import SpanBuilder, Subspace, span_polys, zero_subspace
 from .monomials import dim_graded, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial, partial
-from .rationals import ZERO
 
 
 def check_size(n: int, d: int) -> None:
@@ -154,7 +153,7 @@ def multiples_span(n: int, src_deg: int, mult_deg: int, sparse_vecs) -> SpanBuil
     builder = SpanBuilder(target_dim)
     for tu in table:
         for sv in sparse_vecs:
-            vec = [ZERO] * target_dim
+            vec = [0] * target_dim
             for j, c in sv:
                 vec[tu[j]] = c
             builder.insert(vec)

@@ -10,10 +10,19 @@ row-echelon form. RREF is the unique canonical basis of a row space, so
 two subspaces are equal exactly when their basis matrices are identical
 entry for entry; this is what makes bit-exact equality of graded pieces,
 and hence injectivity tests for the maps built on them, meaningful.
+
+All elimination runs in ``SpanBuilder`` on Python ints, fraction-free as
+in Bareiss (1968). Each basis row is kept as the one primitive integer
+multiple of its RREF row with a positive pivot entry (the row times the
+lcm of its denominators), so the canonical basis is unchanged while the
+elimination pays one gcd per row instead of one per rational operation.
+Rationals are formed only where rows leave the builder.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .monomials import dim_graded, factorial_weights
@@ -21,76 +30,96 @@ from .polynomials import HomogeneousPolynomial
 from .rationals import ONE, Q, ZERO
 
 
+def _integer_row(vec) -> dict:
+    """Nonzero entries of ``vec`` times the lcm of its denominators, as ints."""
+    v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in enumerate(vec) if x}
+    den = lcm(*{x.denominator for x in v.values()})
+    return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in v.items() if x}
+
+
+def _rational_row(row: dict, pivot_entry: int, length: int) -> list:
+    """The dense rational row ``row / pivot_entry``, every entry of type Q."""
+    out = [ZERO] * length
+    for j, x in row.items():
+        out[j] = Q(x, pivot_entry)
+    return out
+
+
+def _subtract(v: dict, m: int, row: dict) -> None:
+    """v -= m * row in place, dropping entries that cancel."""
+    for j, y in row.items():
+        x = v.get(j, 0) - m * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+
+
 class SpanBuilder:
     """Incremental reduced row-echelon basis of a growing row space.
 
-    Rows are inserted one at a time; the internal state is always a full
-    RREF (pivot columns strictly increasing, pivots 1, pivot columns
-    cleared elsewhere, no zero rows). The final basis is the unique RREF
-    of the row space, independent of insertion order, so results are
-    deterministic and canonical by construction.
+    The state is always a full RREF (pivot columns strictly increasing and
+    cleared elsewhere, no zero rows). ``int_rows`` maps each pivot to its
+    row's primitive integer multiple as a sparse {column: entry} dict; an
+    RREF row is zero at every other pivot, so rows thin out as the span
+    fills. The basis is the unique RREF of the row space, independent of
+    insertion order, so results are deterministic and canonical.
     """
 
-    __slots__ = ("length", "rows", "pivots")
+    __slots__ = ("length", "int_rows", "pivots")
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list = []
+        self.int_rows: dict = {}
         self.pivots: list = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.length
+        return len(self.pivots) == self.length
 
-    def reduce(self, vec) -> list:
-        """Residual of ``vec`` after eliminating all pivot components."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.length):
-                    rj = row[j]
-                    if rj:
-                        v[j] -= c * rj
-        return v
+    @property
+    def rows(self) -> list:
+        """The RREF basis as dense lists of rationals (pivot entries 1)."""
+        rows = self.int_rows
+        return [_rational_row(rows[p], rows[p][p], self.length) for p in self.pivots]
 
     def insert(self, vec) -> bool:
         """Add a vector to the span; True if the dimension grew."""
-        v = self.reduce(vec)
-        pivot = None
-        for j, c in enumerate(v):
-            if c:
-                pivot = j
-                break
-        if pivot is None:
+        v = _integer_row(vec)
+        rows = self.int_rows
+        # The basis is fully reduced, so the multiplier of each pivot row is
+        # the incoming entry at its pivot: v <- L v - sum (L / a_p) v[p] row_p.
+        hits = [(rows[p], p, c) for p, c in v.items() if p in rows]
+        if hits:
+            scale = lcm(*(r[p] for r, p, _ in hits))
+            if scale != 1:
+                v = {j: scale * x for j, x in v.items()}
+            for r, p, c in hits:
+                _subtract(v, scale // r[p] * c, r)
+        if not v:
             return False
-        inv = ONE / v[pivot]
-        if inv != 1:
-            v = [c * inv for c in v]
-        v[pivot] = ONE  # guard against any residual scaling artifacts
-        for row in self.rows:
-            c = row[pivot]
+        pivot = min(v)
+        g = gcd(*v.values())
+        if v[pivot] < 0:
+            g = -g
+        if g != 1:
+            v = {j: x // g for j, x in v.items()}
+        a = v[pivot]
+        for p, r in rows.items():
+            c = r.get(pivot)
             if c:
-                for j in range(pivot, self.length):
-                    vj = v[j]
-                    if vj:
-                        row[j] -= c * vj
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+                h = gcd(a, c)
+                s, t = a // h, c // h
+                r = {j: s * x for j, x in r.items()}
+                _subtract(r, t, v)
+                h = gcd(*r.values())
+                rows[p] = {j: x // h for j, x in r.items()} if h != 1 else r
+        rows[pivot] = v
+        insort(self.pivots, pivot)
         return True
-
-    def insert_many(self, vectors) -> None:
-        for vec in vectors:
-            self.insert(vec)
-
-    def rows_tuple(self) -> tuple:
-        return tuple(tuple(row) for row in self.rows)
 
 
 def rref(rows: Iterable) -> tuple:
@@ -99,13 +128,13 @@ def rref(rows: Iterable) -> tuple:
     Returns (reduced rows, pivot columns); zero rows are dropped. The
     result depends only on the row space, hence is deterministic.
     """
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         return [], []
     builder = SpanBuilder(len(rows[0]))
     for r in rows:
-        builder.insert([Q(x) for x in r])
-    return [list(r) for r in builder.rows], list(builder.pivots)
+        builder.insert(r)
+    return builder.rows, list(builder.pivots)
 
 
 def nullspace(rows: Iterable, ncols: int) -> list:
@@ -114,19 +143,19 @@ def nullspace(rows: Iterable, ncols: int) -> list:
     Standard free-variable construction followed by a canonicalizing
     re-reduction, so the result is the RREF basis of the kernel.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    reduced = SpanBuilder(ncols)
+    for r in rows:
+        reduced.insert(r)
     builder = SpanBuilder(ncols)
-    for j in free:
-        v = [ZERO] * ncols
-        v[j] = ONE
-        for r, p in enumerate(pivots):
-            c = reduced[r][j]
-            if c:
-                v[p] = -c
+    for j in sorted(set(range(ncols)) - set(reduced.pivots)):
+        hits = [(r[j], r[p], p) for p, r in reduced.int_rows.items() if j in r]
+        scale = lcm(*(a for _, a, _ in hits))
+        v = [0] * ncols
+        v[j] = scale
+        for c, a, p in hits:
+            v[p] = -c * (scale // a)
         builder.insert(v)
-    return [list(r) for r in builder.rows]
+    return builder.rows
 
 
 def solve_columns(rows: Iterable, ncols: int, rhs_columns: Iterable) -> list:
@@ -134,53 +163,28 @@ def solve_columns(rows: Iterable, ncols: int, rhs_columns: Iterable) -> list:
 
     ``rows`` is the matrix M (each row of length ``ncols``); each b has one
     entry per row. Returns one solution per b with free variables set to
-    zero, or None where the system is inconsistent.
+    zero, or None where the system is inconsistent. One RREF of the rows
+    [M | b_0 ... b_r] serves all: its rows pivoting right of M span the
+    y[M | B] with yM = 0, so b_j is consistent iff they all vanish in its
+    column, and then x[p] is that column's entry in the row pivoting at p.
     """
     rows = [list(r) for r in rows]
     rhs = [list(b) for b in rhs_columns]
-    nrhs = len(rhs)
     if any(len(b) != len(rows) for b in rhs):
         raise ValueError("right-hand side length does not match row count")
-    aug = [rows[i] + [rhs[j][i] for j in range(nrhs)] for i in range(len(rows))]
-
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        hit = None
-        for i in range(pr, len(aug)):
-            if aug[i][pc]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        aug[pr], aug[hit] = aug[hit], aug[pr]
-        inv = ONE / aug[pr][pc]
-        if inv != 1:
-            aug[pr] = [x * inv for x in aug[pr]]
-        prow = aug[pr]
-        for i in range(len(aug)):
-            if i != pr and aug[i][pc]:
-                c = aug[i][pc]
-                row = aug[i]
-                for j in range(pc, ncols + nrhs):
-                    pj = prow[j]
-                    if pj:
-                        row[j] -= c * pj
-        pivots.append(pc)
-        pr += 1
-        if pr == len(aug):
-            break
-
+    builder = SpanBuilder(ncols + len(rhs))
+    for i, row in enumerate(rows):
+        builder.insert(row + [b[i] for b in rhs])
+    basis = builder.int_rows.items()
     solutions = []
-    for j in range(nrhs):
-        col = ncols + j
-        consistent = all(not aug[i][col] for i in range(pr, len(aug)))
-        if not consistent:
+    for col in range(ncols, ncols + len(rhs)):
+        if any(col in r for p, r in basis if p >= ncols):
             solutions.append(None)
             continue
         x = [ZERO] * ncols
-        for r, p in enumerate(pivots):
-            x[p] = aug[r][col]
+        for p, r in basis:
+            if p < ncols and col in r:
+                x[p] = Q(r[col], r[p])
         solutions.append(x)
     return solutions
 
@@ -209,7 +213,7 @@ class Subspace:
     def from_builder(cls, n: int, k: int, builder: SpanBuilder) -> "Subspace":
         if builder.length != dim_graded(n, k):
             raise ValueError("builder length does not match ambient dimension")
-        return cls(n, k, builder.rows_tuple(), tuple(builder.pivots))
+        return cls(n, k, builder.rows, tuple(builder.pivots))
 
     @property
     def ambient(self) -> tuple:
@@ -283,7 +287,7 @@ def span_vectors(n: int, k: int, vectors: Iterable) -> Subspace:
     """Canonical subspace spanned by coordinate vectors in S_k."""
     builder = SpanBuilder(dim_graded(n, k))
     for v in vectors:
-        builder.insert([Q(x) for x in v])
+        builder.insert(v)
     return Subspace.from_builder(n, k, builder)
 
 
@@ -304,10 +308,8 @@ def span_polys(polys, n: Optional[int] = None, k: Optional[int] = None) -> Subsp
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
     builder = SpanBuilder(a.ambient_dim)
-    for row in a.rows:
-        builder.insert(list(row))
-    for row in b.rows:
-        builder.insert(list(row))
+    for row in a.rows + b.rows:
+        builder.insert(row)
     return Subspace.from_builder(a.n, a.k, builder)
 
 
@@ -317,14 +319,15 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     amb = a.ambient_dim
     builder = SpanBuilder(2 * amb)
     for row in a.rows:
-        builder.insert(list(row) + list(row))
+        builder.insert(row + row)
     for row in b.rows:
-        builder.insert(list(row) + [ZERO] * amb)
+        builder.insert(row + (0,) * amb)
     rows = []
     pivots = []
-    for row, p in zip(builder.rows, builder.pivots):
+    for p in builder.pivots:
         if p >= amb:
-            rows.append(tuple(row[amb:]))
+            row = builder.int_rows[p]
+            rows.append(_rational_row({j - amb: x for j, x in row.items()}, row[p], amb))
             pivots.append(p - amb)
     return Subspace(a.n, a.k, tuple(rows), tuple(pivots))
 
@@ -344,15 +347,19 @@ def orthogonal_complement(e: Subspace) -> Subspace:
     complement is the kernel of the weighted basis matrix. Involutive:
     the complement of the complement is the original subspace.
     """
-    amb = e.ambient_dim
     weights = factorial_weights(e.n, e.k)
-    rows = [[row[j] * weights[j] for j in range(amb)] for row in e.rows]
-    return span_vectors(e.n, e.k, nullspace(rows, amb))
+    rows = [[x * w if x else 0 for x, w in zip(row, weights)] for row in e.rows]
+    return map_kernel(rows, e.n, e.k)
 
 
 def map_kernel(matrix_rows, n: int, k: int) -> Subspace:
-    """Kernel in S_k of a map given by a matrix with dim(S_k) columns."""
-    return span_vectors(n, k, nullspace(matrix_rows, dim_graded(n, k)))
+    """Kernel in S_k of a map given by a matrix with dim(S_k) columns.
+
+    ``nullspace`` already returns the RREF basis, so each row's pivot is
+    its first nonzero entry and no re-elimination is needed.
+    """
+    rows = nullspace(matrix_rows, dim_graded(n, k))
+    return Subspace(n, k, rows, tuple(next(j for j, x in enumerate(r) if x) for r in rows))
 
 
 def map_image(matrix_rows, n: int, m: int) -> Subspace:
@@ -379,9 +386,7 @@ class QuotientMap:
         self.pivots = subspace.pivots
         pivset = set(subspace.pivots)
         self.nonpivots = tuple(j for j in range(subspace.ambient_dim) if j not in pivset)
-        self._restricted = [
-            [row[j] for j in self.nonpivots] for row in subspace.rows
-        ]
+        self._restricted = [[row[j] for j in self.nonpivots] for row in subspace.rows]
         self._unit_cache: dict = {}
 
     @property

@@ -2,10 +2,11 @@
 
 All arithmetic in this package is exact. gmpy2 is optional (the ``fast``
 extra: ``pip install milnoralg[fast]``); when it is installed its ``mpq``
-is used, a large constant-factor win on elimination-heavy paths, and
-otherwise the standard library's ``fractions.Fraction``. Both are
-hashable, reduce to lowest terms, and interoperate with Python ints, and
-nothing downstream depends on which one is active.
+is used, and otherwise the standard library's ``fractions.Fraction``.
+Elimination itself runs on Python ints (see ``linalg``) and meets this
+type only where its rows enter and leave. Both types are hashable,
+reduce to lowest terms, and interoperate with Python ints, and nothing
+downstream depends on which one is active.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ def _expect(obj: dict, key: str, kind):
     if key not in obj:
         raise ValueError(f"missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is not a number
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"key {key!r} has type {type(value).__name__}")
     return value
 

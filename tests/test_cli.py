@@ -121,6 +121,16 @@ def test_reconstruct_invalid_piece_exit_3(tmp_path, capsys):
     assert code == 3 and "precondition" in err
 
 
+def test_reconstruct_boolean_n_is_schema_error_exit_2(tmp_path, capsys):
+    # JSON true must not pass as n = 1 and then fail later as a precondition
+    doc = {"n": True, "degree": 2, "order": "grlex", "dim": 1, "basis": [["1", "0", "0"]]}
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reconstruct", "--subspace", str(path), "--d", "3")
+    assert code == 2 and out == ""
+    assert "key 'n' has type bool" in err
+
+
 def test_reconstruct_flag_mismatch_exit_2(tmp_path, capsys):
     w = random_ci_tuple(2, 3, seed=8)
     path = tmp_path / "subspace.json"
@@ -237,6 +247,19 @@ def test_suite_small(capsys):
     assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
     assert any("well-definedness" in line and "vacuous" in line for line in lines)
+
+
+def test_suite_binary_cubics_is_vacuous_not_failed(capsys):
+    # every smooth binary cubic is a direct sum, so the non-direct-sum phases
+    # have nothing to check at (1, 3) and must say so instead of failing
+    code, out, _ = run(capsys, "suite", "--n", "1", "--d", "3", "--polys", "2", "--tuples", "2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS") for line in lines)
+    for name in ("polynomial-round-trip", "tangent-kernel-polys", "containment"):
+        (line,) = [line for line in lines if line.startswith(f"PASS {name} (")]
+        assert line.endswith(": vacuous: every smooth binary cubic is a direct sum")
 
 
 def test_suite_json(capsys):

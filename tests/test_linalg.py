@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from milnoralg import (
     QuotientMap,
@@ -23,7 +25,13 @@ from milnoralg import (
 from milnoralg.linalg import SpanBuilder, solve_columns
 from milnoralg.rationals import Q
 
-from oracles import perm_determinant, spans_equal, sympy_nullspace_dim, sympy_rank
+from oracles import (
+    perm_determinant,
+    spans_equal,
+    sympy_matrix,
+    sympy_nullspace_dim,
+    sympy_rank,
+)
 
 
 def rand_matrix(rng, rows, cols, bound=5):
@@ -293,3 +301,147 @@ def test_empty_span():
     sub = span_polys([], n=2, k=2)
     assert sub.is_zero()
     assert sub == zero_subspace(2, 2)
+
+
+# -- fraction-free core against the sympy oracle ---------------------------------------
+
+
+def rand_rational_matrix(rng, nrows, ncols, den_bound):
+    """Rationals with zero, duplicate and negated rows mixed in."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-den_bound, den_bound), rng.randint(1, den_bound))
+
+    mat = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if mat and rng.random() < 0.5:
+        mat.append([-x for x in rng.choice(mat)])  # negative leading entry
+    if mat and rng.random() < 0.5:
+        mat.append(list(rng.choice(mat)))
+    if rng.random() < 0.3:
+        mat.append([0] * ncols)
+    rng.shuffle(mat)
+    return mat
+
+
+def oracle_rref(mat, ncols):
+    """Nonzero rows and pivots of sympy's RREF, as Fractions."""
+    if not mat:
+        return [], []
+    reduced, pivots = sympy_matrix(mat).rref()
+    rows = [[Fraction(str(x)) for x in reduced.row(i)] for i in range(len(pivots))]
+    return rows, list(pivots)
+
+
+def matrix_cases(seed, count=40):
+    rng = random.Random(seed)
+    for trial in range(count):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        den_bound = 10**15 if trial % 4 == 0 else 9
+        yield rng, rand_rational_matrix(rng, nrows, ncols, den_bound), ncols
+
+
+def assert_all_q(rows):
+    for row in rows:
+        for x in row:
+            assert type(x) is Q, f"{x!r} has type {type(x).__name__}"
+
+
+def test_rref_matches_sympy_entry_for_entry():
+    for _, mat, ncols in matrix_cases(101):
+        want_rows, want_pivots = oracle_rref(mat, ncols)
+        rows, pivots = rref(mat)
+        assert pivots == want_pivots
+        assert rows == want_rows
+        assert_all_q(rows)
+
+
+def test_span_builder_any_insertion_order_matches_sympy():
+    for rng, mat, ncols in matrix_cases(103):
+        want_rows, want_pivots = oracle_rref(mat, ncols)
+        for _ in range(3):
+            order = list(mat)
+            rng.shuffle(order)
+            builder = SpanBuilder(ncols)
+            for i, row in enumerate(order):
+                grew = builder.insert(row)
+                assert grew == (sympy_rank(order[: i + 1]) > sympy_rank(order[:i]))
+            assert builder.dim == len(want_rows)
+            assert builder.pivots == want_pivots
+            assert builder.rows == want_rows
+            assert_all_q(builder.rows)
+
+
+def test_nullspace_matches_sympy_rref_of_kernel():
+    for _, mat, ncols in matrix_cases(107):
+        null = nullspace(mat, ncols)
+        if mat:
+            kernel = sympy_matrix(mat).nullspace()
+        else:
+            kernel = [sympy.eye(ncols).col(j) for j in range(ncols)]
+        want, _ = oracle_rref([list(v) for v in kernel], ncols)
+        assert null == want
+        assert_all_q(null)
+
+
+def test_builder_accepts_what_q_accepts():
+    mixed = [[1, Fraction(-1, 2), 0, 3], [Q(2), 0, Q(5, 3), -1], ["1/4", 0.5, "-2", Fraction(0)]]
+    as_q = [[Q(x) for x in row] for row in mixed]
+    assert rref(mixed) == rref(as_q)
+    rows, pivots = rref([[0, 0, 2, 4], [0, 0, 3, 6]])  # int input, no denominators
+    assert rows == [[0, 0, 1, 2]] and pivots == [2]
+    assert_all_q(rows)
+    assert [str(x) for x in rows[0]] == ["0", "0", "1", "2"]
+
+
+def test_subspace_outputs_are_q_typed():
+    rng = random.Random(109)
+    for _ in range(10):
+        a = rand_subspace(rng, 2, 2, rng.randint(0, 4))
+        b = rand_subspace(rng, 2, 2, rng.randint(0, 4))
+        for sub in (a, subspace_sum(a, b), subspace_intersect(a, b), orthogonal_complement(a)):
+            assert_all_q(sub.rows)
+        kernel = map_kernel([list(r) for r in a.rows] or [[0] * a.ambient_dim], 2, 2)
+        assert_all_q(kernel.rows)
+        # map_kernel builds its Subspace without re-elimination; it must agree
+        assert kernel == span_vectors(2, 2, kernel.rows)
+
+
+def oracle_solve(mat, ncols, rhs):
+    """Free variables 0, or None when inconsistent, via gauss_jordan_solve."""
+    m = sympy.Matrix(len(mat), ncols, [sympy.Rational(str(x)) for row in mat for x in row])
+    try:
+        b = sympy.Matrix(len(rhs), 1, [sympy.Rational(str(x)) for x in rhs])
+        sol, params = m.gauss_jordan_solve(b)
+    except ValueError:
+        return None
+    sol = sol.subs({t: 0 for t in params})
+    return [Fraction(str(x)) for x in sol]
+
+
+def test_solve_columns_matches_sympy():
+    for rng, mat, ncols in matrix_cases(113, count=60):
+        rhs = [[0] * len(mat)]  # zero right-hand side: always consistent, x = 0
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:  # consistent by construction
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+                rhs.append([sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in mat])
+            else:  # usually inconsistent when the matrix is not of full row rank
+                rhs.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in mat])
+        sols = solve_columns(mat, ncols, rhs)
+        assert len(sols) == len(rhs)
+        assert sols[0] == [0] * ncols
+        for b, sol in zip(rhs, sols):
+            assert sol == oracle_solve(mat, ncols, b)
+            if sol is not None:
+                assert_all_q([sol])
+                assert [sum(a * s for a, s in zip(row, sol)) for row in mat] == b
+
+
+def test_solve_columns_zero_rows_and_no_rhs():
+    assert solve_columns([], 3, [[], []]) == [[0, 0, 0], [0, 0, 0]]
+    assert_all_q(solve_columns([], 3, [[]]))
+    assert solve_columns([[1, 2]], 2, []) == []
+    with pytest.raises(ValueError):
+        solve_columns([[1, 2], [3, 4]], 2, [[1]])

@@ -68,6 +68,28 @@ def test_subspace_from_dict_errors():
         subspace_from_dict(bad)
 
 
+@pytest.mark.parametrize("key", ["n", "degree", "dim"])
+def test_subspace_from_dict_rejects_booleans(key):
+    doc = through_json(subspace_to_dict(ideal_piece(random_ci_tuple(1, 3, seed=3), 2)))
+    doc[key] = True  # JSON true, which Python would otherwise accept as the int 1
+    with pytest.raises(ValueError, match=f"key '{key}' has type bool"):
+        subspace_from_dict(doc)
+
+
+def test_other_schemas_reject_booleans():
+    gens = through_json(gens_to_dict(random_ci_tuple(1, 3, seed=4)))
+    af = through_json(associated_form_to_dict(associated_form(random_ci_tuple(1, 3, seed=5))))
+    fib = through_json(fiber_to_dict(fiber(jacobian_gens(fermat(1, 3)), 3)))
+    cases = [(gens, "n", gens_from_dict), (gens, "d", gens_from_dict)]
+    cases += [(af, key, associated_form_from_dict) for key in ("n", "d", "T")]
+    cases += [(fib, "s", lambda doc: fiber_from_dict(doc, n=1, d=3))]
+    for doc, key, load in cases:
+        bad = dict(doc, **{key: False if doc[key] == 0 else True})
+        with pytest.raises(ValueError, match="has type bool"):
+            load(bad)
+        load(doc)  # the untouched document still loads
+
+
 def test_gens_round_trip():
     w = random_ci_tuple(2, 4, seed=4)
     doc = through_json(gens_to_dict(w))
