@@ -1,17 +1,20 @@
 """Graded pieces of ideals generated in one degree, and Jacobian ideals.
 
 A generator tuple is a basis (g_0, ..., g_n) of an (n+1)-dimensional
-subspace W of the degree d-1 forms. The ideal it generates has degree-k
-piece spanned by the monomial multiples u * g_i with deg(u) = k - (d-1);
-below the generator degree the piece is genuinely zero. The tuple is a
-complete intersection exactly when the quotient algebra is Artinian,
-which we test by the degree-(T+1) piece filling all of S_{T+1}, where
-T = (n+1)(d-2) is the socle degree. This colength test replaces any
-resultant computation and is exact, not a genericity sample.
+subspace W of the degree d-1 forms. An ideal generated in one degree j is
+zero below j and satisfies I_{k+1} = S_1 * I_k for k >= j, the relay of
+Macaulay's resultant construction: each piece is grown from the one below
+by the n+1 variables (``generated_piece``) and kept as integer RREF rows
+in one cache. The rows are sparse: an RREF row vanishes at every other
+pivot, so a row of I_k has at most a(k) + 1 nonzero entries, a(k) being
+the Hilbert function of the quotient. Once a degree is full, so is every
+degree above it.
 
-For the Jacobian ideal of a smooth degree-d form, the codimension of the
-degree-k piece is the complete-intersection Hilbert function value
-a(k), which depends only on (n, d); see ``hilbert_profile``.
+The tuple is a complete intersection exactly when the quotient is
+Artinian: the degree-(T+1) piece fills S_{T+1}, T = (n+1)(d-2) being the
+socle degree. This colength test is exact and needs no resultant. For the
+Jacobian ideal of a smooth degree-d form the codimension of the degree-k
+piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .linalg import SpanBuilder, Subspace, span_polys, zero_subspace
-from .monomials import dim_graded, mono_index, product_index_table
+from .linalg import SpanBuilder, Subspace, full_subspace, span_polys, zero_subspace
+from .monomials import dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial, partial
 
 
@@ -135,55 +138,53 @@ class GeneratorTuple:
         return f"GeneratorTuple(n={self.n}, d={self.d}, [{shown}])"
 
 
-def _sparse_coords(f: HomogeneousPolynomial) -> tuple:
-    idx = mono_index(f.n, f.degree)
-    return tuple((idx[alpha], c) for alpha, c in f.terms.items())
+@lru_cache(maxsize=32)
+def _relay(span: Subspace, k: int) -> SpanBuilder | None:
+    """Integer RREF rows of degree k of the ideal generated by span, None if full.
 
-
-def multiples_span(n: int, src_deg: int, mult_deg: int, sparse_vecs) -> SpanBuilder:
-    """RREF span of {u * v} over all monomials u of degree ``mult_deg``.
-
-    ``sparse_vecs`` lists each source form as (index, coeff) pairs over
-    mono_basis(n, src_deg). Stops inserting early once the span fills the
-    whole target piece, which cannot change the (already canonical)
-    result.
+    Above span.k: the span of x_i * r over the rows r one degree below, by
+    decreasing pivot with the variables inner, so a new pivot mostly lands
+    left of every stored row and none needs clearing. Shared, so read only.
+    ``generated_piece`` walks up to a full degree, so this recurses one level
+    and needs only the degree below cached: the bound just drops old spans.
     """
-    table = product_index_table(n, mult_deg, src_deg)
-    target_dim = dim_graded(n, src_deg + mult_deg)
-    builder = SpanBuilder(target_dim)
-    for tu in table:
-        for sv in sparse_vecs:
-            vec = [0] * target_dim
-            for j, c in sv:
-                vec[tu[j]] = c
-            builder.insert(vec)
-            if builder.is_full():
-                return builder
-    return builder
+    builder = SpanBuilder(dim_graded(span.n, k))
+    if k == span.k:
+        for row in span.rows:
+            builder.insert(row)
+    else:
+        below = _relay(span, k - 1).int_rows
+        table = product_index_table(span.n, 1, k - 1)
+        for p in sorted(below, reverse=True):
+            for tu in table:
+                builder.insert({tu[j]: x for j, x in below[p].items()})
+                if builder.is_full():
+                    return None
+    return None if builder.is_full() else builder
 
 
-def graded_multiples(polys, k: int, n: int, src_deg: int) -> Subspace:
-    """Degree-k piece of the ideal generated by arbitrary degree-src_deg forms.
+def generated_piece(span: Subspace, k: int) -> Subspace:
+    """Degree-k piece of the ideal generated by a subspace of S_j, canonical.
 
-    No independence requirement; zero below the generator degree.
+    Zero below j, and the shared full subspace once a degree up to k is full.
     """
-    if k < src_deg:
-        return zero_subspace(n, k)
-    sparse = [_sparse_coords(g) for g in polys if not g.is_zero()]
-    builder = multiples_span(n, src_deg, k - src_deg, sparse)
-    return Subspace.from_builder(n, k, builder)
+    if k < span.k or span.is_zero():
+        return zero_subspace(span.n, k)
+    for j in range(span.k, k + 1):
+        builder = _relay(span, j)
+        if builder is None:
+            return full_subspace(span.n, k)
+    return Subspace.from_builder(span.n, k, builder)
 
 
-@lru_cache(maxsize=None)
 def ideal_piece(w: GeneratorTuple, k: int) -> Subspace:
     """Degree-k piece of the ideal generated by the tuple, canonical form.
 
-    Zero for k < d-1; otherwise the span of all monomial multiples of the
-    generators. Cached per (tuple, degree); safe under concurrent reads.
+    Zero for k < d-1; depends only on span(W), the key of the cache.
     """
     if k < 0:
         raise ValueError("negative degree")
-    return graded_multiples(w.gens, k, w.n, w.d - 1)
+    return generated_piece(w.span, k)
 
 
 def jacobian_gens(f: HomogeneousPolynomial) -> GeneratorTuple:
@@ -209,17 +210,14 @@ def partials_piece(f: HomogeneousPolynomial, k: int) -> Subspace:
     """
     if f.degree < 1:
         raise ValueError("need degree >= 1")
-    return graded_multiples(
-        [partial(f, i) for i in range(f.n + 1)], k, f.n, f.degree - 1
-    )
+    return generated_piece(span_polys([partial(f, i) for i in range(f.n + 1)], f.n, f.degree - 1), k)
 
 
 def is_complete_intersection(w: GeneratorTuple) -> bool:
     """Artinian colength test: the degree-(T+1) piece fills S_{T+1}.
 
     Equivalent to the generators forming a regular sequence (nonvanishing
-    resultant); once the piece is full in one degree it is full in all
-    higher degrees because the ideal is generated in degree d-1.
+    resultant); every higher degree is then full as well.
     """
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 

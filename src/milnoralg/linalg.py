@@ -22,6 +22,7 @@ Rationals are formed only where rows leave the builder.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
 
@@ -87,8 +88,8 @@ class SpanBuilder:
         return [_rational_row(rows[p], rows[p][p], self.length) for p in self.pivots]
 
     def insert(self, vec) -> bool:
-        """Add a vector to the span; True if the dimension grew."""
-        v = _integer_row(vec)
+        """Add a dense vector or a sparse {column: int} dict (kept); True if it grew."""
+        v = vec if isinstance(vec, dict) else _integer_row(vec)
         rows = self.int_rows
         # The basis is fully reduced, so the multiplier of each pivot row is
         # the incoming entry at its pivot: v <- L v - sum (L / a_p) v[p] row_p.
@@ -197,11 +198,12 @@ class Subspace:
     basis matrices, and hashing is consistent with that.
     """
 
-    __slots__ = ("n", "k", "rows", "pivots")
+    __slots__ = ("n", "k", "rows", "pivots", "_hash")
 
     def __init__(self, n: int, k: int, rows: tuple, pivots: tuple):
         self.n = n
         self.k = k
+        self._hash = None
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
         if len(self.rows) != len(self.pivots):
@@ -262,7 +264,9 @@ class Subspace:
         return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.ambient, self.rows))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(n={self.n}, k={self.k}, dim={self.dim})"
@@ -277,6 +281,7 @@ def zero_subspace(n: int, k: int) -> Subspace:
     return Subspace(n, k, (), ())
 
 
+@lru_cache(maxsize=None)
 def full_subspace(n: int, k: int) -> Subspace:
     d = dim_graded(n, k)
     rows = tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))

@@ -18,17 +18,18 @@ are all checked before a result is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
+    generated_piece,
     hilbert_profile,
     ideal_piece,
     is_smooth,
     jacobian_gens,
     jacobian_piece,
-    multiples_span,
     partials_piece,
     socle_degree,
 )
@@ -40,7 +41,6 @@ from .linalg import (
     nullspace,
     orthogonal_complement,
     span_vectors,
-    zero_subspace,
 )
 from .monomials import derivative_table, dim_graded
 from .polynomials import HomogeneousPolynomial
@@ -86,13 +86,7 @@ def lift_piece(e: Subspace, m: int) -> Subspace:
     """
     if m < e.k:
         raise ValueError(f"cannot lift from degree {e.k} down to {m}")
-    if m == e.k:
-        return e
-    if e.is_zero():
-        return zero_subspace(e.n, m)
-    sparse = [tuple((j, c) for j, c in enumerate(row) if c) for row in e.rows]
-    builder = multiples_span(e.n, e.k, m - e.k, sparse)
-    return Subspace.from_builder(e.n, m, builder)
+    return generated_piece(e, m)
 
 
 def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
@@ -114,15 +108,10 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
             f"dimension {e.dim} does not match the expected piece dimension {profile.b(k)}"
         )
 
-    lifted = lift_piece(e, top)
-    # Artinian fill at T+1; lift from whichever side needs fewer products.
-    direct_rows = e.dim * dim_graded(n, top + 1 - k)
-    relay_rows = lifted.dim * (n + 1)
-    filled = lift_piece(e if direct_rows <= relay_rows else lifted, top + 1)
-    if not filled.is_full():
+    if not lift_piece(e, top + 1).is_full():
         raise PreconditionError("lift does not fill degree T+1: not a complete-intersection piece")
 
-    comp = orthogonal_complement(lifted)
+    comp = orthogonal_complement(lift_piece(e, top))
     if comp.dim != 1:
         raise PreconditionError(f"socle complement has dimension {comp.dim}, expected a line")
     inverse_form = HomogeneousPolynomial.from_coords(n, top, comp.rows[0])
@@ -189,6 +178,16 @@ def reconstruct_poly(e: Subspace, k: int, n: int, d: int) -> FiberResult:
     return fiber(recover_generators(e, k, n, d), d)
 
 
+@lru_cache(maxsize=None)
+def _reference_fault(f: HomogeneousPolynomial) -> Optional[str]:
+    """Why f cannot be a containment reference, or None; checked once per f."""
+    if not is_smooth(f):
+        return "reference polynomial is not smooth"
+    if fiber(jacobian_gens(f), f.degree).s != 1:
+        return "reference polynomial is a direct sum"
+    return None
+
+
 def containment_implies_equal(
     h: HomogeneousPolynomial, f: HomogeneousPolynomial, k: int
 ) -> ContainmentCheck:
@@ -204,10 +203,8 @@ def containment_implies_equal(
     top = socle_degree(n, d)
     if not d - 1 <= k <= top:
         raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
-    if not is_smooth(f):
-        raise PreconditionError("reference polynomial is not smooth")
-    if fiber(jacobian_gens(f), d).s != 1:
-        raise PreconditionError("reference polynomial is a direct sum")
+    if fault := _reference_fault(f):
+        raise PreconditionError(fault)
 
     hypothesis = contains(jacobian_piece(f, k), partials_piece(h, k))
     if not hypothesis:

@@ -1,15 +1,20 @@
 """Independent oracle implementations used to cross-check the library.
 
-Everything here deliberately avoids the package's own linear algebra and
-polynomial machinery: enumeration by itertools, determinants by
-permutation expansion, symbolic differentiation and matrix work by sympy.
-Expected values frozen into tests were computed by these routes.
+Everything here except ``direct_product_piece`` deliberately avoids the
+package's own linear algebra and polynomial machinery: enumeration by
+itertools, determinants by permutation expansion, symbolic
+differentiation and matrix work by sympy. Expected values frozen into
+tests were computed by these routes.
 """
 
 from fractions import Fraction
 import itertools
 
 import sympy
+
+from milnoralg import Subspace, dim_graded, zero_subspace
+from milnoralg.linalg import SpanBuilder
+from milnoralg.monomials import product_index_table
 
 
 def enum_monomials(nvars: int, k: int):
@@ -131,3 +136,27 @@ def fiber_dimension_oracle(gens, d: int) -> int:
         return len(basis_d)
     mat = sympy.Matrix(constraints)
     return len(basis_d) - mat.rank()
+
+
+def direct_product_piece(n: int, src_deg: int, k: int, vectors):
+    """Degree-k piece of the ideal generated by ``vectors``, built directly.
+
+    ``vectors`` are coordinate rows over S_src_deg. The piece is the RREF
+    span of u * v over every monomial u of degree k - src_deg and every
+    source row v, all products at once: the construction the library used
+    before it grew pieces one degree at a time. It shares only the
+    elimination with the library, and ``SpanBuilder`` is itself checked
+    against sympy in test_linalg.
+    """
+    if k < src_deg:
+        return zero_subspace(n, k)
+    sparse = [[(j, c) for j, c in enumerate(v) if c] for v in vectors]
+    target_dim = dim_graded(n, k)
+    builder = SpanBuilder(target_dim)
+    for tu in product_index_table(n, k - src_deg, src_deg):
+        for sv in sparse:
+            vec = [0] * target_dim
+            for j, c in sv:
+                vec[tu[j]] = c
+            builder.insert(vec)
+    return Subspace.from_builder(n, k, builder)

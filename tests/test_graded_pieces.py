@@ -1,0 +1,140 @@
+"""Pieces grown one degree at a time, against the direct product construction.
+
+Every comparison is byte for byte: the same pivots and the same rows,
+entry types included, as the RREF span of all monomial multiples at once.
+"""
+
+import inspect
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from milnoralg import (
+    GeneratorTuple,
+    dim_graded,
+    full_subspace,
+    ideal_piece,
+    is_complete_intersection,
+    lift_piece,
+    mono_basis,
+    parse_poly,
+    partial,
+    partials_piece,
+    random_ci_tuple,
+    socle_degree,
+    span_vectors,
+    zero_subspace,
+)
+from milnoralg.polynomials import HomogeneousPolynomial
+
+from conftest import PAIRS
+from oracles import direct_product_piece
+
+
+def assert_same_bytes(got, want):
+    assert got.ambient == want.ambient
+    assert got.pivots == want.pivots
+    assert repr(got.rows) == repr(want.rows)
+
+
+def common_zero_tuple(n: int, d: int, seed: int) -> GeneratorTuple:
+    """Random degree d-1 forms with no x_n^(d-1) term: all vanish at (0,..,0,1)."""
+    rng = random.Random(seed)
+    monos = mono_basis(n, d - 1)[:-1]
+    gens = [
+        HomogeneousPolynomial(n, d - 1, {m: rng.randint(-3, 3) for m in monos})
+        for _ in range(n + 1)
+    ]
+    return GeneratorTuple(n, d, gens)
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_ideal_pieces_match_direct_products(n, d):
+    top = socle_degree(n, d)
+    ci = random_ci_tuple(n, d, seed=500 + 10 * n + d)
+    other = common_zero_tuple(n, d, seed=600 + 10 * n + d)
+    assert is_complete_intersection(ci)
+    assert not is_complete_intersection(other)
+    for w in (ci, other):
+        for k in range(top + 4):
+            want = direct_product_piece(n, d - 1, k, w.span.rows)
+            assert_same_bytes(ideal_piece(w, k), want)
+    assert ideal_piece(ci, top + 2) is full_subspace(n, top + 2)  # shared, no elimination
+    assert not ideal_piece(other, top + 3).is_full()
+
+
+def random_subspace(n: int, k: int, count: int, seed: int):
+    """Rows with about half their entries zero and denominators up to 10^12."""
+    rng = random.Random(seed)
+    size = dim_graded(n, k)
+    rows = [
+        [
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+            if rng.random() < 0.5 else 0
+            for _ in range(size)
+        ]
+        for _ in range(count)
+    ]
+    return span_vectors(n, k, rows)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        zero_subspace(2, 2),
+        full_subspace(2, 2),
+        random_subspace(1, 3, 1, seed=1),
+        random_subspace(2, 2, 2, seed=2),
+        random_subspace(2, 3, 4, seed=3),
+        random_subspace(3, 1, 2, seed=4),
+    ],
+    ids=["zero", "full", "n1-line", "n2-plane", "n2-k3", "n3-lines"],
+)
+def test_lift_of_any_subspace_matches_direct_products(e):
+    for m in range(e.k, e.k + 5):
+        assert_same_bytes(lift_piece(e, m), direct_product_piece(e.n, e.k, m, e.rows))
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [
+        ("x0^3", 2),  # one nonzero partial
+        ("x0^3 + 3*x0^2*x1 + 3*x0*x1^2 + x1^3", 2),  # (x0+x1)^3: two equal partials
+        ("x0^4 - 2*x0^2*x1^2 + x1^4", 2),  # cone in x2: a zero partial
+        ("x0 + 2*x1", 1),  # constant partials
+    ],
+)
+def test_partials_piece_of_degenerate_forms(text, n):
+    f = parse_poly(text, n=n)
+    vectors = [partial(f, i).coords() for i in range(n + 1)]
+    for k in range(f.degree + 4):
+        assert_same_bytes(partials_piece(f, k), direct_product_piece(n, f.degree - 1, k, vectors))
+
+
+def test_partials_piece_of_zero_form():
+    zero = HomogeneousPolynomial(2, 3, {})
+    for k in range(6):
+        assert partials_piece(zero, k) == zero_subspace(2, k)
+
+
+def test_far_degrees_need_no_deep_recursion():
+    w = random_ci_tuple(1, 3, seed=7)
+    e = ideal_piece(w, 2)
+    far = socle_degree(1, 3) + 500
+    limit = sys.getrecursionlimit()
+    # 100 frames of headroom: far fewer than the 500 degrees a recursion would nest
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        piece, lifted = ideal_piece(w, far), lift_piece(e, e.k + 500)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert piece == full_subspace(1, far)
+    assert lifted == full_subspace(1, e.k + 500)
+
+
+def test_walk_longer_than_the_cache_holds():
+    e = span_vectors(1, 2, [[1, 0, 0]])  # x0^2: its ideal never fills a degree
+    for _ in range(2):  # the second walk finds its low degrees evicted
+        assert_same_bytes(lift_piece(e, 42), direct_product_piece(1, 2, 42, e.rows))

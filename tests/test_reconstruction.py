@@ -233,3 +233,24 @@ def test_containment_rejects_singular_reference():
     hesse = parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")
     with pytest.raises(PreconditionError):
         containment_implies_equal(hesse, hesse, 2)
+
+
+def test_containment_checks_each_reference_once(monkeypatch):
+    import milnoralg.reconstruction as reconstruction
+
+    real_fiber = reconstruction.fiber
+    calls = []
+
+    def counted_fiber(w, d):
+        calls.append(w)
+        return real_fiber(w, d)
+
+    monkeypatch.setattr(reconstruction, "fiber", counted_fiber)
+    reconstruction._reference_fault.cache_clear()
+    refs = [random_smooth(2, 3, seed=s, require_non_st=True) for s in (71, 73)]
+    others = [random_smooth(2, 3, seed=s) for s in range(80, 86)]
+    for f in refs:
+        for h in others + [f, f * Q(2, 5)]:
+            for k in (2, 3):
+                containment_implies_equal(h, f, k)
+    assert len(calls) == len(refs)
