@@ -17,26 +17,15 @@ import argparse
 import json
 import sys
 
-from .deformation import tangent_kernel_at_poly, tangent_kernel_at_tuple
-from .errors import PreconditionError
-from .ideals import hilbert_profile, is_smooth, jacobian_gens
-from .inverse_systems import associated_form
-from .polynomials import format_poly, parse_poly
-from .reconstruction import fiber, reconstruct_poly
-from .serialize import (
-    associated_form_to_dict,
-    fiber_to_dict,
-    gens_from_dict,
-    hilbert_to_dict,
-    kernel_report_to_dict,
-    st_report_to_dict,
-    subspace_from_dict,
-)
-from .st_analysis import random_smooth, st_report
-from .suite import run_suite
+from . import __version__
+from .rationals import BACKEND
+
+# Each command imports the modules it runs when it runs, so a process
+# loads only what its subcommand needs; `--version` loads no pipeline.
 
 
 def _read_poly_arg(value: str, n):
+    from .polynomials import parse_poly
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as handle:
             value = handle.read()
@@ -72,6 +61,8 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_hilbert(args) -> int:
+    from .ideals import hilbert_profile
+    from .serialize import hilbert_to_dict
     profile = hilbert_profile(args.n, args.d)
     lines = [f"n={profile.n} d={profile.d} T={profile.socle}", "k a b"]
     for k in range(profile.socle + 2):
@@ -82,12 +73,16 @@ def _cmd_hilbert(args) -> int:
 
 
 def _fiber_output(args, result) -> None:
+    from .polynomials import format_poly
+    from .serialize import fiber_to_dict
     lines = [f"s = {result.s}"]
     lines += [format_poly(g) for g in result.basis]
     _emit(args, "\n".join(lines), fiber_to_dict(result))
 
 
 def _cmd_reconstruct(args) -> int:
+    from .reconstruction import reconstruct_poly
+    from .serialize import subspace_from_dict
     sub = subspace_from_dict(_read_json(args.subspace))
     n = sub.n if args.n is None else args.n
     k = sub.k if args.k is None else args.k
@@ -99,6 +94,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_st(args) -> int:
+    from .polynomials import format_poly
+    from .serialize import st_report_to_dict
+    from .st_analysis import st_report
     f = _read_poly_arg(args.poly, args.n)
     report = st_report(f)
     text = "\n".join(
@@ -110,6 +108,7 @@ def _cmd_st(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    from .ideals import is_smooth
     f = _read_poly_arg(args.poly, args.n)
     smooth = is_smooth(f)
     _emit(args, "true" if smooth else "false", {"smooth": smooth})
@@ -117,6 +116,8 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    from .ideals import jacobian_gens
+    from .reconstruction import fiber
     f = _read_poly_arg(args.poly, args.n)
     result = fiber(jacobian_gens(f), f.degree)
     _fiber_output(args, result)
@@ -124,6 +125,9 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_inverse_system(args) -> int:
+    from .inverse_systems import associated_form
+    from .polynomials import format_poly
+    from .serialize import associated_form_to_dict, gens_from_dict
     w = gens_from_dict(_read_json(args.gens))
     af = associated_form(w)
     text = f"n={af.n} d={af.d} T={af.socle}\n{format_poly(af.form)}"
@@ -132,6 +136,8 @@ def _cmd_inverse_system(args) -> int:
 
 
 def _cmd_tangent_kernel(args) -> int:
+    from .deformation import tangent_kernel_at_poly, tangent_kernel_at_tuple
+    from .serialize import gens_from_dict, kernel_report_to_dict
     if (args.poly is None) == (args.gens is None):
         raise ValueError("provide exactly one of --poly or --gens")
     if args.poly is not None:
@@ -153,6 +159,8 @@ def _cmd_tangent_kernel(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .polynomials import format_poly
+    from .st_analysis import random_smooth
     f = random_smooth(
         args.n,
         args.d,
@@ -165,6 +173,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import run_suite
     lines: list = []
 
     def show(check) -> None:
@@ -212,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
             "reconstruction from one graded piece, direct-sum analysis, and "
             "tangent-map kernels."
         ),
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"milnoralg {__version__} ({BACKEND})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -285,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import PreconditionError
     try:
         return args.func(args)
     except PreconditionError as exc:

@@ -34,8 +34,8 @@ s summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import (
@@ -109,8 +109,7 @@ class PolyTangentVector:
         return f"PolyTangentVector({self.h})"
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Exact kernel of a tangent map at one degree k, canonical basis."""
 
     k: int
@@ -144,7 +143,7 @@ def multiplication_matrix(w: GeneratorTuple, k: int) -> list:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def membership_solutions(w: GeneratorTuple, k: int):
     """One representation b = sum_i u_i g_i per basis vector of (I_W)_k.
 

@@ -19,8 +19,8 @@ piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .linalg import SpanBuilder, Subspace, full_subspace, span_polys, zero_subspace
@@ -43,8 +43,7 @@ def socle_degree(n: int, d: int) -> int:
     return (n + 1) * (d - 2)
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(NamedTuple):
     """Hilbert function of the Artinian complete-intersection quotient.
 
     ``values[k]`` is a(k) = dim of the degree-k piece of the quotient, for
@@ -222,7 +221,7 @@ def is_complete_intersection(w: GeneratorTuple) -> bool:
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def is_smooth(f: HomogeneousPolynomial) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 

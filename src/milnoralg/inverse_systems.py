@@ -14,7 +14,7 @@ complement, one exact kernel computation, never from a resultant formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import GeneratorTuple, ideal_piece, is_complete_intersection, socle_degree
@@ -23,16 +23,29 @@ from .monomials import mono_basis, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
 
 
-@dataclass(frozen=True)
-class AssociatedForm:
+class _AssociatedFormFields(NamedTuple):
+    form: HomogeneousPolynomial
+    d: int
+
+
+class AssociatedForm(_AssociatedFormFields):
     """Normalized (leading coefficient 1) degree-T inverse-system form.
 
     ``d`` records the generator-degree parameter of the tuple it came
     from, so T = form.degree = (n+1)(d-2) is redundant but convenient.
+    The form is validated on construction.
     """
 
-    form: HomogeneousPolynomial
-    d: int
+    __slots__ = ()
+
+    def __new__(cls, form: HomogeneousPolynomial, d: int):
+        if form.is_zero():
+            raise ValueError("associated form cannot be zero")
+        if form.degree != socle_degree(form.n, d):
+            raise ValueError("degree does not match the socle degree for (n, d)")
+        if form.leading_coefficient() != 1:
+            raise ValueError("associated form must be normalized")
+        return super().__new__(cls, form, d)
 
     @property
     def n(self) -> int:
@@ -41,14 +54,6 @@ class AssociatedForm:
     @property
     def socle(self) -> int:
         return self.form.degree
-
-    def __post_init__(self):
-        if self.form.is_zero():
-            raise ValueError("associated form cannot be zero")
-        if self.form.degree != socle_degree(self.form.n, self.d):
-            raise ValueError("degree does not match the socle degree for (n, d)")
-        if self.form.leading_coefficient() != 1:
-            raise ValueError("associated form must be normalized")
 
 
 def associated_form(w: GeneratorTuple) -> AssociatedForm:

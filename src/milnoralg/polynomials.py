@@ -359,6 +359,8 @@ def parse_poly(text: str, n: int | None = None, degree: int | None = None) -> Ho
     ``degree`` is only consulted for the zero polynomial, whose degree the
     text cannot determine.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"expected polynomial text, got {type(text).__name__}")
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty polynomial text")

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Q
+
+    BACKEND = "gmpy2.mpq"
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
+
+    BACKEND = "fractions.Fraction"
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -32,7 +36,7 @@ def parse_rational(text: str) -> "Q":
     """
     try:
         return Q(text.strip())
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 

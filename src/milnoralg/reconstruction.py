@@ -17,7 +17,6 @@ are all checked before a result is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -47,8 +46,7 @@ from .polynomials import HomogeneousPolynomial
 from .rationals import ZERO
 
 
-@dataclass(frozen=True)
-class FiberResult:
+class FiberResult(NamedTuple):
     """Canonical basis of {g in S_d : all partials of g lie in span(W)}.
 
     ``s`` is the dimension; it is 1 exactly when the source polynomial is
@@ -178,7 +176,7 @@ def reconstruct_poly(e: Subspace, k: int, n: int, d: int) -> FiberResult:
     return fiber(recover_generators(e, k, n, d), d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _reference_fault(f: HomogeneousPolynomial) -> Optional[str]:
     """Why f cannot be a containment reference, or None; checked once per f."""
     if not is_smooth(f):

@@ -15,14 +15,18 @@ produce byte-identical JSON. The documented schemas:
 
 from __future__ import annotations
 
-from .deformation import KernelReport, PolyTangentVector
+from typing import TYPE_CHECKING
+
 from .ideals import GeneratorTuple, HilbertProfile
-from .inverse_systems import AssociatedForm
 from .linalg import Subspace, span_vectors
 from .monomials import dim_graded
 from .polynomials import format_poly, parse_poly
 from .rationals import format_rational, parse_rational
-from .reconstruction import FiberResult
+
+if TYPE_CHECKING:  # the pipelines these records come from load only when used
+    from .deformation import KernelReport
+    from .inverse_systems import AssociatedForm
+    from .reconstruction import FiberResult
 
 
 def _expect(obj: dict, key: str, kind):
@@ -87,6 +91,7 @@ def fiber_from_dict(obj: dict, n: int, d: int) -> FiberResult:
     basis = tuple(parse_poly(text, n=n, degree=d) for text in basis_text)
     if len(basis) != s:
         raise ValueError(f"declared s={s} but basis has {len(basis)} elements")
+    from .reconstruction import FiberResult
     return FiberResult(d, basis)
 
 
@@ -99,6 +104,7 @@ def associated_form_from_dict(obj: dict) -> AssociatedForm:
     d = _expect(obj, "d", int)
     top = _expect(obj, "T", int)
     form = parse_poly(_expect(obj, "form", str), n=n, degree=top)
+    from .inverse_systems import AssociatedForm
     return AssociatedForm(form, d)
 
 
@@ -107,6 +113,7 @@ def st_report_to_dict(report) -> dict:
 
 
 def kernel_report_to_dict(report: KernelReport) -> dict:
+    from .deformation import PolyTangentVector  # loaded already: it made the report
     rendered = []
     for vec in report.basis:
         if isinstance(vec, PolyTangentVector):

@@ -17,7 +17,7 @@ anchor with bounded integer perturbations, deterministic in the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import GeneratorTuple, check_size, is_complete_intersection, is_smooth, jacobian_gens
@@ -26,8 +26,7 @@ from .polynomials import HomogeneousPolynomial, fermat
 from .reconstruction import FiberResult, fiber
 
 
-@dataclass(frozen=True)
-class STReport:
+class STReport(NamedTuple):
     """Summand count and fiber of a smooth form; is_st means s >= 2."""
 
     is_st: bool

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .deformation import (
     membership_solutions,
@@ -44,8 +43,7 @@ from .reconstruction import (
 from .st_analysis import random_ci_tuple, random_smooth
 
 
-@dataclass
-class SuiteCheck:
+class SuiteCheck(NamedTuple):
     name: str
     ok: Optional[bool]  # None means skipped (budget exhausted)
     seconds: float

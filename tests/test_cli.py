@@ -235,6 +235,19 @@ def test_byte_identical_outputs(capsys):
     assert first == second
 
 
+# -- version ---------------------------------------------------------------------------------
+
+
+def test_version_reports_backend(capsys):
+    from milnoralg.rationals import Q
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    backend = {"Fraction": "fractions.Fraction", "mpq": "gmpy2.mpq"}[Q.__name__]
+    assert capsys.readouterr().out == f"milnoralg 0.1.0 ({backend})\n"
+
+
 # -- suite ---------------------------------------------------------------------------------
 
 

@@ -1,0 +1,158 @@
+"""The package's public names and what each CLI process imports.
+
+``milnoralg`` resolves its exports lazily (see its docstring); these
+tests pin the exported names, check that every name is the defining
+module's own object, and check in fresh interpreters that a command
+loads only the modules it runs.
+"""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import milnoralg
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Every name the package exported when it imported its modules eagerly.
+EXPORTED = [
+    "AssociatedForm", "ContainmentCheck", "FiberResult", "GeneratorTuple", "HilbertProfile",
+    "HomogeneousPolynomial", "KernelReport", "PolyTangentVector", "PreconditionError", "Q",
+    "QuotientMap", "STReport", "Subspace", "SuiteCheck", "TupleTangentVector", "apolar_inner",
+    "apolar_piece", "associated_form", "catalecticant_matrix", "check_size", "colon_piece",
+    "containment_implies_equal", "contains", "coordinate_split", "dim_graded", "euler_check",
+    "euler_recover", "evaluate", "factorial_weights", "fermat", "fiber", "format_poly",
+    "full_subspace", "grlex_key", "hilbert_profile", "ideal_piece", "is_complete_intersection",
+    "is_smooth", "jacobian_gens", "jacobian_piece", "lift_piece", "linear_change", "map_image",
+    "map_kernel", "membership_solutions", "mono_basis", "mono_index", "multiplication_matrix",
+    "multiply", "nullspace", "orthogonal_complement", "parse_poly", "partial", "partials_piece",
+    "polar_apply", "random_ci_tuple", "random_smooth", "random_unimodular", "reconstruct_poly",
+    "recover_generators", "rref", "run_suite", "socle_degree", "span_polys", "span_vectors",
+    "st_report", "subspace_intersect", "subspace_sum", "tangent_image", "tangent_kernel_at_poly",
+    "tangent_kernel_at_tuple", "verify_inverse_system", "zero_subspace",
+]
+
+PIPELINES = [
+    "milnoralg.deformation",
+    "milnoralg.reconstruction",
+    "milnoralg.inverse_systems",
+    "milnoralg.st_analysis",
+    "milnoralg.suite",
+]
+
+CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+import milnoralg.cli
+try:
+    code = milnoralg.cli.main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write("\\n".join(["EXIT %s" % code] + sorted(sys.modules)))
+"""
+
+
+def loaded_by(*argv):
+    """Exit code and sys.modules of a fresh ``python -S`` running one command."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD.format(src=SRC, argv=list(argv))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    lines = proc.stderr.splitlines()
+    assert lines and lines[0].startswith("EXIT "), proc.stderr
+    return lines[0][5:], set(lines[1:])
+
+
+# -- exported names ------------------------------------------------------------------
+
+
+def test_all_is_the_exported_names():
+    assert sorted(milnoralg.__all__) == EXPORTED
+    assert milnoralg.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_export_is_the_defining_modules_object(name):
+    home = importlib.import_module(f"milnoralg.{milnoralg._HOME[name]}")
+    value = getattr(milnoralg, name)
+    assert value is getattr(home, name)
+    if name != "Q":  # Q is the backend's own class, re-exported by rationals
+        assert value.__module__ == home.__name__
+    assert name in dir(milnoralg)
+    # resolved on every access, never stored in the package namespace
+    assert name not in vars(milnoralg)
+
+
+def test_from_import_and_star_import():
+    from milnoralg import fiber, tangent_kernel_at_poly
+    from milnoralg.deformation import tangent_kernel_at_poly as direct
+    from milnoralg.reconstruction import fiber as direct_fiber
+
+    assert tangent_kernel_at_poly is direct and fiber is direct_fiber
+    namespace: dict = {}
+    exec("from milnoralg import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == EXPORTED
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        milnoralg.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from milnoralg import no_such_name", {})
+    assert not hasattr(milnoralg, "_private_helper")
+
+
+def test_attribute_follows_the_defining_module(monkeypatch):
+    import milnoralg.ideals
+
+    def replacement(f):
+        return "replaced"
+
+    monkeypatch.setattr(milnoralg.ideals, "is_smooth", replacement)
+    assert milnoralg.is_smooth is replacement
+    monkeypatch.undo()
+    assert milnoralg.is_smooth is milnoralg.ideals.is_smooth
+    assert milnoralg.is_smooth is not replacement
+
+
+def test_submodules_resolve_without_an_import():
+    child = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import milnoralg; "
+        "assert 'ideals' in dir(milnoralg); "
+        "print(milnoralg.ideals.socle_degree(2, 3), 'milnoralg.deformation' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.split() == ["3", "False"], proc.stderr
+
+
+# -- what each command imports ---------------------------------------------------------
+
+
+def test_hilbert_loads_no_pipeline():
+    code, modules = loaded_by("hilbert", "--n", "2", "--d", "3", "--format", "json")
+    assert code == "0"
+    assert "milnoralg.ideals" in modules
+    for absent in ["dataclasses", *PIPELINES]:
+        assert absent not in modules
+
+
+def test_tangent_kernel_loads_deformation():
+    code, modules = loaded_by("tangent-kernel", "--poly", "x0^3+x1^3+x2^3", "--k", "2")
+    assert code == "0"
+    assert "milnoralg.deformation" in modules
+    assert "dataclasses" not in modules
+
+
+def test_version_loads_only_rationals():
+    code, modules = loaded_by("--version")
+    assert code == "0"
+    ours = {m for m in modules if m.split(".")[0] == "milnoralg"}
+    assert ours == {"milnoralg", "milnoralg.cli", "milnoralg.rationals"}
