@@ -17,11 +17,14 @@ lies in the colon piece
 
     C = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
 
-and the kernel at a tuple is n+1 copies of C / W, one small linear system
-(``colon_piece``). C always contains W. For d-1 <= k <= T it equals W by
-Gorenstein duality: the quotient algebra A pairs A_{d-1} perfectly with
-A_{T-d+1} = A_{T-k} * A_{k-d+1}, so a class killed by A_{k-d+1} is zero.
-C is still computed from the data every time, never assumed.
+and the kernel at a tuple is n+1 copies of C / W (``colon_piece``). C
+always contains W. For d-1 <= k <= T it equals W by Gorenstein duality:
+the quotient algebra A pairs A_{d-1} perfectly with A_{T-d+1} =
+A_{T-k} * A_{k-d+1}, so a class killed by A_{k-d+1} is zero. C is still
+computed from the data every time, never assumed, from the same rows
+``reconstruction.colon_rows`` that recover W from a piece. Here they run
+over the nonpivot monomials of W only and stop at full rank, so C / W
+costs one small elimination that ends as soon as it shows C = W.
 
 Moving a polynomial f by h in S_d modulo the line through f moves its
 Jacobian tuple by the partials of h, so the kernel there is
@@ -51,7 +54,7 @@ from .linalg import QuotientMap, Subspace, nullspace, rref, solve_columns, span_
 from .monomials import dim_graded, mono_basis, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
 from .rationals import ZERO
-from .reconstruction import forms_with_partials_in
+from .reconstruction import colon_rows, forms_with_partials_in
 
 
 class TupleTangentVector:
@@ -197,46 +200,30 @@ def tangent_image(w: GeneratorTuple, h, k: int) -> tuple:
     qm = QuotientMap(piece)
     table = product_index_table(w.n, k - (w.d - 1), w.d - 1)
     idx = mono_index(w.n, w.d - 1)
-    unit = qm.unit_coords
-    quot = qm.dim
-
-    sparse_parts = [
-        [(idx[alpha], c) for alpha, c in p.terms.items()] for p in h.parts
-    ]
+    sparse_parts = [[(idx[alpha], c) for alpha, c in p.terms.items()] for p in h.parts]
     rows = []
     for sol in sols:
-        acc = [ZERO] * quot
+        image = [ZERO] * piece.ambient_dim  # sum_i u_i * h_i in S_k
         for i, hp in enumerate(sparse_parts):
-            if not hp:
-                continue
             for u_idx, uc in sol[i]:
                 tu = table[u_idx]
                 for j, hc in hp:
-                    weight = uc * hc
-                    uvec = unit(tu[j])
-                    for q in range(quot):
-                        uq = uvec[q]
-                        if uq:
-                            acc[q] += weight * uq
-        rows.append(tuple(acc))
+                    image[tu[j]] += uc * hc
+        rows.append(tuple(qm.coords(image)))
     return tuple(rows)
 
 
 def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
     """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
 
-    Returns (that quotient map, canonical basis). One column per nonpivot
-    monomial of span(W), one row per monomial u of degree k-(d-1) and
-    quotient coordinate of S_k / (I_W)_k: the entry is that coordinate of
-    u times the column's monomial.
+    Returns (that quotient map, canonical basis): the kernel of
+    ``colon_rows`` on the nonpivot monomials of span(W). C contains W, so
+    these columns see all of C / W, and rows stop being read once they
+    have full rank, which leaves no kernel to miss.
     """
     gq = QuotientMap(w.span)
-    qm = QuotientMap(ideal_piece(w, k))
-    rows = []
-    for tu in product_index_table(w.n, k - (w.d - 1), w.d - 1):
-        images = [qm.unit_coords(tu[j]) for j in gq.nonpivots]
-        rows.extend([img[q] for img in images] for q in range(qm.dim))
-    return gq, nullspace(rows, gq.dim)
+    rows = colon_rows(ideal_piece(w, k), w.d - 1, gq.nonpivots)
+    return gq, nullspace(rows, gq.dim, gq.dim)
 
 
 def _from_quotient_coords(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:

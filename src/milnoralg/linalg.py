@@ -31,9 +31,10 @@ from .polynomials import HomogeneousPolynomial
 from .rationals import ONE, Q, ZERO
 
 
-def _integer_row(vec) -> dict:
-    """Nonzero entries of ``vec`` times the lcm of its denominators, as ints."""
-    v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in enumerate(vec) if x}
+def integer_row(vec) -> dict:
+    """Nonzero entries of a dense or sparse ``vec`` times the lcm of its denominators."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in items if x}
     den = lcm(*{x.denominator for x in v.values()})
     return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in v.items() if x}
 
@@ -89,7 +90,7 @@ class SpanBuilder:
 
     def insert(self, vec) -> bool:
         """Add a dense vector or a sparse {column: int} dict (kept); True if it grew."""
-        v = vec if isinstance(vec, dict) else _integer_row(vec)
+        v = vec if isinstance(vec, dict) else integer_row(vec)
         rows = self.int_rows
         # The basis is fully reduced, so the multiplier of each pivot row is
         # the incoming entry at its pivot: v <- L v - sum (L / a_p) v[p] row_p.
@@ -138,15 +139,19 @@ def rref(rows: Iterable) -> tuple:
     return builder.rows, list(builder.pivots)
 
 
-def nullspace(rows: Iterable, ncols: int) -> list:
+def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
     """Canonical basis of {x : M x = 0} for M given by ``rows``.
 
     Standard free-variable construction followed by a canonicalizing
-    re-reduction, so the result is the RREF basis of the kernel.
+    re-reduction, so the result is the RREF basis of the kernel. With
+    ``rank`` given, no row is read once the rows so far reach that rank:
+    the result is then the kernel of the rows read, which contains the
+    kernel of M, and equals it when M has that rank.
     """
     reduced = SpanBuilder(ncols)
-    for r in rows:
-        reduced.insert(r)
+    for r in rows if rank != 0 else ():
+        if reduced.insert(r) and reduced.dim == rank:
+            break
     builder = SpanBuilder(ncols)
     for j in sorted(set(range(ncols)) - set(reduced.pivots)):
         hits = [(r[j], r[p], p) for p, r in reduced.int_rows.items() if j in r]
@@ -345,6 +350,20 @@ def contains(a: Subspace, b: Subspace) -> bool:
     return all(a.contains_vector(row) for row in b.rows)
 
 
+def annihilator(e: Subspace) -> list:
+    """Integer functionals spanning those that vanish on E, as sparse dicts.
+
+    One per nonpivot q of the RREF basis: 1 at q and minus column q at the
+    pivots. A vector lies in E exactly when every one of them vanishes on it.
+    """
+    pivots = set(e.pivots)
+    return [
+        integer_row({q: 1, **{p: -row[q] for p, row in zip(e.pivots, e.rows) if row[q]}})
+        for q in range(e.ambient_dim)
+        if q not in pivots
+    ]
+
+
 def orthogonal_complement(e: Subspace) -> Subspace:
     """Complement under the apolar inner product on S_k.
 
@@ -384,7 +403,7 @@ class QuotientMap:
     dim(S_k) - dim(E) of them.
     """
 
-    __slots__ = ("subspace", "pivots", "nonpivots", "_restricted", "_unit_cache")
+    __slots__ = ("subspace", "pivots", "nonpivots", "_restricted")
 
     def __init__(self, subspace: Subspace):
         self.subspace = subspace
@@ -392,7 +411,6 @@ class QuotientMap:
         pivset = set(subspace.pivots)
         self.nonpivots = tuple(j for j in range(subspace.ambient_dim) if j not in pivset)
         self._restricted = [[row[j] for j in self.nonpivots] for row in subspace.rows]
-        self._unit_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -410,13 +428,3 @@ class QuotientMap:
                     if rq:
                         out[q] -= c * rq
         return out
-
-    def unit_coords(self, j: int) -> tuple:
-        """Quotient coordinates of the j-th ambient basis vector (cached)."""
-        cached = self._unit_cache.get(j)
-        if cached is None:
-            vec = [ZERO] * self.subspace.ambient_dim
-            vec[j] = ONE
-            cached = tuple(self.coords(vec))
-            self._unit_cache[j] = cached
-        return cached

@@ -1,18 +1,19 @@
 """Recovering generator tuples and polynomials from one graded piece.
 
-The pipeline: a degree-k ideal piece E with d-1 <= k <= T determines the
-whole ideal. Lifting E by monomial multiplication to the socle degree T,
-taking the apolar complement there (a line, whose normalized generator is
-the associated form), and cutting the apolar ideal back down in degree
-d-1 recovers the generating subspace W. The fiber step then solves the
-linear system {g in S_d : all partials of g lie in W}; for a smooth form
-that is not a direct sum this fiber is the single line through f, and for
-direct sums it is spanned by the summands, so its dimension counts them.
+A degree-k piece E = (I_W)_k of a complete-intersection ideal, with
+d-1 <= k <= T, gives back W as the colon piece
+(E : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in E}. It contains
+W, and by Gorenstein duality nothing more: the quotient algebra A pairs
+A_{d-1} perfectly with A_{T-d+1} = A_{T-k} * A_{k-d+1}. So W comes from
+one small linear system, with no lift of E to higher degrees. The fiber
+step solves {g in S_d : all partials of g lie in W}: the line through f
+for a smooth form that is not a direct sum, and the span of the summands,
+whose dimension counts them, for a direct sum.
 
-Input validation is mandatory, not optional: the maps inverted here are
-only defined on complete-intersection input, so the expected dimension,
-the Artinian fill at degree T+1, the socle line, and the final round trip
-are all checked before a result is returned.
+Input validation is mandatory: the maps inverted here are only defined
+on complete-intersection input, so the dimensions of E and of the colon,
+the Artinian fill of the recovered tuple at degree T+1 and the round trip
+back to E are all checked before a result is returned.
 """
 
 from __future__ import annotations
@@ -26,24 +27,16 @@ from .ideals import (
     generated_piece,
     hilbert_profile,
     ideal_piece,
+    is_complete_intersection,
     is_smooth,
     jacobian_gens,
     jacobian_piece,
     partials_piece,
     socle_degree,
 )
-from .inverse_systems import apolar_piece
-from .linalg import (
-    QuotientMap,
-    Subspace,
-    contains,
-    nullspace,
-    orthogonal_complement,
-    span_vectors,
-)
-from .monomials import derivative_table, dim_graded
+from .linalg import Subspace, annihilator, contains, integer_row, nullspace, span_vectors
+from .monomials import derivative_table, dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial
-from .rationals import ZERO
 
 
 class FiberResult(NamedTuple):
@@ -87,13 +80,31 @@ def lift_piece(e: Subspace, m: int) -> Subspace:
     return generated_piece(e, m)
 
 
+def colon_rows(e: Subspace, degree: int, columns):
+    """Integer rows of c |-> (c * u mod E) over u in S_{k-degree}, E in S_k, lazily.
+
+    One row per monomial u and functional nu of ``annihilator(E)``, with
+    entry nu(u * m_j) at each column j of S_degree in ``columns``: the
+    kernel on ``columns`` is the part of the colon (E : S_{k-degree})
+    supported there. Each u adds its rows only when they are read.
+    """
+    duals = annihilator(e)
+    for tu in product_index_table(e.n, e.k - degree, degree):
+        targets = [tu[j] for j in columns]
+        for nu in duals:
+            yield {i: nu[t] for i, t in enumerate(targets) if t in nu}
+
+
 def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     """Invert the piece map: from E = (I_W)_k back to the subspace W.
 
-    Validates that E has the dimension of a complete-intersection piece,
-    that its lift fills S_{T+1} (the Artinian test), that the socle
-    complement is a line, and finally that the recovered tuple reproduces
-    E on the nose. Each failure raises PreconditionError.
+    W is the colon C = (E : S_{k-d+1})_{d-1}, the kernel of ``colon_rows``
+    on S_{d-1}. Elimination stops once the rank leaves n+1 dimensions: the
+    kernel K of the rows read contains C, and the rows not read are only
+    evaluated on K, so K = C exactly. Valid input E = (I_W')_k has C = W'
+    of dimension n+1, so it is never rejected. A colon of any other size
+    is refused before a piece is grown from it; then C must be a complete
+    intersection whose degree-k piece is E. Failures raise PreconditionError.
     """
     if (e.n, e.k) != (n, k):
         raise ValueError(f"subspace lives in {(e.n, e.k)}, not {(n, k)}")
@@ -106,20 +117,18 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
             f"dimension {e.dim} does not match the expected piece dimension {profile.b(k)}"
         )
 
-    if not lift_piece(e, top + 1).is_full():
-        raise PreconditionError("lift does not fill degree T+1: not a complete-intersection piece")
-
-    comp = orthogonal_complement(lift_piece(e, top))
-    if comp.dim != 1:
-        raise PreconditionError(f"socle complement has dimension {comp.dim}, expected a line")
-    inverse_form = HomogeneousPolynomial.from_coords(n, top, comp.rows[0])
-
-    generators = apolar_piece(inverse_form, d - 1)
-    if generators.dim != n + 1:
-        raise PreconditionError(
-            f"apolar piece in the generator degree has dimension {generators.dim}, expected {n + 1}"
-        )
-    w = GeneratorTuple(n, d, generators.basis_polynomials())
+    width = dim_graded(n, d - 1)
+    rows = colon_rows(e, d - 1, range(width))
+    kernel = nullspace(rows, width, width - (n + 1))
+    # ``rows`` resumes after the last row read: those left must vanish on the kernel
+    basis = [integer_row(c) for c in kernel]
+    if len(kernel) != n + 1 or any(
+        sum(x * c.get(j, 0) for j, x in row.items()) for row in rows for c in basis
+    ):
+        raise PreconditionError(f"colon piece in the generator degree is not of dimension {n + 1}")
+    w = GeneratorTuple(n, d, [HomogeneousPolynomial.from_coords(n, d - 1, r) for r in kernel])
+    if not is_complete_intersection(w):
+        raise PreconditionError("recovered generators are not a complete intersection")
     if ideal_piece(w, k) != e:
         raise PreconditionError("input is not the degree-k piece of a complete-intersection ideal")
     return w
@@ -128,30 +137,16 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
 def forms_with_partials_in(e: Subspace) -> tuple:
     """Canonical basis of {g in S_{k+1} : all partials of g lie in E}, E in S_k.
 
-    Solved as one exact linear system: every quotient coordinate of every
-    partial of g modulo E must vanish.
+    Solved as one exact linear system: every functional of
+    ``annihilator(E)`` must vanish on every partial of g.
     """
     n, d = e.n, e.k + 1
-    qm = QuotientMap(e)
-    src_dim = dim_graded(n, d)
-    dtab = derivative_table(n, d)
-    unit = qm.unit_coords
-
+    duals = annihilator(e)
     rows = []
-    for i in range(n + 1):
-        di = dtab[i]
-        for q in range(qm.dim):
-            row = []
-            for s in range(src_dim):
-                hit = di[s]
-                if hit is None:
-                    row.append(ZERO)
-                else:
-                    t, factor = hit
-                    row.append(factor * unit(t)[q])
-            rows.append(row)
-
-    solutions = nullspace(rows, src_dim)
+    for di in derivative_table(n, d):
+        hits = [(s, *hit) for s, hit in enumerate(di) if hit]
+        rows.extend({s: f * nu[t] for s, t, f in hits if t in nu} for nu in duals)
+    solutions = nullspace(rows, dim_graded(n, d))
     return tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
 
 

@@ -1,7 +1,8 @@
 """Independent oracle implementations used to cross-check the library.
 
-Everything here except ``direct_product_piece`` deliberately avoids the
-package's own linear algebra and polynomial machinery: enumeration by
+Everything here except ``direct_product_piece`` and
+``recover_generators_by_lift`` deliberately avoids the package's own
+linear algebra and polynomial machinery: enumeration by
 itertools, determinants by permutation expansion, symbolic
 differentiation and matrix work by sympy. Expected values frozen into
 tests were computed by these routes.
@@ -12,7 +13,20 @@ import itertools
 
 import sympy
 
-from milnoralg import Subspace, dim_graded, zero_subspace
+from milnoralg import (
+    GeneratorTuple,
+    HomogeneousPolynomial,
+    PreconditionError,
+    Subspace,
+    apolar_piece,
+    dim_graded,
+    hilbert_profile,
+    ideal_piece,
+    lift_piece,
+    orthogonal_complement,
+    socle_degree,
+    zero_subspace,
+)
 from milnoralg.linalg import SpanBuilder
 from milnoralg.monomials import product_index_table
 
@@ -160,3 +174,30 @@ def direct_product_piece(n: int, src_deg: int, k: int, vectors):
                 vec[tu[j]] = c
             builder.insert(vec)
     return Subspace.from_builder(n, k, builder)
+
+
+def recover_generators_by_lift(e, k: int, n: int, d: int):
+    """Recover W from E = (I_W)_k through the socle degree, checking as it goes.
+
+    Lifts E to T+1 (the Artinian fill) and to T, takes the apolar
+    complement at T (the associated form, a line) and cuts its apolar
+    ideal down to degree d-1: the route the library took before it read
+    W off the colon (E : S_{k-d+1})_{d-1}. It shares the pieces with the
+    library but none of the colon, and raises PreconditionError wherever
+    the library must.
+    """
+    if e.dim != hilbert_profile(n, d).b(k):
+        raise PreconditionError("dimension does not match the expected piece dimension")
+    top = socle_degree(n, d)
+    if not lift_piece(e, top + 1).is_full():
+        raise PreconditionError("lift does not fill degree T+1")
+    comp = orthogonal_complement(lift_piece(e, top))
+    if comp.dim != 1:
+        raise PreconditionError("socle complement is not a line")
+    generators = apolar_piece(HomogeneousPolynomial.from_coords(n, top, comp.rows[0]), d - 1)
+    if generators.dim != n + 1:
+        raise PreconditionError("apolar piece in the generator degree has the wrong dimension")
+    w = GeneratorTuple(n, d, generators.basis_polynomials())
+    if ideal_piece(w, k) != e:
+        raise PreconditionError("input is not a complete-intersection piece")
+    return w

@@ -121,6 +121,26 @@ def test_reconstruct_invalid_piece_exit_3(tmp_path, capsys):
     assert code == 3 and "precondition" in err
 
 
+@pytest.mark.parametrize(
+    "rows,k,d",
+    [
+        # x0^2, x0*x1, x0*x2: dimension b(2) at (2, 3), not a complete intersection
+        ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 2, 3),
+        # dimension b(4) = 9 at (2, 4), colon piece too small
+        ([[1 if j == i else (i + 2 * j) % 3 - 1 for j in range(15)] for i in range(9)], 4, 4),
+    ],
+)
+def test_reconstruct_piece_of_right_dimension_exit_3_one_line(tmp_path, capsys, rows, k, d):
+    from milnoralg import span_vectors
+
+    piece = span_vectors(2, k, rows)
+    path = tmp_path / "piece.json"
+    path.write_text(json.dumps(subspace_to_dict(piece)))
+    code, out, err = run(capsys, "reconstruct", "--subspace", str(path), "--d", str(d))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("precondition violated: ")
+
+
 def test_reconstruct_boolean_n_is_schema_error_exit_2(tmp_path, capsys):
     # JSON true must not pass as n = 1 and then fail later as a precondition
     doc = {"n": True, "degree": 2, "order": "grlex", "dim": 1, "basis": [["1", "0", "0"]]}
@@ -260,6 +280,11 @@ def test_suite_small(capsys):
     assert len(lines) == 10
     assert all(line.startswith("PASS") for line in lines)
     assert any("well-definedness" in line and "vacuous" in line for line in lines)
+    (line,) = [line for line in lines if line.startswith("PASS containment (")]
+    assert line.endswith(
+        ": 0 of 60 random h contained, as the theorem predicts; "
+        "the contained case rests on the scaled-f check (2 forms)"
+    )
 
 
 def test_suite_binary_cubics_is_vacuous_not_failed(capsys):

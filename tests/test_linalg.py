@@ -276,16 +276,6 @@ def test_quotient_map_vanishes_exactly_on_subspace():
     assert any(qm.coords(outside))
 
 
-def test_quotient_unit_coords_match_coords():
-    rng = random.Random(31)
-    sub = rand_subspace(rng, 1, 3, 2)
-    qm = QuotientMap(sub)
-    for j in range(sub.ambient_dim):
-        unit = [Q(0)] * sub.ambient_dim
-        unit[j] = Q(1)
-        assert list(qm.unit_coords(j)) == qm.coords(unit)
-
-
 # -- builder edge cases --------------------------------------------------------------
 
 
@@ -383,6 +373,45 @@ def test_nullspace_matches_sympy_rref_of_kernel():
         want, _ = oracle_rref([list(v) for v in kernel], ncols)
         assert null == want
         assert_all_q(null)
+
+
+def guarded_rows(mat, limit):
+    """Yield the rows of mat, raising if asked for more than ``limit`` of them."""
+    for i, row in enumerate(mat):
+        if i == limit:
+            raise AssertionError(f"row {i} read past the rank stop")
+        yield row
+
+
+def test_nullspace_rank_stop_reads_no_row_past_the_rank():
+    for _, mat, ncols in matrix_cases(109):
+        rank = sympy_rank(mat)
+        # the number of rows it takes to reach the rank, in order
+        needed = next((i for i in range(len(mat) + 1) if sympy_rank(mat[:i]) == rank), 0)
+        null = nullspace(guarded_rows(mat, needed), ncols, rank)
+        assert null == nullspace(mat, ncols)
+        if mat:
+            kernel = sympy_matrix(mat).nullspace()
+        else:
+            kernel = [sympy.eye(ncols).col(j) for j in range(ncols)]
+        assert null == oracle_rref([list(v) for v in kernel], ncols)[0]
+        assert_all_q(null)
+
+
+def test_nullspace_rank_stop_below_the_rank_gives_a_larger_kernel():
+    for _, mat, ncols in matrix_cases(113):
+        rank = sympy_rank(mat)
+        if rank < 2:
+            continue
+        needed = next(i for i in range(len(mat) + 1) if sympy_rank(mat[:i]) == rank - 1)
+        partial = nullspace(guarded_rows(mat, needed), ncols, rank - 1)
+        assert partial == nullspace(mat[:needed], ncols)
+        assert len(partial) == ncols - rank + 1
+        assert sympy_rank(partial + nullspace(mat, ncols)) == len(partial)  # it contains the kernel
+
+
+def test_nullspace_rank_zero_reads_nothing():
+    assert nullspace(guarded_rows([[1, 2]], 0), 2, 0) == [[1, 0], [0, 1]]
 
 
 def test_builder_accepts_what_q_accepts():

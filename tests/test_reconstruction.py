@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
     containment_implies_equal,
+    dim_graded,
     euler_recover,
     fermat,
     fiber,
+    hilbert_profile,
     ideal_piece,
     is_smooth,
     jacobian_gens,
@@ -19,11 +23,13 @@ from milnoralg import (
     recover_generators,
     socle_degree,
     span_polys,
+    span_vectors,
     zero_subspace,
 )
 from milnoralg.rationals import Q
 
-from oracles import fiber_dimension_oracle
+from conftest import PAIRS
+from oracles import fiber_dimension_oracle, recover_generators_by_lift
 
 
 FERMAT3 = fermat(2, 3)
@@ -85,14 +91,128 @@ def test_recover_rejects_wrong_dimension():
 def test_recover_rejects_non_ci_piece():
     # right dimension (3 = b_{2,3}(2)) but generated by a non-regular sequence
     e = span_polys([parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not a complete intersection"):
         recover_generators(e, 2, 2, 3)
+    with pytest.raises(PreconditionError):
+        recover_generators_by_lift(e, 2, 2, 3)
 
 
 def test_recover_rejects_out_of_range_degree():
     e = ideal_piece(W3, 2)
     with pytest.raises(ValueError):
         recover_generators(e, 1, 2, 3)
+
+
+# -- the colon against the lift -> apolar complement -> apolar ideal oracle ------------
+
+
+def assert_same_recovery(e, k, n, d):
+    got = recover_generators(e, k, n, d)
+    want = recover_generators_by_lift(e, k, n, d)
+    assert repr(got.span.rows) == repr(want.span.rows)
+    assert got.gens == want.gens
+    return got
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_recover_matches_lift_oracle_at_every_k(n, d, ci_pools, nonst_pools):
+    tuples = ci_pools[(n, d)][:2] + [jacobian_gens(f) for f in nonst_pools[(n, d)][:2]]
+    for w in tuples:
+        for k in range(d - 1, socle_degree(n, d) + 1):
+            assert assert_same_recovery(ideal_piece(w, k), k, n, d).span == w.span
+
+
+def seeded_pieces(n, d, k, rng):
+    """Seeded subspaces of S_k of the dimension b(k) of a piece, mostly not pieces.
+
+    Three random subspaces, and two valid pieces with one row replaced.
+    """
+    b = hilbert_profile(n, d).b(k)
+    amb = dim_graded(n, k)
+    pieces = []
+    while len(pieces) < 3:
+        e = span_vectors(n, k, [[rng.randint(-3, 3) for _ in range(amb)] for _ in range(b)])
+        if e.dim == b:
+            pieces.append(e)
+    valid = ideal_piece(random_ci_tuple(n, d, seed=rng.randrange(10**6)), k)
+    for drop in rng.sample(range(b), 2):
+        rows = [r for i, r in enumerate(valid.rows) if i != drop]
+        e = span_vectors(n, k, rows + [[rng.randint(-3, 3) for _ in range(amb)]])
+        if e.dim == b and e != valid:
+            pieces.append(e)
+    return pieces
+
+
+def recovery_outcome(recover, e, k, n, d):
+    try:
+        return repr(recover(e, k, n, d).span.rows)
+    except PreconditionError:
+        return None
+
+
+# A generic subspace of dimension b(k) is a valid piece at every k at these
+# sizes: the apolar ideal of a generic binary quartic or ternary cubic is a
+# complete intersection. Elsewhere it is one only at k = d-1.
+EVERY_PIECE_VALID = {(1, 4), (2, 3)}
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_recover_rejects_what_the_lift_oracle_rejects(n, d):
+    rng = random.Random(1_000 * n + d)
+    rejected = 0
+    for k in range(d - 1, socle_degree(n, d) + 1):
+        for e in seeded_pieces(n, d, k, rng):
+            want = recovery_outcome(recover_generators_by_lift, e, k, n, d)
+            assert recovery_outcome(recover_generators, e, k, n, d) == want
+            rejected += want is None
+    assert (rejected == 0) == ((n, d) in EVERY_PIECE_VALID)
+
+
+def test_recovery_builds_each_relay_degree_once():
+    from milnoralg.ideals import _relay
+
+    for n, d in [(2, 4), (3, 3), (2, 5)]:
+        w = random_ci_tuple(n, d, seed=7 * n + d)
+        top = socle_degree(n, d)
+        _relay.cache_clear()
+        for k in range(d - 1, top + 1):
+            assert recover_generators(ideal_piece(w, k), k, n, d).span == w.span
+        # degrees d-1..T+1 of W, the last one full; no other span is grown
+        assert _relay.cache_info().misses == top + 1 - (d - 1) + 1
+
+
+def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
+    import milnoralg.reconstruction as reconstruction
+
+    real_nullspace = reconstruction.nullspace
+    pulled = []
+
+    def counted_nullspace(rows, ncols, rank=None):
+        def counted():
+            for row in rows:
+                pulled.append(row)
+                yield row
+
+        return real_nullspace(counted(), ncols, rank)
+
+    monkeypatch.setattr(reconstruction, "nullspace", counted_nullspace)
+    n, d, k = 2, 4, 4
+    w = random_ci_tuple(n, d, seed=3)
+    e = ideal_piece(w, k)
+    assert recover_generators(e, k, n, d).span == w.span
+    all_rows = list(reconstruction.colon_rows(e, d - 1, range(dim_graded(n, d - 1))))
+    assert 0 < len(pulled) < len(all_rows)
+
+
+def test_wrong_colon_is_refused_before_any_piece_is_grown():
+    from milnoralg.ideals import _relay
+
+    n, d, k = 2, 5, 9
+    for e in seeded_pieces(n, d, k, random.Random(11)):
+        _relay.cache_clear()
+        with pytest.raises(PreconditionError, match="colon piece"):
+            recover_generators(e, k, n, d)
+        assert _relay.cache_info().misses == 0
 
 
 # -- fibers -------------------------------------------------------------------------
