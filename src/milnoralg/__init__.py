@@ -30,8 +30,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "deformation": "KernelReport PolyTangentVector TupleTangentVector colon_piece "
-    "membership_solutions multiplication_matrix tangent_image tangent_kernel_at_poly "
-    "tangent_kernel_at_tuple",
+    "tangent_kernel_at_poly tangent_kernel_at_tuple",
     "errors": "PreconditionError",
     "ideals": "GeneratorTuple HilbertProfile check_size hilbert_profile ideal_piece "
     "is_complete_intersection is_smooth jacobian_gens jacobian_piece partials_piece "

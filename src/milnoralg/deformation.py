@@ -6,14 +6,15 @@ quotient S_k / (I_W)_k. Writing each basis vector of (I_W)_k as
 b = sum_i u_i g_i, the induced map sends b to sum_i u_i h_i modulo
 (I_W)_k. The choice of the u_i is immaterial: two representations differ
 by a syzygy of the g_i. For a complete intersection every syzygy is a
-combination of the Koszul ones g_j e_i - g_i e_j, whose images
+combination of the Koszul ones g_j e_i - g_i e_j (the g_i form a regular
+sequence, so their Koszul complex is exact), whose images
 g_j h_i - g_i h_j already lie in I_W, so the ambiguity dies in the
-quotient.
+quotient. ``suite`` checks this on random tuples and directions.
 
-The kernels need no assembled matrix of that map. The map is fixed by its
-values on the spanning vectors u * g_i (u a monomial of degree k-d+1),
-which it sends to u * h_i. So h is in the kernel exactly when every h_i
-lies in the colon piece
+No matrix of that map is built: the kernels do not need one. The map is
+fixed by its values on the spanning vectors u * g_i (u a monomial of
+degree k-d+1), which it sends to u * h_i. So h is in the kernel exactly
+when every h_i lies in the colon piece
 
     C = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
 
@@ -37,7 +38,6 @@ s summands.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -50,10 +50,9 @@ from .ideals import (
     jacobian_gens,
     socle_degree,
 )
-from .linalg import QuotientMap, Subspace, nullspace, rref, solve_columns, span_polys, span_vectors
-from .monomials import dim_graded, mono_basis, mono_index, product_index_table
+from .linalg import QuotientMap, Subspace, nullspace, rref, span_polys, span_vectors
+from .monomials import mono_basis
 from .polynomials import HomogeneousPolynomial
-from .rationals import ZERO
 from .reconstruction import colon_rows, forms_with_partials_in
 
 
@@ -121,58 +120,6 @@ class KernelReport(NamedTuple):
     basis: tuple
 
 
-def multiplication_matrix(w: GeneratorTuple, k: int) -> list:
-    """Matrix of (u_0, ..., u_n) |-> sum_i u_i g_i into S_k.
-
-    dim(S_k) rows; columns indexed by (i, u) as i * dim_u + u over the
-    monomials u of degree k - (d-1).
-    """
-    n, d = w.n, w.d
-    if k < d - 1:
-        raise ValueError(f"need k >= {d - 1}, got {k}")
-    dim_u = dim_graded(n, k - (d - 1))
-    dim_t = dim_graded(n, k)
-    table = product_index_table(n, k - (d - 1), d - 1)
-    idx = mono_index(n, d - 1)
-    mat = [[ZERO] * ((n + 1) * dim_u) for _ in range(dim_t)]
-    for i, g in enumerate(w.gens):
-        sparse = [(idx[alpha], c) for alpha, c in g.terms.items()]
-        base = i * dim_u
-        for u in range(dim_u):
-            tu = table[u]
-            col = base + u
-            for j, c in sparse:
-                mat[tu[j]][col] = c
-    return mat
-
-
-@lru_cache(maxsize=256)
-def membership_solutions(w: GeneratorTuple, k: int):
-    """One representation b = sum_i u_i g_i per basis vector of (I_W)_k.
-
-    Returns (piece, solutions) where solutions[j][i] is the sparse
-    coordinate list [(u_index, coeff), ...] of u_i over the degree
-    k-(d-1) monomials. Any solution of the linear system is accepted;
-    well-definedness of everything built on top makes the choice
-    immaterial.
-    """
-    piece = ideal_piece(w, k)
-    mat = multiplication_matrix(w, k)
-    ncols = (w.n + 1) * dim_graded(w.n, k - (w.d - 1))
-    sols = solve_columns(mat, ncols, [list(row) for row in piece.rows])
-    dim_u = dim_graded(w.n, k - (w.d - 1))
-    packed = []
-    for sol in sols:
-        assert sol is not None  # basis rows lie in the image by construction
-        packed.append(
-            tuple(
-                tuple((u, sol[i * dim_u + u]) for u in range(dim_u) if sol[i * dim_u + u])
-                for i in range(w.n + 1)
-            )
-        )
-    return piece, tuple(packed)
-
-
 def _check_degree(n: int, d: int, k: int):
     check_size(n, d)
     top = socle_degree(n, d)
@@ -184,33 +131,6 @@ def _check_tuple_pre(w: GeneratorTuple, k: int):
     _check_degree(w.n, w.d, k)
     if not is_complete_intersection(w):
         raise PreconditionError("generator tuple is not a complete intersection")
-
-
-def tangent_image(w: GeneratorTuple, h, k: int) -> tuple:
-    """Matrix of the induced map (I_W)_k -> S_k / (I_W)_k for direction h.
-
-    One row per canonical basis vector of (I_W)_k, in the quotient
-    coordinates of S_k / (I_W)_k; the zero matrix means h is killed at
-    degree k.
-    """
-    _check_tuple_pre(w, k)
-    if not isinstance(h, TupleTangentVector):
-        h = TupleTangentVector(w, h)
-    piece, sols = membership_solutions(w, k)
-    qm = QuotientMap(piece)
-    table = product_index_table(w.n, k - (w.d - 1), w.d - 1)
-    idx = mono_index(w.n, w.d - 1)
-    sparse_parts = [[(idx[alpha], c) for alpha, c in p.terms.items()] for p in h.parts]
-    rows = []
-    for sol in sols:
-        image = [ZERO] * piece.ambient_dim  # sum_i u_i * h_i in S_k
-        for i, hp in enumerate(sparse_parts):
-            for u_idx, uc in sol[i]:
-                tu = table[u_idx]
-                for j, hc in hp:
-                    image[tu[j]] += uc * hc
-        rows.append(tuple(qm.coords(image)))
-    return tuple(rows)
 
 
 def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:

@@ -164,37 +164,6 @@ def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
     return builder.rows
 
 
-def solve_columns(rows: Iterable, ncols: int, rhs_columns: Iterable) -> list:
-    """Solve M x = b for each right-hand side b in ``rhs_columns``.
-
-    ``rows`` is the matrix M (each row of length ``ncols``); each b has one
-    entry per row. Returns one solution per b with free variables set to
-    zero, or None where the system is inconsistent. One RREF of the rows
-    [M | b_0 ... b_r] serves all: its rows pivoting right of M span the
-    y[M | B] with yM = 0, so b_j is consistent iff they all vanish in its
-    column, and then x[p] is that column's entry in the row pivoting at p.
-    """
-    rows = [list(r) for r in rows]
-    rhs = [list(b) for b in rhs_columns]
-    if any(len(b) != len(rows) for b in rhs):
-        raise ValueError("right-hand side length does not match row count")
-    builder = SpanBuilder(ncols + len(rhs))
-    for i, row in enumerate(rows):
-        builder.insert(row + [b[i] for b in rhs])
-    basis = builder.int_rows.items()
-    solutions = []
-    for col in range(ncols, ncols + len(rhs)):
-        if any(col in r for p, r in basis if p >= ncols):
-            solutions.append(None)
-            continue
-        x = [ZERO] * ncols
-        for p, r in basis:
-            if p < ncols and col in r:
-                x[p] = Q(r[col], r[p])
-        solutions.append(x)
-    return solutions
-
-
 class Subspace:
     """A linear subspace of the graded piece S_k, canonical RREF basis.
 

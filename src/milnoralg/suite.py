@@ -4,7 +4,9 @@ Runs the same checks the acceptance tests make, parameterized by one
 ambient size and a base seed: Hilbert profile invariants, Jacobian piece
 dimensions, round trips through one graded piece, fibers and summand
 counts, inverse systems, tangent kernels, containment, and the
-well-definedness of tangent images. Each check reports pass/fail plus
+well-definedness of tangent images, which rests on every syzygy being
+Koszul and is checked through the Koszul rank identity
+(``koszul_check``). Each check reports pass/fail plus
 wall time; an optional wall-clock budget stops starting new phases once
 exceeded (which checks run then depends on the clock, so omit the budget
 when byte-identical output matters).
@@ -14,15 +16,12 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
-from .deformation import (
-    membership_solutions,
-    multiplication_matrix,
-    tangent_kernel_at_poly,
-    tangent_kernel_at_tuple,
-)
+from .deformation import tangent_kernel_at_poly, tangent_kernel_at_tuple
 from .ideals import (
+    GeneratorTuple,
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
@@ -30,7 +29,7 @@ from .ideals import (
     socle_degree,
 )
 from .inverse_systems import verify_inverse_system
-from .linalg import nullspace
+from .linalg import QuotientMap, SpanBuilder
 from .monomials import dim_graded, mono_basis
 from .polynomials import HomogeneousPolynomial, fermat, multiply
 from .rationals import Q
@@ -52,6 +51,47 @@ class SuiteCheck(NamedTuple):
 
 def _k_range(n: int, d: int):
     return range(d - 1, socle_degree(n, d) + 1)
+
+
+def koszul_check(w: GeneratorTuple, k: int, parts) -> int:
+    """Check that the degree-k Koszul syzygies of W are all of them and map h into (I_W)_k.
+
+    A syzygy of degree k is u = (u_0, ..., u_n) in S_{k-d+1}^{n+1} with
+    sum_i u_i g_i = 0. The Koszul ones are m * (g_j e_i - g_i e_j) for the
+    monomials m of degree k - 2(d-1). Asserts that (a) each is a syzygy,
+    (b) their rank is (n+1) dim S_{k-d+1} - dim (I_W)_k, the dimension of
+    all syzygies by rank-nullity of u |-> sum_i u_i g_i, so they span them,
+    and (c) each sends the direction h = ``parts`` into (I_W)_k:
+    sum_i u_i h_i lies in the piece. By (b) and (c) every representation of
+    a piece vector gives the same tangent image. Returns the number of
+    Koszul vectors.
+    """
+    n, d = w.n, w.d
+    piece = ideal_piece(w, k)
+    quotient = QuotientMap(piece)
+    dim_u = dim_graded(n, k - (d - 1))
+    zero = HomogeneousPolynomial.zero(n, k - (d - 1))
+    zero_k = HomogeneousPolynomial.zero(n, k)
+    degree = k - 2 * (d - 1)
+
+    def image(u, forms):  # sum_i u_i * forms_i over the nonzero parts u_i
+        return sum((multiply(ui, forms[i]) for i, ui in u.items()), zero_k)
+
+    span = SpanBuilder((n + 1) * dim_u)
+    count = 0
+    for alpha in mono_basis(n, degree) if degree >= 0 else ():
+        m = HomogeneousPolynomial.monomial(n, alpha)
+        multiples = [multiply(m, g) for g in w.gens]
+        for i, j in combinations(range(n + 1), 2):
+            u = {i: multiples[j], j: -multiples[i]}
+            assert image(u, w.gens).is_zero(), f"not a syzygy at k={k}"
+            moved = image(u, parts).coords()
+            assert not any(quotient.coords(moved)), f"h not sent into the piece at k={k}"
+            span.insert([c for s in range(n + 1) for c in u.get(s, zero).coords()])
+            count += 1
+    expect = (n + 1) * dim_u - piece.dim
+    assert span.dim == expect, f"Koszul rank {span.dim}, expected {expect} at k={k}"
+    return count
 
 
 def run_suite(
@@ -212,47 +252,21 @@ def run_suite(
             return "vacuous: no syzygies in range at this size"
         rng = random.Random(seed * 1_000_003 + 900)
         monomials = mono_basis(n, d - 1)
-        checked = 0
+        vectors = 0
         for trial in range(20):
             w = pool[trial % len(pool)]
             k = syzygy_ks[trial % len(syzygy_ks)]
-            piece, sols = membership_solutions(w, k)
-            mat = multiplication_matrix(w, k)
-            dim_u = dim_graded(n, k - (d - 1))
-            syzygies = nullspace(mat, (n + 1) * dim_u)
-            if not syzygies:
-                continue
-            offset = syzygies[rng.randrange(len(syzygies))]
             parts = [
                 HomogeneousPolynomial(
                     n, d - 1, {alpha: rng.randint(-2, 2) for alpha in monomials}
                 )
                 for _ in range(n + 1)
             ]
-            bi = rng.randrange(piece.dim)
-            u_basis = mono_basis(n, k - (d - 1))
-
-            def image(dense):
-                acc = HomogeneousPolynomial.zero(n, k)
-                for i in range(n + 1):
-                    ui = HomogeneousPolynomial(
-                        n,
-                        k - (d - 1),
-                        {u_basis[u]: dense[i * dim_u + u] for u in range(dim_u)},
-                    )
-                    acc = acc + multiply(ui, parts[i])
-                return acc
-
-            dense1 = [Q(0)] * ((n + 1) * dim_u)
-            for i in range(n + 1):
-                for u, c in sols[bi][i]:
-                    dense1[i * dim_u + u] = c
-            dense2 = [a + b for a, b in zip(dense1, offset)]
-            diff = image(dense1) - image(dense2)
-            assert piece.contains_vector(diff.coords())
-            checked += 1
-        assert checked > 0
-        return f"{checked} representation pairs"
+            vectors += koszul_check(w, k, parts)
+        return (
+            f"20 trials, k = {', '.join(map(str, syzygy_ks))}: Koszul syzygies span "
+            f"every syzygy and map h into the piece ({vectors} checked)"
+        )
 
     phase("hilbert-profile", check_hilbert)
     phase("jacobian-dimensions", check_dimensions)

@@ -1,15 +1,21 @@
 """Independent oracle implementations used to cross-check the library.
 
-Everything here except ``direct_product_piece`` and
-``recover_generators_by_lift`` deliberately avoids the package's own
-linear algebra and polynomial machinery: enumeration by
-itertools, determinants by permutation expansion, symbolic
-differentiation and matrix work by sympy. Expected values frozen into
-tests were computed by these routes.
+Everything here except ``direct_product_piece``,
+``recover_generators_by_lift`` and the assembled tangent map
+(``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
+``tangent_image``) deliberately avoids the package's own linear algebra
+and polynomial machinery: enumeration by itertools, determinants by
+permutation expansion, symbolic differentiation and matrix work by
+sympy. Expected values frozen into tests were computed by these routes.
+Those exceptions are routes the library took before it found a cheaper
+one; they share its elimination, which is itself checked against sympy
+in test_linalg.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
+from typing import Iterable
 
 import sympy
 
@@ -27,8 +33,10 @@ from milnoralg import (
     socle_degree,
     zero_subspace,
 )
-from milnoralg.linalg import SpanBuilder
-from milnoralg.monomials import product_index_table
+from milnoralg.deformation import TupleTangentVector, _check_tuple_pre
+from milnoralg.linalg import QuotientMap, SpanBuilder
+from milnoralg.monomials import mono_index, product_index_table
+from milnoralg.rationals import Q, ZERO
 
 
 def enum_monomials(nvars: int, k: int):
@@ -201,3 +209,119 @@ def recover_generators_by_lift(e, k: int, n: int, d: int):
     if ideal_piece(w, k) != e:
         raise PreconditionError("input is not a complete-intersection piece")
     return w
+
+
+# -- the assembled tangent map --------------------------------------------------------
+# The library's route to tangent kernels before they came from the colon piece:
+# one representation b = sum_i u_i g_i per basis vector of (I_W)_k, solved from
+# the multiplication matrix, and the induced map b |-> sum_i u_i h_i built on it.
+
+
+def solve_columns(rows: Iterable, ncols: int, rhs_columns: Iterable) -> list:
+    """Solve M x = b for each right-hand side b in ``rhs_columns``.
+
+    ``rows`` is the matrix M (each row of length ``ncols``); each b has one
+    entry per row. Returns one solution per b with free variables set to
+    zero, or None where the system is inconsistent. One RREF of the rows
+    [M | b_0 ... b_r] serves all: its rows pivoting right of M span the
+    y[M | B] with yM = 0, so b_j is consistent iff they all vanish in its
+    column, and then x[p] is that column's entry in the row pivoting at p.
+    """
+    rows = [list(r) for r in rows]
+    rhs = [list(b) for b in rhs_columns]
+    if any(len(b) != len(rows) for b in rhs):
+        raise ValueError("right-hand side length does not match row count")
+    builder = SpanBuilder(ncols + len(rhs))
+    for i, row in enumerate(rows):
+        builder.insert(row + [b[i] for b in rhs])
+    basis = builder.int_rows.items()
+    solutions = []
+    for col in range(ncols, ncols + len(rhs)):
+        if any(col in r for p, r in basis if p >= ncols):
+            solutions.append(None)
+            continue
+        x = [ZERO] * ncols
+        for p, r in basis:
+            if p < ncols and col in r:
+                x[p] = Q(r[col], r[p])
+        solutions.append(x)
+    return solutions
+
+
+def multiplication_matrix(w: GeneratorTuple, k: int) -> list:
+    """Matrix of (u_0, ..., u_n) |-> sum_i u_i g_i into S_k.
+
+    dim(S_k) rows; columns indexed by (i, u) as i * dim_u + u over the
+    monomials u of degree k - (d-1).
+    """
+    n, d = w.n, w.d
+    if k < d - 1:
+        raise ValueError(f"need k >= {d - 1}, got {k}")
+    dim_u = dim_graded(n, k - (d - 1))
+    dim_t = dim_graded(n, k)
+    table = product_index_table(n, k - (d - 1), d - 1)
+    idx = mono_index(n, d - 1)
+    mat = [[ZERO] * ((n + 1) * dim_u) for _ in range(dim_t)]
+    for i, g in enumerate(w.gens):
+        sparse = [(idx[alpha], c) for alpha, c in g.terms.items()]
+        base = i * dim_u
+        for u in range(dim_u):
+            tu = table[u]
+            col = base + u
+            for j, c in sparse:
+                mat[tu[j]][col] = c
+    return mat
+
+
+@lru_cache(maxsize=256)
+def membership_solutions(w: GeneratorTuple, k: int):
+    """One representation b = sum_i u_i g_i per basis vector of (I_W)_k.
+
+    Returns (piece, solutions) where solutions[j][i] is the sparse
+    coordinate list [(u_index, coeff), ...] of u_i over the degree
+    k-(d-1) monomials. Any solution of the linear system is accepted;
+    well-definedness of everything built on top makes the choice
+    immaterial.
+    """
+    piece = ideal_piece(w, k)
+    mat = multiplication_matrix(w, k)
+    ncols = (w.n + 1) * dim_graded(w.n, k - (w.d - 1))
+    sols = solve_columns(mat, ncols, [list(row) for row in piece.rows])
+    dim_u = dim_graded(w.n, k - (w.d - 1))
+    packed = []
+    for sol in sols:
+        assert sol is not None  # basis rows lie in the image by construction
+        packed.append(
+            tuple(
+                tuple((u, sol[i * dim_u + u]) for u in range(dim_u) if sol[i * dim_u + u])
+                for i in range(w.n + 1)
+            )
+        )
+    return piece, tuple(packed)
+
+
+def tangent_image(w: GeneratorTuple, h, k: int) -> tuple:
+    """Matrix of the induced map (I_W)_k -> S_k / (I_W)_k for direction h.
+
+    One row per canonical basis vector of (I_W)_k, in the quotient
+    coordinates of S_k / (I_W)_k; the zero matrix means h is killed at
+    degree k.
+    """
+    _check_tuple_pre(w, k)
+    if not isinstance(h, TupleTangentVector):
+        h = TupleTangentVector(w, h)
+    piece, sols = membership_solutions(w, k)
+    qm = QuotientMap(piece)
+    table = product_index_table(w.n, k - (w.d - 1), w.d - 1)
+    idx = mono_index(w.n, w.d - 1)
+    sparse_parts = [[(idx[alpha], c) for alpha, c in p.terms.items()] for p in h.parts]
+    rows = []
+    for sol in sols:
+        image = [ZERO] * piece.ambient_dim  # sum_i u_i * h_i in S_k
+        for i, hp in enumerate(sparse_parts):
+            for u_idx, uc in sol[i]:
+                tu = table[u_idx]
+                for j, hc in hp:
+                    image[tu[j]] += uc * hc
+        rows.append(tuple(qm.coords(image)))
+    return tuple(rows)

@@ -24,9 +24,7 @@ from milnoralg import (
     ideal_piece,
     jacobian_gens,
     jacobian_piece,
-    membership_solutions,
     mono_basis,
-    multiplication_matrix,
     multiply,
     nullspace,
     parse_poly,
@@ -42,6 +40,7 @@ from milnoralg import (
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
+from oracles import membership_solutions, multiplication_matrix
 
 
 @contextmanager

@@ -18,9 +18,7 @@ from milnoralg import (
     ideal_piece,
     jacobian_gens,
     linear_change,
-    membership_solutions,
     mono_basis,
-    multiplication_matrix,
     multiply,
     nullspace,
     parse_poly,
@@ -28,13 +26,16 @@ from milnoralg import (
     random_ci_tuple,
     random_smooth,
     random_unimodular,
+    run_suite,
     socle_degree,
     span_polys,
-    tangent_image,
     tangent_kernel_at_poly,
     tangent_kernel_at_tuple,
 )
 from milnoralg.rationals import Q
+from milnoralg.suite import koszul_check
+
+from oracles import membership_solutions, multiplication_matrix, tangent_image
 
 SQUARES = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x1^2", "x2^2")])
 
@@ -205,6 +206,25 @@ def test_representation_ambiguity_lands_in_the_piece():
         h1 = image_of(dense1, parts, w, k)
         h2 = image_of(dense2, parts, w, k)
         assert piece.contains_vector((h1 - h2).coords())
+
+
+def test_suite_checks_well_definedness_by_koszul_rank():
+    # (2, 4) has syzygies at k = 6, unlike the sizes the CLI suite tests run
+    checks = run_suite(2, 4, polys=2, tuples=2)
+    (check,) = [c for c in checks if c.name == "well-definedness"]
+    assert check.ok is True
+    assert check.detail == (
+        "20 trials, k = 6: Koszul syzygies span every syzygy and map h into the piece "
+        "(60 checked)"
+    )
+
+
+def test_koszul_check_fails_on_a_non_koszul_syzygy():
+    # x1 e_0 - x0 e_1 is a syzygy of x0^2, x0*x1, x0*x2 in degree 3 and no
+    # Koszul vector exists there: rank 0 against 3 * dim S_1 - dim (I_W)_3 = 3
+    w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
+    with pytest.raises(AssertionError, match="Koszul rank 0, expected 3 at k=3"):
+        koszul_check(w, 3, zero_parts(w))
 
 
 def test_perturbed_family_moves_the_piece():

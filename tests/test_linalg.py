@@ -22,11 +22,12 @@ from milnoralg import (
     subspace_sum,
     zero_subspace,
 )
-from milnoralg.linalg import SpanBuilder, solve_columns
+from milnoralg.linalg import SpanBuilder
 from milnoralg.rationals import Q
 
 from oracles import (
     perm_determinant,
+    solve_columns,
     spans_equal,
     sympy_matrix,
     sympy_nullspace_dim,

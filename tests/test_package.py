@@ -17,7 +17,7 @@ import milnoralg
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Every name the package exported when it imported its modules eagerly.
+# Every name the package exports.
 EXPORTED = [
     "AssociatedForm", "ContainmentCheck", "FiberResult", "GeneratorTuple", "HilbertProfile",
     "HomogeneousPolynomial", "KernelReport", "PolyTangentVector", "PreconditionError", "Q",
@@ -27,12 +27,12 @@ EXPORTED = [
     "euler_recover", "evaluate", "factorial_weights", "fermat", "fiber", "format_poly",
     "full_subspace", "grlex_key", "hilbert_profile", "ideal_piece", "is_complete_intersection",
     "is_smooth", "jacobian_gens", "jacobian_piece", "lift_piece", "linear_change", "map_image",
-    "map_kernel", "membership_solutions", "mono_basis", "mono_index", "multiplication_matrix",
-    "multiply", "nullspace", "orthogonal_complement", "parse_poly", "partial", "partials_piece",
-    "polar_apply", "random_ci_tuple", "random_smooth", "random_unimodular", "reconstruct_poly",
-    "recover_generators", "rref", "run_suite", "socle_degree", "span_polys", "span_vectors",
-    "st_report", "subspace_intersect", "subspace_sum", "tangent_image", "tangent_kernel_at_poly",
-    "tangent_kernel_at_tuple", "verify_inverse_system", "zero_subspace",
+    "map_kernel", "mono_basis", "mono_index", "multiply", "nullspace", "orthogonal_complement",
+    "parse_poly", "partial", "partials_piece", "polar_apply", "random_ci_tuple", "random_smooth",
+    "random_unimodular", "reconstruct_poly", "recover_generators", "rref", "run_suite",
+    "socle_degree", "span_polys", "span_vectors", "st_report", "subspace_intersect",
+    "subspace_sum", "tangent_kernel_at_poly", "tangent_kernel_at_tuple", "verify_inverse_system",
+    "zero_subspace",
 ]
 
 PIPELINES = [

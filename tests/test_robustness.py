@@ -241,7 +241,7 @@ def quadric_tuple(c):
     "module, name, args",
     [
         ("ideals", "is_smooth", lambda i: (binary_cubic(0, i + 1),)),
-        ("deformation", "membership_solutions", lambda i: (quadric_tuple(i + 1), 2)),
+        ("ideals", "_relay", lambda i: (quadric_tuple(i + 1).span, 2)),
         ("reconstruction", "_reference_fault", lambda i: (binary_cubic(i + 1, 0),)),
     ],
 )
