@@ -160,7 +160,7 @@ def colon_piece(w: GeneratorTuple, k: int) -> Subspace:
     """
     gq, extra = _colon_mod_span(w, k)
     lifted = [_from_quotient_coords(gq, w.n, w.d - 1, v).coords() for v in extra]
-    return span_vectors(w.n, w.d - 1, [*w.span.rows, *lifted])
+    return span_vectors(w.n, w.d - 1, [*w.span.int_rows.values(), *lifted])
 
 
 def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:

@@ -149,7 +149,7 @@ def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     """
     builder = SpanBuilder(dim_graded(span.n, k))
     if k == span.k:
-        for row in span.rows:
+        for row in span.int_rows.values():
             builder.insert(row)
     else:
         below = _relay(span, k - 1).int_rows

@@ -11,12 +11,15 @@ two subspaces are equal exactly when their basis matrices are identical
 entry for entry; this is what makes bit-exact equality of graded pieces,
 and hence injectivity tests for the maps built on them, meaningful.
 
-All elimination runs in ``SpanBuilder`` on Python ints, fraction-free as
-in Bareiss (1968). Each basis row is kept as the one primitive integer
-multiple of its RREF row with a positive pivot entry (the row times the
-lcm of its denominators), so the canonical basis is unchanged while the
-elimination pays one gcd per row instead of one per rational operation.
-Rationals are formed only where rows leave the builder.
+All elimination runs on Python ints, fraction-free as in Bareiss (1968).
+Each basis row is kept as the one primitive integer multiple of its RREF
+row with a positive pivot entry (the row times the lcm of its
+denominators), so the canonical basis is unchanged while the elimination
+pays one gcd per row instead of one per rational operation. These integer
+rows are the only stored form of a subspace, in ``SpanBuilder`` and
+``Subspace`` alike; rationals are formed only when ``rows`` is read. One
+routine, ``reduce_row``, reduces a vector against them: insertion,
+membership and quotient coordinates all go through it.
 """
 
 from __future__ import annotations
@@ -28,33 +31,44 @@ from typing import Iterable, Optional
 
 from .monomials import dim_graded, factorial_weights
 from .polynomials import HomogeneousPolynomial
-from .rationals import ONE, Q, ZERO
+from .rationals import Q, ZERO
 
 
-def integer_row(vec) -> dict:
-    """Nonzero entries of a dense or sparse ``vec`` times the lcm of its denominators."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in items if x}
+def integer_row(vec) -> tuple:
+    """(D * vec, D): dense ``vec`` times the lcm D of its denominators, as a sparse int dict."""
+    v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in enumerate(vec) if x}
     den = lcm(*{x.denominator for x in v.values()})
-    return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in v.items() if x}
+    return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in v.items()}, den
 
 
-def _rational_row(row: dict, pivot_entry: int, length: int) -> list:
-    """The dense rational row ``row / pivot_entry``, every entry of type Q."""
+def _rational_row(row: dict, den: int, length: int) -> list:
+    """The dense rational row ``row / den``, every entry of type Q."""
     out = [ZERO] * length
     for j, x in row.items():
-        out[j] = Q(x, pivot_entry)
+        out[j] = Q(x, den)
     return out
 
 
-def _subtract(v: dict, m: int, row: dict) -> None:
-    """v -= m * row in place, dropping entries that cancel."""
-    for j, y in row.items():
-        x = v.get(j, 0) - m * y
-        if x:
-            v[j] = x
-        else:
-            del v[j]
+def reduce_row(rows: dict, v: dict) -> tuple:
+    """(L v - sum (L / a_p) v[p] row_p, L) for integer RREF ``rows`` {p: row_p}, L > 0.
+
+    The rows are fully reduced, so one pass over the pivots v meets leaves
+    the result zero at every pivot. v is never changed, only returned.
+    """
+    hits = [(rows[p], p, c) for p, c in v.items() if p in rows]
+    if not hits:
+        return v, 1
+    scale = lcm(*(r[p] for r, p, _ in hits))
+    v = {j: scale * x for j, x in v.items()} if scale != 1 else dict(v)
+    for r, p, c in hits:
+        m = scale // r[p] * c
+        for j, y in r.items():
+            x = v.get(j, 0) - m * y
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+    return v, scale
 
 
 class SpanBuilder:
@@ -65,7 +79,8 @@ class SpanBuilder:
     row's primitive integer multiple as a sparse {column: entry} dict; an
     RREF row is zero at every other pivot, so rows thin out as the span
     fills. The basis is the unique RREF of the row space, independent of
-    insertion order, so results are deterministic and canonical.
+    insertion order, so results are deterministic and canonical. A stored
+    row is replaced, never changed in place, so rows may be shared.
     """
 
     __slots__ = ("length", "int_rows", "pivots")
@@ -89,18 +104,9 @@ class SpanBuilder:
         return [_rational_row(rows[p], rows[p][p], self.length) for p in self.pivots]
 
     def insert(self, vec) -> bool:
-        """Add a dense vector or a sparse {column: int} dict (kept); True if it grew."""
-        v = vec if isinstance(vec, dict) else integer_row(vec)
+        """Add a dense vector or a sparse {column: int} dict (may be stored); True if it grew."""
         rows = self.int_rows
-        # The basis is fully reduced, so the multiplier of each pivot row is
-        # the incoming entry at its pivot: v <- L v - sum (L / a_p) v[p] row_p.
-        hits = [(rows[p], p, c) for p, c in v.items() if p in rows]
-        if hits:
-            scale = lcm(*(r[p] for r, p, _ in hits))
-            if scale != 1:
-                v = {j: scale * x for j, x in v.items()}
-            for r, p, c in hits:
-                _subtract(v, scale // r[p] * c, r)
+        v, _ = reduce_row(rows, vec if isinstance(vec, dict) else integer_row(vec)[0])
         if not v:
             return False
         pivot = min(v)
@@ -109,14 +115,10 @@ class SpanBuilder:
             g = -g
         if g != 1:
             v = {j: x // g for j, x in v.items()}
-        a = v[pivot]
+        new = {pivot: v}
         for p, r in rows.items():
-            c = r.get(pivot)
-            if c:
-                h = gcd(a, c)
-                s, t = a // h, c // h
-                r = {j: s * x for j, x in r.items()}
-                _subtract(r, t, v)
+            if pivot in r:
+                r, _ = reduce_row(new, r)
                 h = gcd(*r.values())
                 rows[p] = {j: x // h for j, x in r.items()} if h != 1 else r
         rows[pivot] = v
@@ -139,8 +141,23 @@ def rref(rows: Iterable) -> tuple:
     return builder.rows, list(builder.pivots)
 
 
-def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
-    """Canonical basis of {x : M x = 0} for M given by ``rows``.
+def _kernel_vectors(rows: dict, length: int):
+    """For integer RREF ``rows``, one primitive kernel vector per free column q.
+
+    Positive at q and zero at every other free column: L at q and
+    -(L / a_p) row_p[q] at each pivot p, L the lcm of the a_p met.
+    """
+    for q in range(length):
+        if q not in rows:
+            hits = [(p, r[q], r[p]) for p, r in rows.items() if q in r]
+            scale = lcm(*(a for _, _, a in hits))
+            v = {q: scale, **{p: -c * (scale // a) for p, c, a in hits}}
+            g = gcd(*v.values())
+            yield {j: x // g for j, x in v.items()} if g != 1 else v
+
+
+def kernel_builder(rows: Iterable, ncols: int, rank: Optional[int] = None) -> SpanBuilder:
+    """Canonical integer basis of {x : M x = 0} for M given by ``rows``.
 
     Standard free-variable construction followed by a canonicalizing
     re-reduction, so the result is the RREF basis of the kernel. With
@@ -153,43 +170,56 @@ def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
         if reduced.insert(r) and reduced.dim == rank:
             break
     builder = SpanBuilder(ncols)
-    for j in sorted(set(range(ncols)) - set(reduced.pivots)):
-        hits = [(r[j], r[p], p) for p, r in reduced.int_rows.items() if j in r]
-        scale = lcm(*(a for _, a, _ in hits))
-        v = [0] * ncols
-        v[j] = scale
-        for c, a, p in hits:
-            v[p] = -c * (scale // a)
+    for v in _kernel_vectors(reduced.int_rows, ncols):
         builder.insert(v)
-    return builder.rows
+    return builder
+
+
+def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
+    """The rows of ``kernel_builder`` as dense lists of rationals."""
+    return kernel_builder(rows, ncols, rank).rows
 
 
 class Subspace:
     """A linear subspace of the graded piece S_k, canonical RREF basis.
 
-    ``rows`` are the basis vectors in mono_basis(n, k) coordinates. Because
-    RREF is unique, equality of subspaces is entry-wise equality of their
-    basis matrices, and hashing is consistent with that.
+    Stored as the integer rows ``SpanBuilder`` produced: ``int_rows`` maps
+    each pivot to the primitive integer multiple of its RREF basis row, with
+    positive pivot entry, as a sparse {column: int} dict in mono_basis(n, k)
+    coordinates. The rows are shared with builders and other subspaces, so
+    nothing may change them. ``rows``, the dense rational RREF basis, is
+    formed on first read. RREF and its primitive integer form are unique,
+    so equal subspaces have equal integer rows, and hashing agrees.
     """
 
-    __slots__ = ("n", "k", "rows", "pivots", "_hash")
+    __slots__ = ("n", "k", "int_rows", "pivots", "_rows", "_hash")
 
     def __init__(self, n: int, k: int, rows: tuple, pivots: tuple):
-        self.n = n
-        self.k = k
-        self._hash = None
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        if len(self.rows) != len(self.pivots):
-            raise ValueError("row/pivot count mismatch")
-        if any(self.pivots[i] >= self.pivots[i + 1] for i in range(len(self.pivots) - 1)):
-            raise ValueError("pivot columns must strictly increase")
+        """Subspace spanned by ``rows``; ValueError unless they are its RREF basis at ``pivots``."""
+        rows, builder = [list(r) for r in rows], SpanBuilder(dim_graded(n, k))
+        if any(len(r) != builder.length or not builder.insert(r) for r in rows) or (
+            builder.rows != rows or builder.pivots != list(pivots)
+        ):
+            raise ValueError("rows are not a reduced row-echelon basis with these pivots")
+        self.n, self.k, self.int_rows, self.pivots = n, k, builder.int_rows, tuple(pivots)
+        self._rows = self._hash = None
 
     @classmethod
     def from_builder(cls, n: int, k: int, builder: SpanBuilder) -> "Subspace":
+        """The subspace spanned by a builder, sharing its current rows."""
         if builder.length != dim_graded(n, k):
             raise ValueError("builder length does not match ambient dimension")
-        return cls(n, k, builder.rows, tuple(builder.pivots))
+        sub = cls(n, k, (), ())
+        sub.int_rows, sub.pivots = dict(builder.int_rows), tuple(builder.pivots)
+        return sub
+
+    @property
+    def rows(self) -> tuple:
+        """The RREF basis as dense tuples of rationals (pivot entries 1)."""
+        if self._rows is None:
+            amb, rows = self.ambient_dim, self.int_rows
+            self._rows = tuple(tuple(_rational_row(rows[p], rows[p][p], amb)) for p in self.pivots)
+        return self._rows
 
     @property
     def ambient(self) -> tuple:
@@ -201,25 +231,21 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
 
     def reduce(self, vec) -> list:
-        """Residual of a coordinate vector modulo this subspace."""
-        v = [Q(x) for x in vec]
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    rj = row[j]
-                    if rj:
-                        v[j] -= c * rj
-        return v
+        """Residual of a coordinate vector modulo this subspace, entries of type Q."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError(f"vector has length {len(vec)}, expected {self.ambient_dim}")
+        v, den = integer_row(vec)
+        v, scale = reduce_row(self.int_rows, v)
+        return _rational_row(v, den * scale, len(vec))
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -235,11 +261,12 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return self.ambient == other.ambient and self.int_rows == other.int_rows
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ambient, self.rows))
+            r = self.int_rows
+            self._hash = hash((self.ambient, tuple(frozenset(r[p].items()) for p in self.pivots)))
         return self._hash
 
     def __repr__(self):
@@ -257,9 +284,7 @@ def zero_subspace(n: int, k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def full_subspace(n: int, k: int) -> Subspace:
-    d = dim_graded(n, k)
-    rows = tuple(tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d))
-    return Subspace(n, k, rows, tuple(range(d)))
+    return span_vectors(n, k, ({i: 1} for i in range(dim_graded(n, k))))
 
 
 def span_vectors(n: int, k: int, vectors: Iterable) -> Subspace:
@@ -286,10 +311,7 @@ def span_polys(polys, n: Optional[int] = None, k: Optional[int] = None) -> Subsp
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    builder = SpanBuilder(a.ambient_dim)
-    for row in a.rows + b.rows:
-        builder.insert(row)
-    return Subspace.from_builder(a.n, a.k, builder)
+    return span_vectors(a.n, a.k, [*a.int_rows.values(), *b.int_rows.values()])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -297,40 +319,28 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
     amb = a.ambient_dim
     builder = SpanBuilder(2 * amb)
-    for row in a.rows:
-        builder.insert(row + row)
-    for row in b.rows:
-        builder.insert(row + (0,) * amb)
-    rows = []
-    pivots = []
-    for p in builder.pivots:
-        if p >= amb:
-            row = builder.int_rows[p]
-            rows.append(_rational_row({j - amb: x for j, x in row.items()}, row[p], amb))
-            pivots.append(p - amb)
-    return Subspace(a.n, a.k, tuple(rows), tuple(pivots))
+    for row in a.int_rows.values():
+        builder.insert({**row, **{j + amb: x for j, x in row.items()}})
+    for row in b.int_rows.values():
+        builder.insert(row)
+    rows = builder.int_rows
+    shifted = ({j - amb: x for j, x in rows[p].items()} for p in builder.pivots if p >= amb)
+    return span_vectors(a.n, a.k, shifted)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """Whether a contains b (decided on canonical bases)."""
     _check_same_ambient(a, b)
-    if b.dim > a.dim:
-        return False
-    return all(a.contains_vector(row) for row in b.rows)
+    return not any(reduce_row(a.int_rows, row)[0] for row in b.int_rows.values())
 
 
 def annihilator(e: Subspace) -> list:
     """Integer functionals spanning those that vanish on E, as sparse dicts.
 
-    One per nonpivot q of the RREF basis: 1 at q and minus column q at the
-    pivots. A vector lies in E exactly when every one of them vanishes on it.
+    One per nonpivot q of the RREF basis: the kernel vectors of the basis
+    matrix. A vector lies in E exactly when every one of them vanishes on it.
     """
-    pivots = set(e.pivots)
-    return [
-        integer_row({q: 1, **{p: -row[q] for p, row in zip(e.pivots, e.rows) if row[q]}})
-        for q in range(e.ambient_dim)
-        if q not in pivots
-    ]
+    return list(_kernel_vectors(e.int_rows, e.ambient_dim))
 
 
 def orthogonal_complement(e: Subspace) -> Subspace:
@@ -341,18 +351,13 @@ def orthogonal_complement(e: Subspace) -> Subspace:
     the complement of the complement is the original subspace.
     """
     weights = factorial_weights(e.n, e.k)
-    rows = [[x * w if x else 0 for x, w in zip(row, weights)] for row in e.rows]
+    rows = [{j: x * weights[j] for j, x in row.items()} for row in e.int_rows.values()]
     return map_kernel(rows, e.n, e.k)
 
 
 def map_kernel(matrix_rows, n: int, k: int) -> Subspace:
-    """Kernel in S_k of a map given by a matrix with dim(S_k) columns.
-
-    ``nullspace`` already returns the RREF basis, so each row's pivot is
-    its first nonzero entry and no re-elimination is needed.
-    """
-    rows = nullspace(matrix_rows, dim_graded(n, k))
-    return Subspace(n, k, rows, tuple(next(j for j, x in enumerate(r) if x) for r in rows))
+    """Kernel in S_k of a map given by a matrix with dim(S_k) columns."""
+    return Subspace.from_builder(n, k, kernel_builder(matrix_rows, dim_graded(n, k)))
 
 
 def map_image(matrix_rows, n: int, m: int) -> Subspace:
@@ -372,28 +377,18 @@ class QuotientMap:
     dim(S_k) - dim(E) of them.
     """
 
-    __slots__ = ("subspace", "pivots", "nonpivots", "_restricted")
+    __slots__ = ("subspace", "pivots", "nonpivots")
 
     def __init__(self, subspace: Subspace):
         self.subspace = subspace
         self.pivots = subspace.pivots
-        pivset = set(subspace.pivots)
-        self.nonpivots = tuple(j for j in range(subspace.ambient_dim) if j not in pivset)
-        self._restricted = [[row[j] for j in self.nonpivots] for row in subspace.rows]
+        self.nonpivots = tuple(sorted(set(range(subspace.ambient_dim)) - set(subspace.pivots)))
 
     @property
     def dim(self) -> int:
         return len(self.nonpivots)
 
     def coords(self, vec) -> list:
-        """Quotient coordinates of an ambient coordinate vector."""
-        out = [vec[j] for j in self.nonpivots]
-        for r, p in enumerate(self.pivots):
-            c = vec[p]
-            if c:
-                row = self._restricted[r]
-                for q in range(len(out)):
-                    rq = row[q]
-                    if rq:
-                        out[q] -= c * rq
-        return out
+        """Quotient coordinates of an ambient coordinate vector, entries of type Q."""
+        residual = self.subspace.reduce(vec)
+        return [residual[j] for j in self.nonpivots]

@@ -34,7 +34,7 @@ from .ideals import (
     partials_piece,
     socle_degree,
 )
-from .linalg import Subspace, annihilator, contains, integer_row, nullspace, span_vectors
+from .linalg import Subspace, annihilator, contains, kernel_builder, nullspace, span_vectors
 from .monomials import derivative_table, dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial
 
@@ -119,14 +119,14 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
 
     width = dim_graded(n, d - 1)
     rows = colon_rows(e, d - 1, range(width))
-    kernel = nullspace(rows, width, width - (n + 1))
+    kernel = kernel_builder(rows, width, width - (n + 1))
     # ``rows`` resumes after the last row read: those left must vanish on the kernel
-    basis = [integer_row(c) for c in kernel]
-    if len(kernel) != n + 1 or any(
+    basis = kernel.int_rows.values()
+    if kernel.dim != n + 1 or any(
         sum(x * c.get(j, 0) for j, x in row.items()) for row in rows for c in basis
     ):
         raise PreconditionError(f"colon piece in the generator degree is not of dimension {n + 1}")
-    w = GeneratorTuple(n, d, [HomogeneousPolynomial.from_coords(n, d - 1, r) for r in kernel])
+    w = GeneratorTuple(n, d, [HomogeneousPolynomial.from_coords(n, d - 1, r) for r in kernel.rows])
     if not is_complete_intersection(w):
         raise PreconditionError("recovered generators are not a complete intersection")
     if ideal_piece(w, k) != e:

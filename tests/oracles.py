@@ -1,15 +1,17 @@
 """Independent oracle implementations used to cross-check the library.
 
 Everything here except ``direct_product_piece``,
-``recover_generators_by_lift`` and the assembled tangent map
+``recover_generators_by_lift``, the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
-``tangent_image``) deliberately avoids the package's own linear algebra
-and polynomial machinery: enumeration by itertools, determinants by
-permutation expansion, symbolic differentiation and matrix work by
-sympy. Expected values frozen into tests were computed by these routes.
-Those exceptions are routes the library took before it found a cheaper
-one; they share its elimination, which is itself checked against sympy
-in test_linalg.
+``tangent_image``) and the rational reduction loops
+(``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``)
+deliberately avoids the package's own linear algebra and polynomial
+machinery: enumeration by itertools, determinants by permutation
+expansion, symbolic differentiation and matrix work by sympy. Expected
+values frozen into tests were computed by these routes. Those
+exceptions are routes the library took before it found a cheaper one;
+they share its elimination, which is itself checked against sympy in
+test_linalg.
 """
 
 from fractions import Fraction
@@ -325,3 +327,34 @@ def tangent_image(w: GeneratorTuple, h, k: int) -> tuple:
                     image[tu[j]] += uc * hc
         rows.append(tuple(qm.coords(image)))
     return tuple(rows)
+
+
+# -- the rational reduction loops -------------------------------------------------------
+# The library's reductions before they went through the integer rows: each walks the
+# dense rational RREF rows of the subspace.
+
+
+def reduce_by_rational_rows(sub, vec) -> list:
+    """Residual of ``vec`` modulo ``sub``, pivot by pivot on ``sub.rows``."""
+    v = [Q(x) for x in vec]
+    for p, row in zip(sub.pivots, sub.rows):
+        c = v[p]
+        if c:
+            for j in range(p, len(v)):
+                if row[j]:
+                    v[j] -= c * row[j]
+    return v
+
+
+def quotient_coords_by_rational_rows(sub, vec) -> list:
+    """Quotient coordinates of ``vec``: its nonpivot entries minus the pivot rows restricted there."""
+    pivots = set(sub.pivots)
+    nonpivots = [j for j in range(sub.ambient_dim) if j not in pivots]
+    out = [vec[j] for j in nonpivots]
+    for p, row in zip(sub.pivots, sub.rows):
+        c = vec[p]
+        if c:
+            for q, j in enumerate(nonpivots):
+                if row[j]:
+                    out[q] -= c * row[j]
+    return out

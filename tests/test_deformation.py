@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,26 @@ def test_koszul_check_fails_on_a_non_koszul_syzygy():
     w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
     with pytest.raises(AssertionError, match="Koszul rank 0, expected 3 at k=3"):
         koszul_check(w, 3, zero_parts(w))
+
+
+def test_koszul_check_fails_under_python_O():
+    # python -O strips assert statements; the suite must still check
+    script = (
+        "from milnoralg import GeneratorTuple, HomogeneousPolynomial, parse_poly\n"
+        "from milnoralg.suite import koszul_check\n"
+        "w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ('x0^2', 'x0*x1', 'x0*x2')])\n"
+        "print(koszul_check(w, 3, [HomogeneousPolynomial.zero(2, 2)] * 3))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stderr.rstrip().endswith("AssertionError: Koszul rank 0, expected 3 at k=3")
 
 
 def test_perturbed_family_moves_the_piece():

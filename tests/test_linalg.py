@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,16 +7,20 @@ import sympy
 
 from milnoralg import (
     QuotientMap,
+    Subspace,
     contains,
     dim_graded,
     full_subspace,
+    ideal_piece,
     map_image,
     map_kernel,
     multiply,
     nullspace,
     orthogonal_complement,
     parse_poly,
+    random_ci_tuple,
     rref,
+    socle_degree,
     span_polys,
     span_vectors,
     subspace_intersect,
@@ -24,9 +29,13 @@ from milnoralg import (
 )
 from milnoralg.linalg import SpanBuilder
 from milnoralg.rationals import Q
+from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
+from conftest import PAIRS
 from oracles import (
     perm_determinant,
+    quotient_coords_by_rational_rows,
+    reduce_by_rational_rows,
     solve_columns,
     spans_equal,
     sympy_matrix,
@@ -275,6 +284,99 @@ def test_quotient_map_vanishes_exactly_on_subspace():
             break
     assert outside is not None
     assert any(qm.coords(outside))
+
+
+def test_wrong_length_vectors_are_rejected():
+    line = span_polys([parse_poly("x0", n=1)])  # inside the 2-dimensional S_1
+    qm = QuotientMap(line)
+    for vec in ([1], [1, 0, 9]):
+        with pytest.raises(ValueError, match="length"):
+            line.contains_vector(vec)
+        with pytest.raises(ValueError, match="length"):
+            line.reduce(vec)
+        with pytest.raises(ValueError, match="length"):
+            qm.coords(vec)
+    assert line.contains_vector([3, 0]) and qm.coords([3, 1]) == [1]
+
+
+def rand_big_den_vector(rng, length):
+    """Q entries with denominators near 10^12, a third of them zero."""
+    return [
+        Q(rng.randint(-10**12, 10**12), 10**12 - rng.randint(0, 999)) if rng.random() < 0.67 else Q(0)
+        for _ in range(length)
+    ]
+
+
+def seeded_pieces(n, d, rng):
+    """Ideal pieces of a CI tuple at every degree to T+1, and big-denominator spans."""
+    w = random_ci_tuple(n, d, seed=rng.randint(0, 10**6))
+    amb = dim_graded(n, d)
+    yield from (ideal_piece(w, k) for k in range(socle_degree(n, d) + 2))
+    for size in (0, 1, amb // 2, amb):
+        yield span_vectors(n, d, [rand_big_den_vector(rng, amb) for _ in range(size)])
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_reduce_and_quotient_coords_match_the_rational_loops(n, d):
+    rng = random.Random(1000 * n + d)
+    for sub in seeded_pieces(n, d, rng):
+        qm = QuotientMap(sub)
+        amb = sub.ambient_dim
+        vectors = [rand_big_den_vector(rng, amb) for _ in range(3)] + [[Q(0)] * amb]
+        vectors += [list(row) for row in sub.rows[:2]]
+        if sub.rows:  # a member with big denominators
+            vectors.append([a + Q(7, 10**12 - 11) * b for a, b in zip(sub.rows[0], sub.rows[-1])])
+        for vec in vectors:
+            for got, want in (
+                (sub.reduce(vec), reduce_by_rational_rows(sub, vec)),
+                (qm.coords(vec), quotient_coords_by_rational_rows(sub, vec)),
+            ):
+                assert got == want
+                assert_all_q([got, want])
+            assert sub.contains_vector(vec) == (not any(want))
+
+
+def test_equality_and_hash_agree_across_constructions():
+    rng = random.Random(31)
+    amb = dim_graded(2, 3)
+    starts = rng.sample(range(amb - 1), 5)  # leading columns out of order
+    vectors = [[Q(0)] * s + [Q(1, 10**12 - s)] + rand_big_den_vector(rng, amb - s - 1) for s in starts]
+    built = span_vectors(2, 3, vectors)
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    ways = [
+        built,
+        Subspace(2, 3, built.rows, built.pivots),
+        span_vectors(2, 3, shuffled),
+        subspace_from_dict(json.loads(json.dumps(subspace_to_dict(built)))),
+    ]
+    # the stored rows come in different orders, which neither == nor hash may see
+    assert len({tuple(w.int_rows) for w in ways}) > 1
+    for w in ways:
+        assert w == built and hash(w) == hash(built)
+        assert w.rows == built.rows and w.rows is w.rows
+    assert len(set(ways)) == 1
+
+
+def test_subspace_constructor_rejects_rows_not_in_rref():
+    x0 = span_polys([parse_poly("x0", n=1)])
+    assert Subspace(1, 1, [[1, 0]], [0]) == x0
+    assert Subspace(1, 1, [[Fraction(1), 0]], (0,)).contains_poly(parse_poly("x0", n=1))
+    bad = [
+        ([[2, 0]], [0]),  # pivot entry not 1
+        ([[1, 1]], [1]),  # nonzero left of the pivot
+        ([[1, 1], [0, 1]], [0, 1]),  # nonzero at the other pivot
+        ([[0, 1], [1, 0]], [1, 0]),  # pivots out of order
+        ([[1, 0], [1, 0]], [0, 0]),  # repeated pivot
+        ([[0, 0]], [0]),  # zero row
+        ([[1, 0, 0]], [0]),  # wrong length
+        ([[1]], [0]),
+        ([[1, 0]], [1]),  # pivot at the wrong column
+        ([[1, 0]], []),  # row/pivot count mismatch
+    ]
+    for rows, pivots in bad:
+        with pytest.raises(ValueError):
+            Subspace(1, 1, rows, pivots)
 
 
 # -- builder edge cases --------------------------------------------------------------

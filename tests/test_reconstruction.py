@@ -184,18 +184,18 @@ def test_recovery_builds_each_relay_degree_once():
 def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
     import milnoralg.reconstruction as reconstruction
 
-    real_nullspace = reconstruction.nullspace
+    real_kernel_builder = reconstruction.kernel_builder
     pulled = []
 
-    def counted_nullspace(rows, ncols, rank=None):
+    def counted_kernel_builder(rows, ncols, rank=None):
         def counted():
             for row in rows:
                 pulled.append(row)
                 yield row
 
-        return real_nullspace(counted(), ncols, rank)
+        return real_kernel_builder(counted(), ncols, rank)
 
-    monkeypatch.setattr(reconstruction, "nullspace", counted_nullspace)
+    monkeypatch.setattr(reconstruction, "kernel_builder", counted_kernel_builder)
     n, d, k = 2, 4, 4
     w = random_ci_tuple(n, d, seed=3)
     e = ideal_piece(w, k)
