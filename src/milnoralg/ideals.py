@@ -5,10 +5,15 @@ subspace W of the degree d-1 forms. An ideal generated in one degree j is
 zero below j and satisfies I_{k+1} = S_1 * I_k for k >= j, the relay of
 Macaulay's resultant construction: each piece is grown from the one below
 by the n+1 variables (``generated_piece``) and kept as integer RREF rows
-in one cache. The rows are sparse: an RREF row vanishes at every other
-pivot, so a row of I_k has at most a(k) + 1 nonzero entries, a(k) being
-the Hilbert function of the quotient. Once a degree is full, so is every
-degree above it.
+in one cache. The products x_i * r enter by leading column, largest
+first; ordering Macaulay-matrix rows by leading monomial is the idea
+behind F4 (Faugere 1999). When a lead first comes up every stored row
+pivots right of it, so that product becomes a new pivot at which no
+stored row has an entry, and clears nothing; only products repeating a
+lead can clear stored rows. The rows are sparse: an RREF row vanishes at every
+other pivot, so a row of I_k has at most a(k) + 1 nonzero entries, a(k)
+being the Hilbert function of the quotient. Once a degree is full, so is
+every degree above it.
 
 The tuple is a complete intersection exactly when the quotient is
 Artinian: the degree-(T+1) piece fills S_{T+1}, T = (n+1)(d-2) being the
@@ -141,9 +146,15 @@ class GeneratorTuple:
 def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     """Integer RREF rows of degree k of the ideal generated by span, None if full.
 
-    Above span.k: the span of x_i * r over the rows r one degree below, by
-    decreasing pivot with the variables inner, so a new pivot mostly lands
-    left of every stored row and none needs clearing. Shared, so read only.
+    Above span.k: the span of the products x_i * r over the rows r one
+    degree below, inserted by leading column, largest first. Multiplying by
+    x_i keeps the monomial order, so x_i * r leads at the image of r's
+    pivot. Each earlier product led further right, and reduction only moves
+    a pivot right, so when a lead first comes up every stored row pivots
+    right of it: that product sets a new pivot left of them all and, as none
+    has an entry there, clears none of them. Only a product repeating a
+    lead is reduced past it and can land on a pivot that stored rows must
+    be cleared at. Shared, so read only.
     ``generated_piece`` walks up to a full degree, so this recurses one level
     and needs only the degree below cached: the bound just drops old spans.
     """
@@ -154,11 +165,11 @@ def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     else:
         below = _relay(span, k - 1).int_rows
         table = product_index_table(span.n, 1, k - 1)
-        for p in sorted(below, reverse=True):
-            for tu in table:
-                builder.insert({tu[j]: x for j, x in below[p].items()})
-                if builder.is_full():
-                    return None
+        leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
+        for _, p, i in leads:
+            builder.insert({table[i][j]: x for j, x in below[p].items()})
+            if builder.is_full():
+                return None
     return None if builder.is_full() else builder
 
 
@@ -186,11 +197,13 @@ def ideal_piece(w: GeneratorTuple, k: int) -> Subspace:
     return generated_piece(w.span, k)
 
 
+@lru_cache(maxsize=256)
 def jacobian_gens(f: HomogeneousPolynomial) -> GeneratorTuple:
     """The tuple of first partial derivatives of f.
 
     Rejects forms whose partials are linearly dependent (cones): those lie
     outside the smooth locus and none of the reconstruction theory applies.
+    Cached on f, so the checks at every k over one form share one tuple.
     """
     check_size(f.n, f.degree)
     return GeneratorTuple(f.n, f.degree, [partial(f, i) for i in range(f.n + 1)])

@@ -134,11 +134,14 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     return w
 
 
+@lru_cache(maxsize=256)
 def forms_with_partials_in(e: Subspace) -> tuple:
     """Canonical basis of {g in S_{k+1} : all partials of g lie in E}, E in S_k.
 
     Solved as one exact linear system: every functional of
-    ``annihilator(E)`` must vanish on every partial of g.
+    ``annihilator(E)`` must vanish on every partial of g. Cached on E, so
+    the tangent kernels and reconstructions at every k over one W, which
+    all ask for the same E = span(W), solve it once.
     """
     n, d = e.n, e.k + 1
     duals = annihilator(e)

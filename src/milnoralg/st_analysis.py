@@ -11,7 +11,8 @@ individual summands are never computed.
 This module also generates the seeded random instances (smooth forms,
 smooth non-direct-sum forms, complete-intersection tuples) used by the
 verification suites. Generation is a rejection loop around a Fermat
-anchor with bounded integer perturbations, deterministic in the seed.
+anchor with bounded integer perturbations, deterministic in the seed;
+negative seeds are rejected.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def coordinate_split(f: HomogeneousPolynomial) -> tuple:
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
+def check_seed(seed: int) -> None:
+    """Reject a negative seed.
+
+    ``random.Random`` seeds with the absolute value of an int, so seed -5
+    would silently draw the same instances as seed 5.
+    """
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+
+
 def random_smooth(
     n: int,
     d: int,
@@ -98,6 +109,7 @@ def random_smooth(
     a direct sum, so n=1, d=3 with require_non_st can never succeed).
     """
     check_size(n, d)
+    check_seed(seed)
     if require_non_st and d < 3:
         raise ValueError("non-direct-sum sampling needs d >= 3")
     rng = random.Random(seed)
@@ -134,6 +146,7 @@ def random_ci_tuple(
     tuple is kept only if independent and a complete intersection.
     """
     check_size(n, d)
+    check_seed(seed)
     rng = random.Random(seed)
     monomials = mono_basis(n, d - 1)
     for _ in range(max_attempts):
@@ -161,6 +174,7 @@ def random_unimodular(n: int, seed: int, steps: int = 12) -> list:
     used to exercise invariance of the summand count under coordinate
     changes.
     """
+    check_seed(seed)
     rng = random.Random(seed)
     size = n + 1
     mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]

@@ -39,7 +39,7 @@ from .reconstruction import (
     reconstruct_poly,
     recover_generators,
 )
-from .st_analysis import random_ci_tuple, random_smooth
+from .st_analysis import check_seed, random_ci_tuple, random_smooth
 
 
 class SuiteCheck(NamedTuple):
@@ -110,6 +110,7 @@ def run_suite(
     """Run the verification battery at size (n, d); returns SuiteCheck list."""
     if n < 1 or d < 3:
         raise ValueError(f"suite needs n >= 1 and d >= 3, got n={n}, d={d}")
+    check_seed(seed)
     started = time.monotonic()
     results: list = []
     profile = hilbert_profile(n, d)

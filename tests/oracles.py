@@ -3,15 +3,15 @@
 Everything here except ``direct_product_piece``,
 ``recover_generators_by_lift``, the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
-``tangent_image``) and the rational reduction loops
-(``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``)
-deliberately avoids the package's own linear algebra and polynomial
-machinery: enumeration by itertools, determinants by permutation
-expansion, symbolic differentiation and matrix work by sympy. Expected
-values frozen into tests were computed by these routes. Those
-exceptions are routes the library took before it found a cheaper one;
-they share its elimination, which is itself checked against sympy in
-test_linalg.
+``tangent_image``), the rational reduction loops
+(``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``) and
+the pivot-major relay (``relay_rows``) deliberately avoids the package's
+own linear algebra and polynomial machinery: enumeration by itertools,
+determinants by permutation expansion, symbolic differentiation and
+matrix work by sympy. Expected values frozen into tests were computed by
+these routes. Those exceptions are routes the library took before it
+found a cheaper one; they share its elimination, which is itself
+checked against sympy in test_linalg.
 """
 
 from fractions import Fraction
@@ -358,3 +358,35 @@ def quotient_coords_by_rational_rows(sub, vec) -> list:
                 if row[j]:
                     out[q] -= c * row[j]
     return out
+
+
+# -- the pivot-major relay ----------------------------------------------------------------
+# The order ``ideals._relay`` inserted the products x_i * r in before it sorted them
+# by leading column: by decreasing pivot of r, with the variables inner.
+
+
+def relay_products(below: dict, n: int, k: int) -> list:
+    """x_i * r over the integer rows r = ``below`` of degree k-1, in pivot-major order."""
+    table = product_index_table(n, 1, k - 1)
+    return [
+        {tu[j]: x for j, x in below[p].items()} for p in sorted(below, reverse=True) for tu in table
+    ]
+
+
+def relay_rows(span, top: int, rng=None):
+    """Yield (k, integer RREF rows of degree k) of the ideal generated by ``span``, k <= top.
+
+    Each degree is a fresh ``SpanBuilder`` fed every product of the rows one
+    degree below, in pivot-major order, or shuffled by ``rng`` when given.
+    """
+    rows = span.int_rows
+    yield span.k, rows
+    for k in range(span.k + 1, top + 1):
+        products = relay_products(rows, span.n, k)
+        if rng is not None:
+            rng.shuffle(products)
+        builder = SpanBuilder(dim_graded(span.n, k))
+        for v in products:
+            builder.insert(v)
+        rows = builder.int_rows
+        yield k, rows

@@ -237,6 +237,20 @@ def test_random_cap_exhaustion_exit_3(capsys):
     assert code == 3 and "precondition" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--n", "2", "--d", "3", "--seed", "-5"],
+        ["suite", "--n", "2", "--d", "3", "--seed", "-1"],
+    ],
+    ids=["random", "suite"],
+)
+def test_negative_seed_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: need seed >= 0, got {argv[-1]}\n"
+
+
 # -- output handling --------------------------------------------------------------------
 
 

@@ -27,10 +27,11 @@ from milnoralg import (
     span_vectors,
     zero_subspace,
 )
+from milnoralg.ideals import _relay
 from milnoralg.polynomials import HomogeneousPolynomial
 
 from conftest import PAIRS
-from oracles import direct_product_piece
+from oracles import direct_product_piece, relay_rows
 
 
 def assert_same_bytes(got, want):
@@ -78,6 +79,30 @@ def random_subspace(n: int, k: int, count: int, seed: int):
         for _ in range(count)
     ]
     return span_vectors(n, k, rows)
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_relay_order_does_not_change_the_rows(n, d):
+    """Leading-column order gives the rows of pivot-major and of shuffled insertion.
+
+    From d-1 to T+1, for a complete intersection (full at T+1) and a tuple
+    with a common zero (never full).
+    """
+    top = socle_degree(n, d) + 1
+    ci = random_ci_tuple(n, d, seed=700 + 10 * n + d)
+    other = common_zero_tuple(n, d, seed=800 + 10 * n + d)
+    full = {i: {i: 1} for i in range(dim_graded(n, top))}
+    for w in (ci, other):
+        _relay.cache_clear()
+        orders = [relay_rows(w.span, top)]
+        orders += [relay_rows(w.span, top, random.Random(f"relay:{n}:{d}:{s}")) for s in range(3)]
+        for degrees in zip(*orders):
+            k = degrees[0][0]
+            builder = _relay(w.span, k)
+            got = full if builder is None else builder.int_rows
+            for _, rows in degrees:
+                assert rows == got, (k, w)
+            assert (builder is None) == (w is ci and k == top)
 
 
 @pytest.mark.parametrize(

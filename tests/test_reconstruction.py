@@ -24,6 +24,7 @@ from milnoralg import (
     socle_degree,
     span_polys,
     span_vectors,
+    tangent_kernel_at_poly,
     zero_subspace,
 )
 from milnoralg.rationals import Q
@@ -305,6 +306,56 @@ def test_reconstruct_poly_edge_degree_matches_other_degrees():
     normalized = {r.basis[0].normalized() for r in results}
     assert len(normalized) == 1
     assert all(r.s == 1 for r in results)
+
+
+# -- the fiber system is solved once per subspace ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_smooth(2, 4, seed=101, require_non_st=True), fermat(2, 4)],
+    ids=["non-direct-sum", "fermat"],
+)
+def test_tangent_kernels_at_every_k_solve_the_fiber_system_once(f):
+    from milnoralg.reconstruction import forms_with_partials_in
+
+    n, d = f.n, f.degree
+    degrees = range(d - 1, socle_degree(n, d) + 1)
+    forms_with_partials_in.cache_clear()
+    kernels = {tangent_kernel_at_poly(f, k).kernel_dim for k in degrees}
+    assert kernels == {fiber(jacobian_gens(f), d).s - 1}
+    info = forms_with_partials_in.cache_info()
+    assert (info.misses, info.hits) == (1, len(degrees))
+
+
+def test_reconstructions_at_every_k_solve_the_fiber_system_once():
+    from milnoralg.reconstruction import forms_with_partials_in
+
+    f = random_smooth(2, 4, seed=31, require_non_st=True)
+    degrees = range(3, socle_degree(2, 4) + 1)
+    forms_with_partials_in.cache_clear()
+    for k in degrees:
+        result = reconstruct_poly(jacobian_piece(f, k), k, 2, 4)
+        assert result.basis[0].normalized() == f.normalized()
+    info = forms_with_partials_in.cache_info()
+    assert (info.misses, info.hits) == (1, len(degrees) - 1)
+
+
+def test_equal_subspaces_built_apart_share_one_fiber_entry():
+    from milnoralg.reconstruction import forms_with_partials_in
+    from milnoralg.serialize import subspace_from_dict, subspace_to_dict
+
+    g0, g1, g2 = jacobian_gens(random_smooth(2, 4, seed=31, require_non_st=True)).gens
+    ways = [
+        span_polys([g0, g1, g2]),
+        span_polys([g2 * Q(-3, 7), g1 + g2, g0 + g1 * Q(1, 2)]),
+        subspace_from_dict(subspace_to_dict(span_polys([g1, g0, g2]))),
+    ]
+    forms_with_partials_in.cache_clear()
+    solved = [forms_with_partials_in(e) for e in ways]
+    assert all(s is solved[0] for s in solved)
+    info = forms_with_partials_in.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # -- distinct tuples stay distinct (injectivity seen on pieces) ------------------------

@@ -243,6 +243,8 @@ def quadric_tuple(c):
         ("ideals", "is_smooth", lambda i: (binary_cubic(0, i + 1),)),
         ("ideals", "_relay", lambda i: (quadric_tuple(i + 1).span, 2)),
         ("reconstruction", "_reference_fault", lambda i: (binary_cubic(i + 1, 0),)),
+        ("ideals", "jacobian_gens", lambda i: (binary_cubic(0, i + 1),)),
+        ("reconstruction", "forms_with_partials_in", lambda i: (quadric_tuple(i + 1).span,)),
     ],
 )
 def test_user_keyed_caches_stay_bounded(module, name, args):

@@ -6,6 +6,7 @@ from milnoralg import (
     coordinate_split,
     fermat,
     fiber,
+    format_poly,
     is_smooth,
     jacobian_gens,
     linear_change,
@@ -153,6 +154,34 @@ def test_random_ci_tuple_deterministic():
     from milnoralg import is_complete_intersection
 
     assert is_complete_intersection(a)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: random_smooth(2, 3, seed),
+        lambda seed: random_ci_tuple(2, 3, seed),
+        lambda seed: random_unimodular(2, seed),
+    ],
+    ids=["random_smooth", "random_ci_tuple", "random_unimodular"],
+)
+def test_generators_reject_negative_seeds(draw):
+    # random.Random would seed with |seed|, repeating the draws of the positive twin
+    for seed in (-1, -7):
+        with pytest.raises(ValueError, match="seed >= 0"):
+            draw(seed)
+
+
+def test_nonnegative_seeds_draw_what_they_always_drew():
+    assert format_poly(random_smooth(2, 3, 0)) == (
+        "4*x0^3 + 3*x0^2*x2 - 3*x0*x1*x2 - x0*x2^2 + 2*x1^3 + 4*x2^3"
+    )
+    assert [format_poly(g) for g in random_ci_tuple(2, 3, 7).gens] == [
+        "x0^2 - x0*x1 + x0*x2 - 2*x1^2 - 2*x1*x2 + 2*x2^2",
+        "-2*x0^2 + 2*x0*x2 - x1^2 + 2*x1*x2 - x2^2",
+        "-2*x0^2 - 2*x0*x1 + x0*x2 + x1^2 - 2*x1*x2",
+    ]
+    assert random_unimodular(2, 0) == [[1, 0, 0], [-1, 1, 0], [-1, 0, 1]]
 
 
 # -- invariance under coordinate changes ------------------------------------------------
