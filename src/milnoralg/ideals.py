@@ -15,6 +15,16 @@ other pivot, so a row of I_k has at most a(k) + 1 nonzero entries, a(k)
 being the Hilbert function of the quotient. Once a degree is full, so is
 every degree above it.
 
+Each degree also stops at a bound known in advance. r <= n+1 forms of
+degree j generate at most dim S_k - [t^k] (1 - t^j)^r / (1 - t)^(n+1)
+dimensions in degree k, the value a regular sequence reaches (Froberg
+1985; ``generic_piece_dim``). Once the stored rows plus the leads still
+to come, each a certain new pivot, reach it, every product repeating a
+lead is provably in the span and is skipped; where the bound is all of
+S_k the degree is full and nothing more is inserted. A complete
+intersection meets the bound in every degree, so its fill at T+1 takes a
+few products instead of (n+1) dim I_T.
+
 The tuple is a complete intersection exactly when the quotient is
 Artinian: the degree-(T+1) piece fills S_{T+1}, T = (n+1)(d-2) being the
 socle degree. This colength test is exact and needs no resultant. For the
@@ -25,6 +35,7 @@ piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -80,21 +91,37 @@ def hilbert_profile(n: int, d: int) -> HilbertProfile:
 
     This is the Hilbert series of the quotient by any complete
     intersection of n+1 forms of degree d-1; its coefficient sum is
-    (d-1)^(n+1). Cached per (n, d); the cache is read-safe and
+    (d-1)^(n+1). Each of the n+1 factors is a sliding window sum of
+    d-1 coefficients, kept running, so the cost is O(n T), T the socle
+    degree, whatever d is. Cached per (n, d); the cache is read-safe and
     idempotent under concurrent fills.
     """
     check_size(n, d)
-    block = [1] * (d - 1)
     vals = [1]
     for _ in range(n + 1):
-        out = [0] * (len(vals) + len(block) - 1)
-        for i, v in enumerate(vals):
-            for j, w in enumerate(block):
-                out[i + j] += v * w
+        out, window = [], 0
+        for i in range(len(vals) + d - 2):
+            window += vals[i] if i < len(vals) else 0
+            window -= vals[i - d + 1] if i >= d - 1 else 0
+            out.append(window)
         vals = out
     top = socle_degree(n, d)
     assert len(vals) == top + 1 and vals[0] == 1 and vals[top] == 1
     return HilbertProfile(n, d, top, tuple(vals) + (0,))
+
+
+def generic_piece_dim(n: int, j: int, r: int, k: int) -> int:
+    """Upper bound on dim I_k for an ideal I generated by r forms of degree j.
+
+    dim S_k - [t^k] (1 - t^j)^r / (1 - t)^(n+1) for r <= n+1, the value a
+    regular sequence reaches, and dim S_k for r > n+1. The dimension is the
+    rank of a matrix polynomial in the coefficients, so it is largest on a
+    Zariski-open set, where r <= n+1 forms are a regular sequence (Froberg
+    1985). At r = n+1, j = d-1 this is ``hilbert_profile(n, d).b(k)``.
+    """
+    if r > n + 1:
+        return dim_graded(n, k)
+    return -sum((-1) ** i * comb(r, i) * dim_graded(n, k - i * j) for i in range(1, r + 1) if i * j <= k)
 
 
 class GeneratorTuple:
@@ -154,7 +181,16 @@ def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     right of it: that product sets a new pivot left of them all and, as none
     has an entry there, clears none of them. Only a product repeating a
     lead is reduced past it and can land on a pivot that stored rows must
-    be cleared at. Shared, so read only.
+    be cleared at. So the rows stored plus the leads still to come bound
+    the final dimension from below, and ``generic_piece_dim`` bounds it from
+    above. Once the two meet the degree is exactly the bound: the products
+    repeating a lead are skipped, as they add nothing, and the first-lead
+    ones are inserted for their rows, or not at all when the bound is
+    dim S_k and the degree is full. A span falling short of the bound, such
+    as a tuple with a common zero at T+1, never meets it and inserts every
+    product there. Inserting all first-lead products before any repeated
+    one was tried: it leaves many late pivots to clear, and is slower.
+    Shared, so read only.
     ``generated_piece`` walks up to a full degree, so this recurses one level
     and needs only the degree below cached: the bound just drops old spans.
     """
@@ -162,14 +198,22 @@ def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     if k == span.k:
         for row in span.int_rows.values():
             builder.insert(row)
-    else:
-        below = _relay(span, k - 1).int_rows
-        table = product_index_table(span.n, 1, k - 1)
-        leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
-        for _, p, i in leads:
-            builder.insert({table[i][j]: x for j, x in below[p].items()})
-            if builder.is_full():
+        return None if builder.is_full() else builder
+    below = _relay(span, k - 1).int_rows
+    table = product_index_table(span.n, 1, k - 1)
+    leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
+    bound = generic_piece_dim(span.n, span.k, span.dim, k)
+    todo, last = len({lead for lead, _, _ in leads}), None
+    for lead, p, i in leads:
+        first = lead != last
+        if builder.dim + todo == bound:
+            if bound == builder.length:
                 return None
+            if not first:
+                continue
+        if first:
+            todo, last = todo - 1, lead
+        builder.insert({table[i][j]: x for j, x in below[p].items()})
     return None if builder.is_full() else builder
 
 

@@ -15,6 +15,7 @@ from milnoralg import (
     GeneratorTuple,
     dim_graded,
     full_subspace,
+    hilbert_profile,
     ideal_piece,
     is_complete_intersection,
     lift_piece,
@@ -27,7 +28,9 @@ from milnoralg import (
     span_vectors,
     zero_subspace,
 )
-from milnoralg.ideals import _relay
+from milnoralg import ideals
+from milnoralg.ideals import _relay, generated_piece, generic_piece_dim
+from milnoralg.monomials import product_index_table
 from milnoralg.polynomials import HomogeneousPolynomial
 
 from conftest import PAIRS
@@ -163,3 +166,96 @@ def test_walk_longer_than_the_cache_holds():
     e = span_vectors(1, 2, [[1, 0, 0]])  # x0^2: its ideal never fills a degree
     for _ in range(2):  # the second walk finds its low degrees evicted
         assert_same_bytes(lift_piece(e, 42), direct_product_piece(1, 2, 42, e.rows))
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_generic_bound_is_the_complete_intersection_profile(n, d):
+    profile = hilbert_profile(n, d)
+    for k in range(socle_degree(n, d) + 4):
+        assert generic_piece_dim(n, d - 1, n + 1, k) == profile.b(k), k
+
+
+@pytest.mark.parametrize("n,d", PAIRS)
+def test_relay_never_exceeds_the_generic_bound(n, d):
+    """Random spans of every r <= n+1 reach the bound; a common zero stays below it at T+1."""
+    fill = socle_degree(n, d) + 1
+    rng = random.Random(f"bound:{n}:{d}")
+    size = dim_graded(n, d - 1)
+    for r in range(1, n + 2):
+        span = span_vectors(n, d - 1, [[rng.randint(-3, 3) for _ in range(size)] for _ in range(r)])
+        assert span.dim == r
+        for k in range(d - 1, fill + 2):
+            piece = generated_piece(span, k)
+            assert_same_bytes(piece, direct_product_piece(n, d - 1, k, span.rows))
+            assert piece.dim == generic_piece_dim(n, d - 1, r, k), (r, k)
+    other = common_zero_tuple(n, d, seed=900 + 10 * n + d)
+    for k in range(d - 1, fill + 2):
+        assert ideal_piece(other, k).dim <= generic_piece_dim(n, d - 1, n + 1, k)
+    assert ideal_piece(other, fill).dim < generic_piece_dim(n, d - 1, n + 1, fill)
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [("x0^3", 2), ("x0^3 + 3*x0^2*x1 + 3*x0*x1^2 + x1^3", 2), ("x0^4 - 2*x0^2*x1^2 + x1^4", 2)],
+)
+def test_degenerate_partials_stay_within_the_bound(text, n):
+    f = parse_poly(text, n=n)
+    r = span_vectors(n, f.degree - 1, [partial(f, i).coords() for i in range(n + 1)]).dim
+    for k in range(f.degree + 4):
+        assert partials_piece(f, k).dim <= generic_piece_dim(n, f.degree - 1, r, k)
+
+
+def recorded_walk(monkeypatch, w, top):
+    """Walk ideal_piece(w, k) up to ``top`` from a cold cache.
+
+    Returns, per ambient dimension (so per degree), the (dim before,
+    leading column) of every insert the relay made.
+    """
+    events = {}
+
+    class RecordingBuilder(ideals.SpanBuilder):
+        def insert(self, vec):
+            events.setdefault(self.length, []).append((self.dim, min(vec)))
+            return super().insert(vec)
+
+    _relay.cache_clear()
+    monkeypatch.setattr(ideals, "SpanBuilder", RecordingBuilder)
+    ideal_piece(w, top)
+    monkeypatch.undo()
+    _relay.cache_clear()
+    return events
+
+
+def product_leads(rows: dict, n: int, k: int) -> list:
+    """Leading column of every product x_i * r over the rows of degree k-1."""
+    return [tu[p] for p in rows for tu in product_index_table(n, 1, k - 1)]
+
+
+@pytest.mark.parametrize("n,d", [(3, 4), (2, 5)])
+def test_complete_intersection_skips_what_the_bound_makes_redundant(monkeypatch, n, d):
+    """No product repeating a lead is inserted once dim + pending leads reaches the bound."""
+    top = socle_degree(n, d) + 1
+    w = random_ci_tuple(n, d, seed=1)
+    events = recorded_walk(monkeypatch, w, top)
+    for below, rows in relay_rows(w.span, top - 1):
+        k = below + 1
+        leads = product_leads(rows, n, k)
+        todo, seen, bound = len(set(leads)), set(), generic_piece_dim(n, d - 1, n + 1, k)
+        got = events[dim_graded(n, k)]
+        assert [lead for _, lead in got] == sorted((lead for _, lead in got), reverse=True)
+        for dim, lead in got:
+            if lead in seen:
+                assert dim + todo < bound, (k, dim, lead)
+            else:
+                seen.add(lead)
+                todo -= 1
+    assert len(events[dim_graded(n, top)]) < dim_graded(n, top)
+
+
+@pytest.mark.parametrize("n,d", [(3, 4), (2, 5)])
+def test_common_zero_inserts_every_product_at_the_fill_degree(monkeypatch, n, d):
+    top = socle_degree(n, d) + 1
+    w = common_zero_tuple(n, d, seed=600 + 10 * n + d)
+    events = recorded_walk(monkeypatch, w, top)
+    below = ideal_piece(w, top - 1)
+    assert len(events[dim_graded(n, top)]) == (n + 1) * below.dim
