@@ -6,9 +6,19 @@ complement of the degree-T ideal piece under the apolar pairing is a
 single projective point of S_T. Its normalized representative, the
 associated form of the tuple, is the Macaulay inverse system of the
 quotient: the ideal equals the annihilator of the associated form under
-polar differentiation, which ``verify_inverse_system`` checks degree by
-degree. The associated form is always obtained from that orthogonal
-complement, one exact kernel computation, never from a resultant formula.
+polar differentiation. The associated form is always obtained from that
+orthogonal complement, one exact kernel computation, never from a
+resultant formula.
+
+Polar differentiation is read off integer catalecticant rows: with c the
+coefficients of a form b of degree m and D the lcm of their denominators,
+G_gamma = D c_gamma gamma!, the x^beta coefficient of g applied to b is
+sum_alpha g_alpha G[alpha + beta] / (D beta!). ``apolar_piece`` is the
+kernel of these rows. ``verify_inverse_system`` checks the ideal against
+the annihilator by catalecticant ranks, the Hilbert function of the
+annihilator (Iarrobino and Kanev 1999): an exact check that W annihilates
+the form, then one rank per degree up to T/2, certified mod p where it
+can be and compared piece by piece where it cannot.
 """
 
 from __future__ import annotations
@@ -17,9 +27,22 @@ import math
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .ideals import GeneratorTuple, ideal_piece, is_complete_intersection, socle_degree
-from .linalg import Subspace, full_subspace, map_kernel, orthogonal_complement
-from .monomials import mono_basis, mono_index, product_index_table
+from .ideals import (
+    GeneratorTuple,
+    hilbert_profile,
+    ideal_piece,
+    is_complete_intersection,
+    socle_degree,
+)
+from .linalg import (
+    Subspace,
+    certify_rank,
+    full_subspace,
+    integer_row,
+    map_kernel,
+    orthogonal_complement,
+)
+from .monomials import factorial_weights, mono_basis, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
 
 
@@ -106,11 +129,36 @@ def catalecticant_matrix(b: HomogeneousPolynomial, k: int) -> list:
     return rows
 
 
+def _weighted_coefficients(b: HomogeneousPolynomial) -> dict:
+    """G_gamma = D c_gamma gamma! over mono_basis(n, m), as a sparse dict of ints.
+
+    c are the coefficients of b, m its degree, and D the lcm of their
+    denominators.
+    """
+    coeffs, _ = integer_row(b.coords())
+    weights = factorial_weights(b.n, b.degree)
+    return {j: x * weights[j] for j, x in coeffs.items()}
+
+
+def _catalecticant_rows(g: dict, n: int, m: int, k: int):
+    """Rows {alpha: G[alpha + beta]} over S_k, one per beta in S_{m-k}, empty ones left out.
+
+    Row beta is the x^beta coefficient of g applied to b, as a functional
+    of g in S_k, times D beta!: the catalecticant map S_k -> S_{m-k} with
+    each row scaled by a nonzero integer, so it has the same kernel.
+    """
+    for targets in product_index_table(n, m - k, k):
+        row = {a: g[t] for a, t in enumerate(targets) if t in g}
+        if row:
+            yield row
+
+
 def apolar_piece(b, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of b: forms annihilating b.
 
-    Computed as the kernel of the catalecticant map S_k -> S_{m-k}. For
-    k > deg(b) every form annihilates, so the piece is all of S_k.
+    Computed as the kernel of the integer catalecticant rows at k, which
+    has the kernel of the catalecticant map S_k -> S_{m-k}. For k > deg(b)
+    every form annihilates, so the piece is all of S_k.
     """
     if isinstance(b, AssociatedForm):
         b = b.form
@@ -118,15 +166,36 @@ def apolar_piece(b, k: int) -> Subspace:
         raise ValueError("negative degree")
     if k > b.degree:
         return full_subspace(b.n, k)
-    return map_kernel(catalecticant_matrix(b, k), b.n, k)
+    rows = _catalecticant_rows(_weighted_coefficients(b), b.n, b.degree, k)
+    return map_kernel(rows, b.n, k)
 
 
 def verify_inverse_system(w: GeneratorTuple) -> bool:
-    """Check (I_W)_k = (apolar ideal of the associated form)_k for all k.
+    """Check (I_W)_k = Ann(F)_k for all k, F the associated form.
 
-    Runs over every degree 0..T+1; both sides are canonical subspaces so
-    the comparison is bit exact.
+    First, exactly, that W annihilates F: every integer row of ``w.span``
+    is in the kernel of the catalecticant rows at d-1. Ann(F) is an ideal,
+    so (I_W)_k lies in Ann(F)_k at every k. ``associated_form`` has proved W
+    a complete intersection, so dim (I_W)_k = b(k), and the catalecticant
+    at k, whose kernel is Ann(F)_k, has rank at most a(k) over Q; rank
+    a(k) makes the two pieces equal. ``certify_rank`` decides that mod p
+    for k = 1..T/2. The catalecticant at T-k is the transpose of the one
+    at k, and a(T-k) = a(k), so this covers T-k as well. At k = 0 and T
+    the rank is 1, as F is nonzero, and at T+1 both pieces are all of
+    S_{T+1}. Where the modular rank falls short of a(k), the canonical
+    pieces at k and T-k are compared bit exact instead.
     """
     form = associated_form(w).form
-    top = socle_degree(w.n, w.d)
-    return all(apolar_piece(form, k) == ideal_piece(w, k) for k in range(top + 2))
+    n, top = w.n, form.degree
+    g = _weighted_coefficients(form)
+    if top >= w.d - 1:
+        rows = list(_catalecticant_rows(g, n, top, w.d - 1))
+        for u in w.span.int_rows.values():
+            if any(sum(x * r.get(a, 0) for a, x in u.items()) for r in rows):
+                return False
+    profile = hilbert_profile(n, w.d)
+    for k in range(1, top // 2 + 1):
+        if not certify_rank(_catalecticant_rows(g, n, top, k), profile.a(k)):
+            if any(apolar_piece(form, j) != ideal_piece(w, j) for j in (k, top - k)):
+                return False
+    return True

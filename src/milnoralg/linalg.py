@@ -20,6 +20,14 @@ rows are the only stored form of a subspace, in ``SpanBuilder`` and
 ``Subspace`` alike; rationals are formed only when ``rows`` is read. One
 routine, ``reduce_row``, reduces a vector against them: insertion,
 membership and quotient coordinates all go through it.
+
+Arithmetic leaves Q in one place only: ``certify_rank``, the rank of
+integer rows modulo the prime ``PRIME``. Every minor of an integer matrix
+that is nonzero mod p is nonzero over Q, so the rank mod p is at most the
+rank over Q. A caller that already knows an exact upper bound on the rank
+over Q therefore learns the rank exactly when the rank mod p reaches that
+bound, and runs the exact code whenever it falls short. The modular rank
+only ever decides a boolean; no output is computed mod p.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from typing import Iterable, Optional
 from .monomials import dim_graded, factorial_weights
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q, ZERO
+
+# The modulus of ``certify_rank``, the Mersenne prime 2^31 - 1.
+PRIME = 2**31 - 1
 
 
 def integer_row(vec) -> tuple:
@@ -69,6 +80,40 @@ def reduce_row(rows: dict, v: dict) -> tuple:
             else:
                 del v[j]
     return v, scale
+
+
+def certify_rank(rows: Iterable, bound: int) -> bool:
+    """Whether integer rows (sparse {column: int} dicts) have rank ``bound`` mod PRIME.
+
+    The rank mod p of an integer matrix is at most its rank over Q, so when
+    ``bound`` is an upper bound on the rank over Q, True proves that the
+    rank over Q is ``bound``. False proves nothing: the caller decides
+    exactly. Rows are reduced to echelon form mod p by their leading
+    columns, and no row is read once the rank reaches the bound.
+    """
+    p = PRIME
+    if bound <= 0:
+        return True
+    echelon = {}
+    for row in rows:
+        v = {j: y for j, x in row.items() if (y := x % p)}
+        while v:
+            # entries are reduced mod p only at the lead, where it matters
+            lead = min(v)
+            c = v.pop(lead) % p
+            if not c:
+                continue
+            r = echelon.get(lead)
+            if r is None:
+                inv = pow(c, -1, p)
+                echelon[lead] = {j: y for j, x in v.items() if (y := x * inv % p)}
+                if len(echelon) == bound:
+                    return True
+                break
+            c = p - c
+            for j, y in r.items():
+                v[j] = v.get(j, 0) + c * y
+    return False
 
 
 class SpanBuilder:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import lcm
 from typing import Callable, NamedTuple, Optional
 
 from .deformation import tangent_kernel_at_poly, tangent_kernel_at_tuple
@@ -29,9 +30,9 @@ from .ideals import (
     socle_degree,
 )
 from .inverse_systems import verify_inverse_system
-from .linalg import SpanBuilder
-from .monomials import dim_graded, mono_basis
-from .polynomials import HomogeneousPolynomial, fermat, multiply
+from .linalg import SpanBuilder, certify_rank, integer_row, reduce_row
+from .monomials import dim_graded, mono_basis, product_index_table
+from .polynomials import HomogeneousPolynomial, fermat
 from .rationals import Q
 from .reconstruction import (
     containment_implies_equal,
@@ -71,31 +72,55 @@ def koszul_check(w: GeneratorTuple, k: int, parts) -> int:
     (I_W)_k: sum_i u_i h_i lies in the piece. By (b) and (c) every
     representation of a piece vector gives the same tangent image. Returns
     the number of Koszul vectors.
+
+    Everything runs on integer rows through ``product_index_table``. Each
+    g_i is scaled by the lcm L_i of its denominators. That makes each
+    Koszul vector a nonzero multiple of its image under the invertible
+    diagonal map scaling slot s by (L_0 ... L_n) / L_s, so the rank is
+    kept. h_i is scaled by c L_i, c clearing the denominators of h, so each
+    image in (c) is c L_i L_j times the true one. Checks (a) and (c) are
+    exact. By (a) every vector is a syzygy, so the dimension in (b) bounds
+    their rank from above, and ``certify_rank`` proves (b) mod p when the
+    rank reaches it; otherwise the rank is computed exactly.
     """
     n, d = w.n, w.d
     piece = ideal_piece(w, k)
     dim_u = dim_graded(n, k - (d - 1))
-    zero = HomogeneousPolynomial.zero(n, k - (d - 1))
-    zero_k = HomogeneousPolynomial.zero(n, k)
     degree = k - 2 * (d - 1)
+    gens, scales = zip(*(integer_row(g.coords()) for g in w.gens))
+    hs = [integer_row(h.coords()) for h in parts]
+    c = lcm(*(den for _, den in hs))
+    hs = [{j: x * (c // den) * L for j, x in h.items()} for (h, den), L in zip(hs, scales)]
+    times = product_index_table(n, k - (d - 1), d - 1)
 
-    def image(u, forms):  # sum_i u_i * forms_i over the nonzero parts u_i
-        return sum((multiply(ui, forms[i]) for i, ui in u.items()), zero_k)
+    def image(u, forms):  # sum_s u_s * forms_s as an integer row of S_k
+        out: dict = {}
+        for s, us in u.items():
+            for a, x in us.items():
+                ta = times[a]
+                for b, y in forms[s].items():
+                    t = ta[b]
+                    out[t] = out.get(t, 0) + x * y
+        return {t: x for t, x in out.items() if x}
 
-    span = SpanBuilder((n + 1) * dim_u)
-    count = 0
-    for alpha in mono_basis(n, degree) if degree >= 0 else ():
-        m = HomogeneousPolynomial.monomial(n, alpha)
-        multiples = [multiply(m, g) for g in w.gens]
+    rows = []
+    for m in product_index_table(n, degree, d - 1) if degree >= 0 else ():
+        multiples = [{m[b]: y for b, y in g.items()} for g in gens]
         for i, j in combinations(range(n + 1), 2):
-            u = {i: multiples[j], j: -multiples[i]}
-            _check(image(u, w.gens).is_zero(), f"not a syzygy at k={k}")
-            _check(piece.contains_poly(image(u, parts)), f"h not sent into the piece at k={k}")
-            span.insert([c for s in range(n + 1) for c in u.get(s, zero).coords()])
-            count += 1
+            u = {i: multiples[j], j: {a: -x for a, x in multiples[i].items()}}
+            _check(not image(u, gens), f"not a syzygy at k={k}")
+            _check(
+                not reduce_row(piece.int_rows, image(u, hs))[0],
+                f"h not sent into the piece at k={k}",
+            )
+            rows.append({s * dim_u + a: x for s, us in u.items() for a, x in us.items()})
     expect = (n + 1) * dim_u - piece.dim
-    _check(span.dim == expect, f"Koszul rank {span.dim}, expected {expect} at k={k}")
-    return count
+    if not certify_rank(rows, expect):
+        span = SpanBuilder((n + 1) * dim_u)
+        for row in rows:
+            span.insert(row)
+        _check(span.dim == expect, f"Koszul rank {span.dim}, expected {expect} at k={k}")
+    return len(rows)
 
 
 def run_suite(

@@ -1,7 +1,8 @@
 """Independent oracle implementations used to cross-check the library.
 
 Everything here except ``direct_product_piece``,
-``recover_generators_by_lift``, the assembled tangent map
+``recover_generators_by_lift``, ``verify_inverse_system_by_pieces``,
+the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
 ``tangent_image``), the rational reduction loops
 (``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``) and
@@ -27,10 +28,14 @@ from milnoralg import (
     PreconditionError,
     Subspace,
     apolar_piece,
+    associated_form,
+    catalecticant_matrix,
     dim_graded,
+    full_subspace,
     hilbert_profile,
     ideal_piece,
     lift_piece,
+    map_kernel,
     orthogonal_complement,
     socle_degree,
     zero_subspace,
@@ -211,6 +216,25 @@ def recover_generators_by_lift(e, k: int, n: int, d: int):
     if ideal_piece(w, k) != e:
         raise PreconditionError("input is not a complete-intersection piece")
     return w
+
+
+def verify_inverse_system_by_pieces(w: GeneratorTuple) -> bool:
+    """(I_W)_k = Ann(F)_k for every k = 0..T+1, compared as canonical pieces.
+
+    The route ``verify_inverse_system`` took before it decided by
+    catalecticant ranks: Ann(F)_k is the kernel of the dense rational
+    ``catalecticant_matrix`` at every k up to T, and all of S_{T+1} above.
+    """
+    form = associated_form(w).form
+    top = socle_degree(w.n, w.d)
+    for k in range(top + 2):
+        if k > top:
+            ann = full_subspace(w.n, k)
+        else:
+            ann = map_kernel(catalecticant_matrix(form, k), w.n, k)
+        if ann != ideal_piece(w, k):
+            return False
+    return True
 
 
 # -- the assembled tangent map --------------------------------------------------------

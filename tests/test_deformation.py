@@ -19,6 +19,7 @@ from milnoralg import (
     fiber,
     format_poly,
     full_subspace,
+    hilbert_profile,
     ideal_piece,
     jacobian_gens,
     linear_change,
@@ -36,6 +37,8 @@ from milnoralg import (
     tangent_kernel_at_poly,
     tangent_kernel_at_tuple,
 )
+import milnoralg.linalg as linalg
+import milnoralg.suite as suite
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
@@ -229,6 +232,62 @@ def test_koszul_check_fails_on_a_non_koszul_syzygy():
     w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
     with pytest.raises(AssertionError, match="Koszul rank 0, expected 3 at k=3"):
         koszul_check(w, 3, zero_parts(w))
+
+
+def test_koszul_check_fails_one_short_of_the_syzygy_rank():
+    # x1 e_0 - x0 e_1 is a syzygy of x0^2, x0*x1 in degree 3; in degree 4 its
+    # two multiples span the syzygies, and the one Koszul vector is one of them
+    w = GeneratorTuple(1, 3, [parse_poly(t, n=1) for t in ("x0^2", "x0*x1")])
+    with pytest.raises(AssertionError, match="Koszul rank 1, expected 2 at k=4"):
+        koszul_check(w, 4, zero_parts(w))
+
+
+def random_parts(rng, w):
+    monos = mono_basis(w.n, w.d - 1)
+    coeff = lambda: Q(rng.randint(-2, 2), rng.randint(1, 3))  # noqa: E731
+    return [
+        HomogeneousPolynomial(w.n, w.d - 1, {a: coeff() for a in monos}) for _ in range(w.n + 1)
+    ]
+
+
+def count_exact_ranks(monkeypatch) -> list:
+    """Record the length of every SpanBuilder koszul_check makes: its exact rank fallback."""
+    built = []
+
+    class Counting(linalg.SpanBuilder):
+        def __init__(self, length):
+            built.append(length)
+            super().__init__(length)
+
+    monkeypatch.setattr(suite, "SpanBuilder", Counting)
+    return built
+
+
+def test_koszul_check_falls_back_to_the_exact_rank(monkeypatch):
+    # every entry of the Koszul vectors of (2 x0^2, 2 x1^2, 2 x2^2) is even,
+    # so their rank mod 2 is 0 against 3 * dim S_2 - dim (I_W)_4 = 3
+    w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("2*x0^2", "2*x1^2", "2*x2^2")])
+    parts = random_parts(random.Random(17), w)
+    built = count_exact_ranks(monkeypatch)
+    assert koszul_check(w, 4, parts) == 3
+    assert built == []
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    assert koszul_check(w, 4, parts) == 3
+    assert built == [3 * 6]
+
+
+def test_koszul_check_needs_no_fallback_on_seeded_pools(ci_pools, monkeypatch):
+    built = count_exact_ranks(monkeypatch)
+    rng = random.Random(23)
+    checked = 0
+    for (n, d), pool in ci_pools.items():
+        profile = hilbert_profile(n, d)
+        for k in range(2 * (d - 1), socle_degree(n, d) + 2):
+            if (n + 1) * dim_graded(n, k - (d - 1)) > profile.b(k):
+                for w in pool[:3]:
+                    checked += koszul_check(w, k, random_parts(rng, w))
+    assert checked > 0
+    assert built == []
 
 
 def test_koszul_check_fails_under_python_O():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import milnoralg.inverse_systems as inverse_systems
+import milnoralg.linalg as linalg
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
@@ -9,11 +11,13 @@ from milnoralg import (
     associated_form,
     catalecticant_matrix,
     dim_graded,
+    fermat,
     full_subspace,
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
     lift_piece,
+    map_kernel,
     mono_basis,
     orthogonal_complement,
     parse_poly,
@@ -25,8 +29,9 @@ from milnoralg import (
     verify_inverse_system,
 )
 from milnoralg.polynomials import HomogeneousPolynomial
+from milnoralg.rationals import Q
 
-from oracles import sympy_rank
+from oracles import sympy_rank, verify_inverse_system_by_pieces
 
 
 def tuple_of(*texts, n=None):
@@ -151,3 +156,83 @@ def test_catalecticant_rank_matches_sympy():
         mat = catalecticant_matrix(b, k)
         rank = sympy_rank([[str(x) for x in row] for row in mat])
         assert apolar_piece(b, k).dim == dim_graded(2, k) - rank
+
+
+def test_apolar_piece_matches_the_dense_catalecticant_kernel():
+    # the integer rows are the catalecticant rows times D beta!, so the
+    # canonical kernel is the same, for rational forms and associated forms
+    rng = random.Random(29)
+    forms = [
+        HomogeneousPolynomial(
+            n, m, {alpha: Q(rng.randint(-3, 3), rng.randint(1, 4)) for alpha in mono_basis(n, m)}
+        )
+        for n, m in ((1, 5), (2, 4), (3, 3))
+    ]
+    forms += [associated_form(random_ci_tuple(n, d, seed=4)).form for n, d in ((2, 4), (3, 3))]
+    for b in forms:
+        for k in range(b.degree + 1):
+            assert apolar_piece(b, k) == map_kernel(catalecticant_matrix(b, k), b.n, k)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)])
+def test_verify_inverse_system_matches_the_piece_by_piece_oracle(n, d):
+    # T = 3 and 9 are odd, T = 4, 6 and 8 even, so both kinds of middle degree occur
+    for seed in (1, 2):
+        w = random_ci_tuple(n, d, seed=seed)
+        assert verify_inverse_system(w) is verify_inverse_system_by_pieces(w) is True
+
+
+@pytest.mark.parametrize(
+    "w",
+    [tuple_of("x0^2", "x1^2", "x2^2"), jacobian_gens(fermat(2, 4))],
+    ids=["squares", "fermat-jacobian"],
+)
+def test_verify_inverse_system_matches_the_oracle_on_monomial_tuples(w):
+    assert verify_inverse_system(w) is verify_inverse_system_by_pieces(w) is True
+
+
+def test_verify_inverse_system_rejects_a_form_the_tuple_does_not_annihilate(monkeypatch):
+    w = tuple_of("x0^2", "x1^2", "x2^2")
+    other = associated_form(random_ci_tuple(2, 3, seed=5))
+    assert other.form != parse_poly("x0*x1*x2")
+    monkeypatch.setattr(inverse_systems, "associated_form", lambda _: other)
+    assert not verify_inverse_system(w)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 4)])  # T = 3 and T = 6
+def test_verify_inverse_system_certifies_a_of_k_up_to_the_middle_degree(n, d, monkeypatch):
+    asked, real = [], inverse_systems.certify_rank
+    monkeypatch.setattr(
+        inverse_systems, "certify_rank", lambda rows, bound: asked.append(bound) or real(rows, bound)
+    )
+    assert verify_inverse_system(random_ci_tuple(n, d, seed=3))
+    profile = hilbert_profile(n, d)
+    assert asked == [profile.a(k) for k in range(1, profile.socle // 2 + 1)]
+
+
+def count_apolar_pieces(monkeypatch) -> list:
+    """Record the degree of every apolar piece verify_inverse_system builds: its exact fallback."""
+    calls, real = [], inverse_systems.apolar_piece
+    monkeypatch.setattr(inverse_systems, "apolar_piece", lambda b, k: calls.append(k) or real(b, k))
+    return calls
+
+
+def test_verify_inverse_system_falls_back_to_exact_pieces(monkeypatch):
+    # F = x0^2 x1^2 has the one weighted coefficient 2! 2! = 4, which vanishes
+    # mod 2, so every catalecticant rank drops to 0 there
+    w = tuple_of("x0^3", "x1^3")
+    assert associated_form(w).form == parse_poly("x0^2*x1^2")
+    calls = count_apolar_pieces(monkeypatch)
+    assert verify_inverse_system(w)
+    assert calls == []
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    assert verify_inverse_system(w)
+    assert sorted(calls) == [1, 2, 2, 3]  # k and T - k for k = 1, 2, T = 4
+
+
+def test_verify_inverse_system_needs_no_fallback_on_seeded_pools(ci_pools, monkeypatch):
+    calls = count_apolar_pieces(monkeypatch)
+    for pool in ci_pools.values():
+        for w in pool:
+            assert verify_inverse_system(w)
+    assert calls == []

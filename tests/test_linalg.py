@@ -27,7 +27,8 @@ from milnoralg import (
     subspace_sum,
     zero_subspace,
 )
-from milnoralg.linalg import SpanBuilder
+import milnoralg.linalg as linalg
+from milnoralg.linalg import SpanBuilder, certify_rank
 from milnoralg.rationals import Q
 from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
@@ -577,3 +578,44 @@ def test_solve_columns_zero_rows_and_no_rhs():
     assert solve_columns([[1, 2]], 2, []) == []
     with pytest.raises(ValueError):
         solve_columns([[1, 2], [3, 4]], 2, [[1]])
+
+
+def sparse_rows(mat) -> list:
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def test_certify_rank_matches_sympy():
+    rng = random.Random(41)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(rows, cols))
+        a, b = rand_matrix(rng, rows, inner), rand_matrix(rng, inner, cols)
+        mat = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        rank = sympy_rank(mat)
+        assert certify_rank(sparse_rows(mat), rank)
+        assert not certify_rank(sparse_rows(mat), rank + 1)
+
+
+def test_certify_rank_reduces_large_entries():
+    p = linalg.PRIME
+    assert not certify_rank([{0: p, 1: 5 * p}], 1)
+    assert certify_rank([{0: 2**200 + 1, 1: 3}, {0: 2**200, 1: 3}], 2)
+
+
+def test_certify_rank_falls_short_where_the_prime_divides_a_minor(monkeypatch):
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    rows = sparse_rows([[1, 2], [2, 1]])  # determinant -3
+    assert certify_rank(rows, 1)
+    assert not certify_rank(rows, 2)
+    assert not certify_rank(sparse_rows([[3, 6], [0, 3]]), 1)
+
+
+def test_certify_rank_reads_no_row_past_the_bound():
+    def rows():
+        yield {0: 1}
+        yield {0: 1, 1: 1}
+        raise AssertionError("a row past the bound was read")
+
+    assert certify_rank(rows(), 2)
+    assert certify_rank([], 0)
+    assert not certify_rank([], 1)
