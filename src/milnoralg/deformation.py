@@ -16,42 +16,88 @@ fixed by its values on the spanning vectors u * g_i (u a monomial of
 degree k-d+1), which it sends to u * h_i. So h is in the kernel exactly
 when every h_i lies in the colon piece
 
-    C = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
+    C_k = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
 
-and the kernel at a tuple is n+1 copies of C / W (``colon_piece``). C
-always contains W. For d-1 <= k <= T it equals W by Gorenstein duality:
-the quotient algebra A pairs A_{d-1} perfectly with A_{T-d+1} =
-A_{T-k} * A_{k-d+1}, so a class killed by A_{k-d+1} is zero. C is still
-computed from the data every time, never assumed, from the same rows
-``reconstruction.colon_rows`` that recover W from a piece. Here they run
-over the nonpivot monomials of W only and stop at full rank, so C / W
-costs one small elimination that ends as soon as it shows C = W.
+and the kernel at a tuple is n+1 copies of C_k / W (``colon_piece``).
+C_k always contains W, and the colons grow with k for every ideal: if
+c * S_{k-d+1} lies in I_k, then c * S_{k-d+2} lies in S_1 * I_k = I_{k+1}.
+So C_T = W gives W = C_k = C_T at every d-1 <= k <= T, T = (n+1)(d-2) the
+socle degree. At a complete intersection C_T = W does hold, by Gorenstein
+duality: the quotient algebra A pairs A_{d-1} perfectly with A_{T-d+1},
+so a class killed by A_{T-d+1} is zero.
+
+That one colon is proved mod p, once per span (``_certified``, cached).
+The relay of ``ideals`` is walked mod ``linalg.PRIME`` into
+``linalg.ModularEchelon`` builders, by the same ``ideals.relay_step``:
+
+* The walk's span at each degree lies in the reduction of the integer
+  lattice I_k meet Z^N, since products of reduced rows are reductions of
+  integer products. That reduction has dimension at most dim (I_W)_k,
+  which is at most b(k) (``generic_piece_dim``). So if the walk reaches
+  b(T) at T, it is the whole reduction of the lattice, and the single
+  functional nu it leaves, found by back-substitution, vanishes on the
+  reduction of every integer vector of (I_W)_T.
+* Rank mod p is at most rank over Q, so if the walk fills S_{T+1} mod p,
+  (I_W)_{T+1} = S_{T+1} and W is a complete intersection.
+* Every integer c in C_T has c * u in the lattice for each monomial u of
+  degree T-d+1, so its reduction lies in the colon mod p,
+  {c : nu(c * u) = 0 for all u}. The lattice C_T meet Z^M is saturated, so
+  its reduction has dimension dim C_T. Every pivot entry of W's integer
+  rows must be nonzero mod p; then W mod p has W's pivots and lies in the
+  colon mod p, and when the rows nu(u * m_j) on the nonpivot monomials m_j
+  of W have full column rank mod p (``linalg.certify_rank``), the colon
+  mod p is W mod p. Hence dim C_T <= n+1, and C_T = W.
+
+When the certificate holds, the tuple kernel is empty and the form
+kernel is the cached fiber modulo f, with no exact piece and no exact
+colon. When it falls short (a pivot entry divisible by p, a walk short of
+b(T) or of S_{T+1}, or colon rows short of full rank mod p), the exact
+code runs: the complete-intersection or smoothness test decides the
+precondition, and C_k is computed from the exact piece by the
+``reconstruction.colon_rows`` that recover W from a piece, over the
+nonpivot monomials of W only, stopping at full rank. No prime is
+skipped, and only the booleans of the certificate are decided mod p.
 
 Moving a polynomial f by h in S_d modulo the line through f moves its
 Jacobian tuple by the partials of h, so the kernel there is
-{h in S_d : every partial of h lies in C} modulo f. With C = W this is the
-fiber of ``reconstruction.fiber`` modulo the line through f, which the
-fiber always contains (Euler identity): the kernel vanishes at a smooth
-non-direct-sum form and has dimension exactly s - 1 at a direct sum with
-s summands.
+{h in S_d : every partial of h lies in C_k} modulo f. With C_k = W this
+is the fiber of ``reconstruction.fiber`` modulo the line through f,
+which the fiber always contains (Euler identity): the kernel vanishes at
+a smooth non-direct-sum form and has dimension exactly s - 1 at a direct
+sum with s summands.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from functools import lru_cache
+
+from . import linalg
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
     check_size,
+    hilbert_profile,
     ideal_piece,
     is_complete_intersection,
     is_smooth,
     jacobian_gens,
+    relay_step,
     socle_degree,
 )
-from .linalg import QuotientMap, Subspace, nullspace, rref, span_polys, span_vectors
-from .monomials import mono_basis
+from .linalg import (
+    ModularEchelon,
+    QuotientMap,
+    Subspace,
+    annihilator,
+    certify_rank,
+    nullspace,
+    rref,
+    span_polys,
+    span_vectors,
+)
+from .monomials import dim_graded, mono_basis
 from .polynomials import HomogeneousPolynomial
 from .reconstruction import colon_rows, forms_with_partials_in
 
@@ -133,6 +179,35 @@ def _check_tuple_pre(w: GeneratorTuple, k: int):
         raise PreconditionError("generator tuple is not a complete intersection")
 
 
+@lru_cache(maxsize=256)
+def _certified(span: Subspace) -> bool:
+    """Whether a walk mod p proves span(W) a complete intersection with C_T = W.
+
+    The certificate of the module docstring: True proves both claims
+    exactly, so that C_k = W at every d-1 <= k <= T. False proves nothing,
+    and the caller runs the exact code. Cached per span; read only.
+    """
+    n, d = span.n, span.k + 1
+    top = socle_degree(n, d)
+    if any(row[q] % linalg.PRIME == 0 for q, row in span.int_rows.items()):
+        return False
+    profile = hilbert_profile(n, d)
+    piece = ModularEchelon(dim_graded(n, d - 1))
+    for row in span.int_rows.values():
+        piece.insert(row)
+    # below S_{T+1} every bound b(k) falls short of dim S_k, so no step returns None
+    for k in range(d, top + 1):
+        piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
+    if piece.dim != profile.b(top):
+        return False
+    fill = ModularEchelon(dim_graded(n, top + 1))
+    if relay_step(fill, piece.int_rows, n, top + 1, fill.length) is not None:
+        return False
+    nonpivots = QuotientMap(span).nonpivots
+    rows = colon_rows(piece.annihilator(), n, top, d - 1, nonpivots)
+    return certify_rank(rows, len(nonpivots))
+
+
 def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
     """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
 
@@ -142,7 +217,7 @@ def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
     have full rank, which leaves no kernel to miss.
     """
     gq = QuotientMap(w.span)
-    rows = colon_rows(ideal_piece(w, k), w.d - 1, gq.nonpivots)
+    rows = colon_rows(annihilator(ideal_piece(w, k)), w.n, k, w.d - 1, gq.nonpivots)
     return gq, nullspace(rows, gq.dim, gq.dim)
 
 
@@ -170,11 +245,15 @@ def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
     kernel is n+1 copies of C / W for the colon piece C, so its canonical
     basis is the basis of C / W placed in each part in turn. It vanishes
     for every complete intersection and every k between d-1 and the socle
-    degree.
+    degree. Where ``_certified`` proves that, no piece is computed exactly.
     """
-    _check_tuple_pre(w, k)
+    _check_degree(w.n, w.d, k)
     n = w.n
-    gq, block = _colon_mod_span(w, k)
+    if _certified(w.span):
+        gq, block = QuotientMap(w.span), []
+    else:
+        _check_tuple_pre(w, k)
+        gq, block = _colon_mod_span(w, k)
     zero = HomogeneousPolynomial.zero(n, w.d - 1)
     forms = [_from_quotient_coords(gq, n, w.d - 1, v) for v in block]
     basis = tuple(
@@ -191,15 +270,22 @@ def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     Computed in S_d modulo the line through f, so the tangent space has
     dimension dim(S_d) - 1. The kernel is {h : every partial of h lies in
     the colon piece} modulo f: zero for a smooth non-direct-sum f, and of
-    dimension s - 1 for a direct sum with s summands.
+    dimension s - 1 for a direct sum with s summands. Where ``_certified``
+    proves the Jacobian tuple a complete intersection with colon W, f is
+    smooth and the kernel is the cached fiber modulo f.
     """
     n, d = f.n, f.degree
     _check_degree(n, d, k)
-    if not is_smooth(f):
+    try:
+        w = jacobian_gens(f)
+    except PreconditionError:
+        w = None  # a cone: dependent partials, which ``is_smooth`` refuses
+    certified = w is not None and _certified(w.span)
+    if not certified and not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
 
     fq = QuotientMap(span_polys([f]))
-    preimage = forms_with_partials_in(colon_piece(jacobian_gens(f), k))
+    preimage = forms_with_partials_in(w.span if certified else colon_piece(w, k))
     kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
     basis = tuple(
         PolyTangentVector(f, _from_quotient_coords(fq, n, d, vec)) for vec in kernel_vectors

@@ -173,36 +173,48 @@ class GeneratorTuple:
 def _relay(span: Subspace, k: int) -> SpanBuilder | None:
     """Integer RREF rows of degree k of the ideal generated by span, None if full.
 
-    Above span.k: the span of the products x_i * r over the rows r one
-    degree below, inserted by leading column, largest first. Multiplying by
-    x_i keeps the monomial order, so x_i * r leads at the image of r's
-    pivot. Each earlier product led further right, and reduction only moves
-    a pivot right, so when a lead first comes up every stored row pivots
-    right of it: that product sets a new pivot left of them all and, as none
-    has an entry there, clears none of them. Only a product repeating a
-    lead is reduced past it and can land on a pivot that stored rows must
-    be cleared at. So the rows stored plus the leads still to come bound
-    the final dimension from below, and ``generic_piece_dim`` bounds it from
-    above. Once the two meet the degree is exactly the bound: the products
-    repeating a lead are skipped, as they add nothing, and the first-lead
-    ones are inserted for their rows, or not at all when the bound is
-    dim S_k and the degree is full. A span falling short of the bound, such
-    as a tuple with a common zero at T+1, never meets it and inserts every
-    product there. Inserting all first-lead products before any repeated
-    one was tried: it leaves many late pivots to clear, and is slower.
-    Shared, so read only.
-    ``generated_piece`` walks up to a full degree, so this recurses one level
-    and needs only the degree below cached: the bound just drops old spans.
+    Above span.k: ``relay_step`` from the rows one degree below, against
+    ``generic_piece_dim``. Shared, so read only. ``generated_piece`` walks
+    up to a full degree, so this recurses one level and needs only the
+    degree below cached: the bound just drops old spans.
     """
     builder = SpanBuilder(dim_graded(span.n, k))
     if k == span.k:
         for row in span.int_rows.values():
             builder.insert(row)
         return None if builder.is_full() else builder
-    below = _relay(span, k - 1).int_rows
-    table = product_index_table(span.n, 1, k - 1)
-    leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
     bound = generic_piece_dim(span.n, span.k, span.dim, k)
+    return relay_step(builder, _relay(span, k - 1).int_rows, span.n, k, bound)
+
+
+def relay_step(builder, below: dict, n: int, k: int, bound: int):
+    """Fill an empty ``builder`` of degree k with the products x_i * r, r in ``below``.
+
+    ``below`` maps each leading column of the rows one degree below to its
+    row. The products enter by leading column, largest first. Multiplying
+    by x_i keeps the monomial order, so x_i * r leads at the image of r's
+    lead. Each earlier product led further right, and reduction only moves
+    a lead right, so when a lead first comes up every stored row leads
+    right of it: that product sets a new pivot left of them all and, as
+    none has an entry there, clears none of them. Only a product repeating
+    a lead is reduced past it and can land on a pivot that stored rows must
+    be cleared at. So the rows stored plus the leads still to come bound
+    the final dimension from below, and ``bound``, an upper bound such as
+    ``generic_piece_dim``, bounds it from above. Once the two meet the
+    degree is exactly the bound: the products repeating a lead are skipped,
+    as they add nothing, and the first-lead ones are inserted for their
+    rows, or not at all when the bound is dim S_k and the degree is full. A
+    span falling short of the bound, such as a tuple with a common zero at
+    T+1, never meets it and inserts every product there. Inserting all
+    first-lead products before any repeated one was tried: it leaves many
+    late pivots to clear, and is slower.
+
+    The builder is an exact ``SpanBuilder`` or a ``linalg.ModularEchelon``;
+    both set a new pivot at a lead that no stored row has, which is all the
+    argument needs. Returns the builder, or None once it is full.
+    """
+    table = product_index_table(n, 1, k - 1)
+    leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
     todo, last = len({lead for lead, _, _ in leads}), None
     for lead, p, i in leads:
         first = lead != last

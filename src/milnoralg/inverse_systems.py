@@ -6,9 +6,11 @@ complement of the degree-T ideal piece under the apolar pairing is a
 single projective point of S_T. Its normalized representative, the
 associated form of the tuple, is the Macaulay inverse system of the
 quotient: the ideal equals the annihilator of the associated form under
-polar differentiation. The associated form is always obtained from that
-orthogonal complement, one exact kernel computation, never from a
-resultant formula.
+polar differentiation. The associated form is read off the one
+functional nu that vanishes on the degree-T ideal piece (``annihilator``
+of its RREF basis, no further elimination): the apolar pairing is
+diagonal on monomials with weights alpha!, so F_alpha = nu_alpha / alpha!.
+It never comes from a resultant formula.
 
 Polar differentiation is read off integer catalecticant rows: with c the
 coefficients of a form b of degree m and D the lcm of their denominators,
@@ -36,14 +38,15 @@ from .ideals import (
 )
 from .linalg import (
     Subspace,
+    annihilator,
     certify_rank,
     full_subspace,
     integer_row,
     map_kernel,
-    orthogonal_complement,
 )
 from .monomials import factorial_weights, mono_basis, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
+from .rationals import Q
 
 
 class _AssociatedFormFields(NamedTuple):
@@ -83,19 +86,21 @@ def associated_form(w: GeneratorTuple) -> AssociatedForm:
     """The inverse-system generator of a complete-intersection tuple.
 
     This is the unique normalized form spanning the apolar complement of
-    the degree-T ideal piece; that the complement is a line is asserted,
+    the degree-T ideal piece: F_alpha = nu_alpha / alpha! for the functional
+    nu vanishing on the piece. That nu is unique up to scalar is asserted,
     a failure meaning non-complete-intersection input.
     """
     if not is_complete_intersection(w):
         raise PreconditionError("generator tuple is not a complete intersection")
     top = socle_degree(w.n, w.d)
-    comp = orthogonal_complement(ideal_piece(w, top))
-    if comp.dim != 1:
+    duals = annihilator(ideal_piece(w, top))
+    if len(duals) != 1:
         raise PreconditionError(
-            f"socle complement has dimension {comp.dim}, expected a line"
+            f"socle complement has dimension {len(duals)}, expected a line"
         )
-    form = HomogeneousPolynomial.from_coords(w.n, top, comp.rows[0])
-    return AssociatedForm(form, w.d)
+    monos, weights = mono_basis(w.n, top), factorial_weights(w.n, top)
+    terms = {monos[j]: Q(x, weights[j]) for j, x in duals[0].items()}
+    return AssociatedForm(HomogeneousPolynomial(w.n, top, terms).normalized(), w.d)
 
 
 def catalecticant_matrix(b: HomogeneousPolynomial, k: int) -> list:

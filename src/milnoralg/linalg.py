@@ -21,13 +21,18 @@ rows are the only stored form of a subspace, in ``SpanBuilder`` and
 routine, ``reduce_row``, reduces a vector against them: insertion,
 membership and quotient coordinates all go through it.
 
-Arithmetic leaves Q in one place only: ``certify_rank``, the rank of
-integer rows modulo the prime ``PRIME``. Every minor of an integer matrix
-that is nonzero mod p is nonzero over Q, so the rank mod p is at most the
-rank over Q. A caller that already knows an exact upper bound on the rank
-over Q therefore learns the rank exactly when the rank mod p reaches that
-bound, and runs the exact code whenever it falls short. The modular rank
-only ever decides a boolean; no output is computed mod p.
+Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
+basis of integer rows reduced modulo the prime ``PRIME``. Every minor of
+an integer matrix that is nonzero mod p is nonzero over Q, so the rank mod
+p is at most the rank over Q. Its insert has two users. ``certify_rank``
+decides a rank claim: a caller that already knows an exact upper bound on
+the rank over Q learns the rank exactly when the rank mod p reaches that
+bound, and runs the exact code whenever it falls short. ``deformation``
+walks the relay of ``ideals`` mod p through it, to certify once per tuple
+that the tuple is a complete intersection whose colon at the socle degree
+is the tuple itself, and runs the exact code whenever that falls short.
+Modular arithmetic only ever decides a boolean; no output is computed
+mod p.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .monomials import dim_graded, factorial_weights
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q, ZERO
 
-# The modulus of ``certify_rank``, the Mersenne prime 2^31 - 1.
+# The modulus of ``ModularEchelon``, the Mersenne prime 2^31 - 1.
 PRIME = 2**31 - 1
 
 
@@ -82,20 +87,33 @@ def reduce_row(rows: dict, v: dict) -> tuple:
     return v, scale
 
 
-def certify_rank(rows: Iterable, bound: int) -> bool:
-    """Whether integer rows (sparse {column: int} dicts) have rank ``bound`` mod PRIME.
+class ModularEchelon:
+    """Echelon basis mod PRIME of a growing row space of integer rows.
 
-    The rank mod p of an integer matrix is at most its rank over Q, so when
-    ``bound`` is an upper bound on the rank over Q, True proves that the
-    rank over Q is ``bound``. False proves nothing: the caller decides
-    exactly. Rows are reduced to echelon form mod p by their leading
-    columns, and no row is read once the rank reaches the bound.
+    ``int_rows`` maps each leading column to its row, a sparse {column:
+    entry} dict with entries in [1, PRIME), 1 at the lead and every other
+    column right of it. The basis is in echelon form only, not reduced:
+    its leads, and so its dimension, are those of the RREF of the rows mod
+    p, which is all its callers read. ``length`` is the ambient dimension,
+    needed only by ``is_full``. Stored rows are never changed.
     """
-    p = PRIME
-    if bound <= 0:
-        return True
-    echelon = {}
-    for row in rows:
+
+    __slots__ = ("length", "int_rows")
+
+    def __init__(self, length: int = 0):
+        self.length = length
+        self.int_rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.int_rows)
+
+    def is_full(self) -> bool:
+        return len(self.int_rows) == self.length
+
+    def insert(self, row: dict) -> bool:
+        """Add a sparse {column: int} row, reduced mod p first; True if the span grew."""
+        p, rows = PRIME, self.int_rows
         v = {j: y for j, x in row.items() if (y := x % p)}
         while v:
             # entries are reduced mod p only at the lead, where it matters
@@ -103,17 +121,49 @@ def certify_rank(rows: Iterable, bound: int) -> bool:
             c = v.pop(lead) % p
             if not c:
                 continue
-            r = echelon.get(lead)
+            r = rows.get(lead)
             if r is None:
                 inv = pow(c, -1, p)
-                echelon[lead] = {j: y for j, x in v.items() if (y := x * inv % p)}
-                if len(echelon) == bound:
-                    return True
-                break
+                rows[lead] = {lead: 1, **{j: y for j, x in v.items() if (y := x * inv % p)}}
+                return True
             c = p - c
             for j, y in r.items():
                 v[j] = v.get(j, 0) + c * y
-    return False
+            del v[lead]
+        return False
+
+    def annihilator(self) -> list:
+        """Functionals mod p that vanish on the rows, one per free column q.
+
+        Each is 1 at q and 0 at the other free columns; its values at the
+        leads follow by back-substitution, rightmost lead first, as each
+        row is 1 at its lead and has its other entries right of it.
+        """
+        p, rows = PRIME, self.int_rows
+        out = []
+        for q in range(self.length):
+            if q not in rows:
+                nu = {q: 1}
+                for lead in sorted(rows, reverse=True):
+                    if c := -sum(x * nu.get(j, 0) for j, x in rows[lead].items()) % p:
+                        nu[lead] = c
+                out.append(nu)
+        return out
+
+
+def certify_rank(rows: Iterable, bound: int) -> bool:
+    """Whether integer rows (sparse {column: int} dicts) have rank ``bound`` mod PRIME.
+
+    The rank mod p of an integer matrix is at most its rank over Q, so when
+    ``bound`` is an upper bound on the rank over Q, True proves that the
+    rank over Q is ``bound``. False proves nothing: the caller decides
+    exactly. The rows go into a ``ModularEchelon``, and no row is read
+    once the rank reaches the bound.
+    """
+    if bound <= 0:
+        return True
+    echelon = ModularEchelon()
+    return any(echelon.insert(row) and echelon.dim == bound for row in rows)
 
 
 class SpanBuilder:
@@ -329,7 +379,11 @@ def zero_subspace(n: int, k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def full_subspace(n: int, k: int) -> Subspace:
-    return span_vectors(n, k, ({i: 1} for i in range(dim_graded(n, k))))
+    """All of S_k: the unit rows, each its own pivot, built without elimination."""
+    sub = zero_subspace(n, k)
+    size = dim_graded(n, k)
+    sub.int_rows, sub.pivots = {i: {i: 1} for i in range(size)}, tuple(range(size))
+    return sub
 
 
 def span_vectors(n: int, k: int, vectors: Iterable) -> Subspace:

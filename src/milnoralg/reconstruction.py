@@ -80,16 +80,17 @@ def lift_piece(e: Subspace, m: int) -> Subspace:
     return generated_piece(e, m)
 
 
-def colon_rows(e: Subspace, degree: int, columns):
+def colon_rows(duals, n: int, k: int, degree: int, columns):
     """Integer rows of c |-> (c * u mod E) over u in S_{k-degree}, E in S_k, lazily.
 
-    One row per monomial u and functional nu of ``annihilator(E)``, with
-    entry nu(u * m_j) at each column j of S_degree in ``columns``: the
-    kernel on ``columns`` is the part of the colon (E : S_{k-degree})
-    supported there. Each u adds its rows only when they are read.
+    ``duals`` are functionals on S_k, sparse {column: int} dicts, that cut
+    out E: ``annihilator(E)``, or those of a piece mod p. One row
+    per monomial u and functional nu, with entry nu(u * m_j) at each column
+    j of S_degree in ``columns``: the kernel on ``columns`` is the part of
+    the colon (E : S_{k-degree}) supported there. Each u adds its rows only
+    when they are read.
     """
-    duals = annihilator(e)
-    for tu in product_index_table(e.n, e.k - degree, degree):
+    for tu in product_index_table(n, k - degree, degree):
         targets = [tu[j] for j in columns]
         for nu in duals:
             yield {i: nu[t] for i, t in enumerate(targets) if t in nu}
@@ -118,7 +119,7 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
         )
 
     width = dim_graded(n, d - 1)
-    rows = colon_rows(e, d - 1, range(width))
+    rows = colon_rows(annihilator(e), n, k, d - 1, range(width))
     kernel = kernel_builder(rows, width, width - (n + 1))
     # ``rows`` resumes after the last row read: those left must vanish on the kernel
     basis = kernel.int_rows.values()

@@ -14,6 +14,7 @@ from milnoralg import (
     QuotientMap,
     TupleTangentVector,
     colon_piece,
+    contains,
     dim_graded,
     fermat,
     fiber,
@@ -37,8 +38,10 @@ from milnoralg import (
     tangent_kernel_at_poly,
     tangent_kernel_at_tuple,
 )
+import milnoralg.deformation as deformation
 import milnoralg.linalg as linalg
 import milnoralg.suite as suite
+from milnoralg.ideals import _relay
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
@@ -490,3 +493,173 @@ def test_poly_kernel_dim_is_fiber_dim_minus_one(f):
     assert s >= 2
     for k in k_range(f.n, f.degree):
         assert tangent_kernel_at_poly(f, k).kernel_dim == s - 1
+
+
+# -- the certificate mod p and its exact fallback ------------------------------------
+
+
+def report_text(report):
+    """A kernel report as text: k, dimensions and the canonical basis."""
+    basis = [
+        [format_poly(p) for p in v.parts] if isinstance(v, TupleTangentVector) else format_poly(v.h)
+        for v in report.basis
+    ]
+    return report.k, report.tangent_dim, report.kernel_dim, basis
+
+
+@pytest.fixture
+def fresh_certificates(monkeypatch):
+    """Empty the certificate cache around a test that may patch the prime."""
+    certified = deformation._certified
+    certified.cache_clear()
+    yield monkeypatch
+    certified.cache_clear()
+
+
+def count_exact_colons(monkeypatch) -> list:
+    """Record every exact colon elimination, the fallback of both kernels."""
+    calls = []
+    real = deformation._colon_mod_span
+
+    def counted(w, k):
+        calls.append(k)
+        return real(w, k)
+
+    monkeypatch.setattr(deformation, "_colon_mod_span", counted)
+    return calls
+
+
+def all_reports(w, f):
+    """The tuple kernels of w and the form kernels of f at every k, as text."""
+    reports = []
+    if w is not None:
+        reports += [tangent_kernel_at_tuple(w, k) for k in k_range(w.n, w.d)]
+    if f is not None:
+        reports += [tangent_kernel_at_poly(f, k) for k in k_range(f.n, f.degree)]
+    return [report_text(r) for r in reports]
+
+
+PARITY_SIZES = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)]
+PARITY_INPUTS = [
+    *(
+        (random_ci_tuple(n, d, seed=401 + n + d), random_smooth(n, d, seed=409 + n + d))
+        for n, d in PARITY_SIZES
+    ),
+    (None, fermat(2, 4)),
+    (SQUARES, None),
+]
+PARITY_IDS = [*(f"seeded{size}" for size in PARITY_SIZES), "fermat(2,4)", "squares"]
+
+
+@pytest.mark.parametrize("w,f", PARITY_INPUTS, ids=PARITY_IDS)
+def test_certified_kernels_match_the_exact_path_at_every_k(w, f, fresh_certificates):
+    monkeypatch = fresh_certificates
+    spans = [x.span for x in (w, f and jacobian_gens(f)) if x is not None]
+    assert all(deformation._certified(span) for span in spans)
+    exact_colons = count_exact_colons(monkeypatch)
+    certified = all_reports(w, f)
+    assert exact_colons == []
+    monkeypatch.setattr(deformation, "_certified", lambda span: False)
+    assert all_reports(w, f) == certified
+    assert len(exact_colons) == len(certified)
+    if f is not None and w is None:  # fermat(2, 4): s = 3 summands, kernel dimension n
+        assert {kernel_dim for _, _, kernel_dim, _ in certified} == {2}
+
+
+def test_certified_kernels_grow_no_exact_piece(fresh_certificates):
+    w, f = random_ci_tuple(2, 5, seed=5), random_smooth(2, 5, seed=6, require_non_st=True)
+    jacobian_gens(f)
+    _relay.cache_clear()
+    for k in k_range(2, 5):
+        assert tangent_kernel_at_tuple(w, k).kernel_dim == 0
+        assert tangent_kernel_at_poly(f, k).kernel_dim == 0
+    assert _relay.cache_info().misses == 0
+
+
+def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(fresh_certificates):
+    # x0^2 + 3 x1^2, x0*x1 is a complete intersection over Q; mod 3 it is
+    # x0^2, x0*x1, with the common zero x0 = 0, so the walk mod 3 never fills
+    # S_3. f = x0^2 x1 + x1^3 has partials 2 x0 x1 and x0^2 + 3 x1^2.
+    monkeypatch = fresh_certificates
+    w = GeneratorTuple(1, 3, [parse_poly("x0^2 + 3*x1^2", n=1), parse_poly("x0*x1", n=1)])
+    f = parse_poly("x0^2*x1 + x1^3", n=1)
+    assert jacobian_gens(f).span == w.span
+    exact = [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))]
+    # f is a binary cubic with distinct roots, a direct sum of two cubes: s = 2
+    assert exact == [(2, 2, 0, []), (2, 3, 1, ["x0^3 + 9*x0*x1^2"])]
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    deformation._certified.cache_clear()
+    assert not deformation._certified(w.span)
+    colons = count_exact_colons(monkeypatch)
+    assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
+    assert colons == [2, 2]
+
+
+def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(fresh_certificates):
+    # the integer row of 5 x0^2 + x1*x2 has pivot entry 5: refused mod 5 before any walk
+    monkeypatch = fresh_certificates
+    w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("5*x0^2 + x1*x2", "x1^2", "x2^2")])
+    exact = [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)]
+    assert [kernel_dim for _, _, kernel_dim, _ in exact] == [0, 0]
+    monkeypatch.setattr(linalg, "PRIME", 5)
+    deformation._certified.cache_clear()
+    walks = []
+
+    class Counting(linalg.ModularEchelon):
+        def __init__(self, length=0):
+            walks.append(length)
+            super().__init__(length)
+
+    monkeypatch.setattr(deformation, "ModularEchelon", Counting)
+    colons = count_exact_colons(monkeypatch)
+    assert [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)] == exact
+    assert walks == [] and colons == [2, 3]
+
+
+def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(fresh_certificates):
+    monkeypatch = fresh_certificates
+    real, asked = deformation.certify_rank, []
+
+    def recording(rows, bound):
+        rows = list(rows)
+        asked.append((len(rows), 1 + max(j for row in rows for j in row), bound))
+        return real(rows, bound)
+
+    monkeypatch.setattr(deformation, "certify_rank", recording)
+    w = random_ci_tuple(2, 4, seed=7)
+    assert deformation._certified(w.span)
+    # one row per monomial u of degree T-d+1 = 3, one column per monomial of S_3 outside W
+    outside = dim_graded(2, 3) - 3
+    assert asked == [(dim_graded(2, 3), outside, outside)]
+    deformation._certified.cache_clear()
+    monkeypatch.setattr(deformation, "certify_rank", lambda rows, bound: False)
+    colons = count_exact_colons(monkeypatch)
+    assert tangent_kernel_at_tuple(w, 4).kernel_dim == 0
+    assert colons == [4]
+
+
+def test_certificate_keeps_the_refusals(fresh_certificates):
+    with pytest.raises(ValueError, match="need d-1 <= k <= 3"):
+        tangent_kernel_at_tuple(SQUARES, 1)
+    bad = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
+    assert not deformation._certified(bad.span)
+    with pytest.raises(PreconditionError, match="generator tuple is not a complete intersection"):
+        tangent_kernel_at_tuple(bad, 2)
+    cone = parse_poly("x0^3 + x1^3", n=2)  # no x2: the partials are dependent
+    with pytest.raises(PreconditionError, match="polynomial is not smooth"):
+        tangent_kernel_at_poly(cone, 2)
+
+
+def test_colon_pieces_grow_with_k_on_a_non_ci_tuple():
+    # x0*x1 joins the colon at k = 3: x0*x1 * x_i lies in (x0^2, x1^2, x0*x2) for every i
+    w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x1^2", "x0*x2")])
+    colons = [colon_piece(w, k) for k in range(2, 8)]
+    assert [c.dim for c in colons] == [3, 4, 4, 4, 4, 4]
+    assert all(contains(big, small) for small, big in zip(colons, colons[1:]))
+
+
+def test_no_fallback_on_seeded_pools(ci_pools, nonst_pools, smooth_pools):
+    spans = [w.span for pool in ci_pools.values() for w in pool]
+    spans += [jacobian_gens(f).span for pools in (nonst_pools, smooth_pools) for pool in pools.values() for f in pool]
+    assert len(spans) == 250
+    assert all(deformation._certified(span) for span in spans)

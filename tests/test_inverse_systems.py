@@ -128,6 +128,20 @@ def test_socle_is_one_dimensional_for_ci():
         assert comp.dim == 1
 
 
+def test_associated_form_matches_the_apolar_complement(ci_pools):
+    # F read off the one functional nu of the piece at T equals the RREF
+    # line of its apolar complement, coefficient for coefficient
+    tuples = [pool[i] for pool in ci_pools.values() for i in range(3)]
+    tuples += [tuple_of("x0^2", "x1^2", "x2^2"), jacobian_gens(fermat(2, 4))]
+    for w in tuples:
+        top = socle_degree(w.n, w.d)
+        comp = orthogonal_complement(ideal_piece(w, top))
+        expected = HomogeneousPolynomial.from_coords(w.n, top, comp.rows[0])
+        form = associated_form(w).form
+        assert form == expected and form.terms == expected.terms
+        assert all(type(c) is Q for c in form.terms.values())
+
+
 def test_apolar_dimensions_match_profile():
     w = random_ci_tuple(2, 4, seed=3)
     b = associated_form(w)

@@ -28,7 +28,7 @@ from milnoralg import (
     zero_subspace,
 )
 import milnoralg.linalg as linalg
-from milnoralg.linalg import SpanBuilder, certify_rank
+from milnoralg.linalg import ModularEchelon, SpanBuilder, certify_rank
 from milnoralg.rationals import Q
 from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
@@ -619,3 +619,46 @@ def test_certify_rank_reads_no_row_past_the_bound():
     assert certify_rank(rows(), 2)
     assert certify_rank([], 0)
     assert not certify_rank([], 1)
+
+
+def test_modular_echelon_leads_match_the_exact_pivots():
+    # integer matrices whose minors are small: rank and RREF pivots agree mod p
+    rng = random.Random(43)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        mat = rand_matrix(rng, rows, cols)
+        echelon = ModularEchelon(cols)
+        grew = [echelon.insert(row) for row in sparse_rows(mat)]
+        _, pivots = rref(mat)
+        assert sorted(echelon.int_rows) == pivots and sum(grew) == len(pivots)
+        assert echelon.is_full() == (len(pivots) == cols)
+        for lead, row in echelon.int_rows.items():
+            assert row[lead] == 1 and min(row) == lead
+            assert all(0 < x < linalg.PRIME for x in row.values())
+
+
+def test_modular_annihilator_vanishes_on_the_rows_mod_p():
+    rng = random.Random(47)
+    p = linalg.PRIME
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(2, 7)
+        mat = sparse_rows(rand_matrix(rng, rows, cols))
+        echelon = ModularEchelon(cols)
+        for row in mat:
+            echelon.insert(row)
+        duals = echelon.annihilator()
+        assert len(duals) == cols - echelon.dim
+        for nu in duals:
+            (free,) = [q for q in nu if q not in echelon.int_rows]
+            assert nu[free] == 1
+            assert all(sum(x * nu.get(j, 0) for j, x in row.items()) % p == 0 for row in mat)
+
+
+def test_full_subspace_is_the_span_of_the_unit_vectors():
+    for n, k in ((1, 3), (2, 4), (3, 2)):
+        size = dim_graded(n, k)
+        full = full_subspace(n, k)
+        units = span_vectors(n, k, ({i: 1} for i in range(size)))
+        assert full == units and hash(full) == hash(units)
+        assert full.pivots == units.pivots == tuple(range(size))
+        assert full.rows == units.rows and full.is_full()

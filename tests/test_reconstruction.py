@@ -27,6 +27,7 @@ from milnoralg import (
     tangent_kernel_at_poly,
     zero_subspace,
 )
+from milnoralg.linalg import annihilator
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
@@ -201,7 +202,8 @@ def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
     w = random_ci_tuple(n, d, seed=3)
     e = ideal_piece(w, k)
     assert recover_generators(e, k, n, d).span == w.span
-    all_rows = list(reconstruction.colon_rows(e, d - 1, range(dim_graded(n, d - 1))))
+    duals = annihilator(e)
+    all_rows = list(reconstruction.colon_rows(duals, n, k, d - 1, range(dim_graded(n, d - 1))))
     assert 0 < len(pulled) < len(all_rows)
 
 
