@@ -27,20 +27,16 @@ duality: the quotient algebra A pairs A_{d-1} perfectly with A_{T-d+1},
 so a class killed by A_{T-d+1} is zero.
 
 That one colon is proved mod p, once per span (``_certified``, cached).
-The relay of ``ideals`` is walked mod ``linalg.PRIME`` into
-``linalg.ModularEchelon`` builders, by the same ``ideals.relay_step``:
+It reads the walk of the relay mod ``linalg.PRIME`` that also decides the
+complete-intersection test, ``ideals.socle_functional_mod_p``, cached per
+span, so a tuple whose test has already run walks nothing again:
 
-* The walk's span at each degree lies in the reduction of the integer
-  lattice I_k meet Z^N, since products of reduced rows are reductions of
-  integer products. That reduction has dimension at most dim (I_W)_k,
-  which is at most b(k) (``generic_piece_dim``). So if the walk reaches
-  b(T) at T, it is the whole reduction of the lattice, and the single
-  functional nu it leaves, found by back-substitution, vanishes on the
-  reduction of every integer vector of (I_W)_T.
-* Rank mod p is at most rank over Q, so if the walk fills S_{T+1} mod p,
-  (I_W)_{T+1} = S_{T+1} and W is a complete intersection.
-* Every integer c in C_T has c * u in the lattice for each monomial u of
-  degree T-d+1, so its reduction lies in the colon mod p,
+* Where that walk reaches b(T) at T and fills S_{T+1}, W is a complete
+  intersection, and the one functional nu it leaves at T vanishes on the
+  reduction of every integer vector of (I_W)_T (the docstring there says
+  why).
+* Every integer c in C_T has c * u in (I_W)_T meet Z^N for each monomial
+  u of degree T-d+1, so its reduction lies in the colon mod p,
   {c : nu(c * u) = 0 for all u}. The lattice C_T meet Z^M is saturated, so
   its reduction has dimension dim C_T. Every pivot entry of W's integer
   rows must be nonzero mod p; then W mod p has W's pivots and lies in the
@@ -78,16 +74,14 @@ from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
     check_size,
-    hilbert_profile,
     ideal_piece,
     is_complete_intersection,
     is_smooth,
     jacobian_gens,
-    relay_step,
     socle_degree,
+    socle_functional_mod_p,
 )
 from .linalg import (
-    ModularEchelon,
     QuotientMap,
     Subspace,
     annihilator,
@@ -97,7 +91,7 @@ from .linalg import (
     span_polys,
     span_vectors,
 )
-from .monomials import dim_graded, mono_basis
+from .monomials import mono_basis
 from .polynomials import HomogeneousPolynomial
 from .reconstruction import colon_rows, forms_with_partials_in
 
@@ -187,24 +181,13 @@ def _certified(span: Subspace) -> bool:
     exactly, so that C_k = W at every d-1 <= k <= T. False proves nothing,
     and the caller runs the exact code. Cached per span; read only.
     """
-    n, d = span.n, span.k + 1
-    top = socle_degree(n, d)
     if any(row[q] % linalg.PRIME == 0 for q, row in span.int_rows.items()):
         return False
-    profile = hilbert_profile(n, d)
-    piece = ModularEchelon(dim_graded(n, d - 1))
-    for row in span.int_rows.values():
-        piece.insert(row)
-    # below S_{T+1} every bound b(k) falls short of dim S_k, so no step returns None
-    for k in range(d, top + 1):
-        piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
-    if piece.dim != profile.b(top):
-        return False
-    fill = ModularEchelon(dim_graded(n, top + 1))
-    if relay_step(fill, piece.int_rows, n, top + 1, fill.length) is not None:
+    nu = socle_functional_mod_p(span)
+    if nu is None:
         return False
     nonpivots = QuotientMap(span).nonpivots
-    rows = colon_rows(piece.annihilator(), n, top, d - 1, nonpivots)
+    rows = colon_rows([nu], span.n, socle_degree(span.n, span.k + 1), span.k, nonpivots)
     return certify_rank(rows, len(nonpivots))
 
 

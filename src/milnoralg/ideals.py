@@ -27,7 +27,14 @@ few products instead of (n+1) dim I_T.
 
 The tuple is a complete intersection exactly when the quotient is
 Artinian: the degree-(T+1) piece fills S_{T+1}, T = (n+1)(d-2) being the
-socle degree. This colength test is exact and needs no resultant. For the
+socle degree. This colength test needs no resultant. It is decided by
+one walk of the relay mod ``linalg.PRIME``, cached per span
+(``socle_functional_mod_p``): the bound b(k) holds in every
+characteristic, as a regular sequence reaches it there too, and rank mod
+p is at most rank over Q, so a walk that fills S_{T+1} mod p proves the
+fill over Q. Where the walk falls short the exact relay to T+1 decides,
+so the answer is always exact. The walk also leaves the one functional at
+T that ``deformation`` reads its tangent certificate off. For the
 Jacobian ideal of a smooth degree-d form the codimension of the degree-k
 piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
 """
@@ -39,7 +46,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .linalg import SpanBuilder, Subspace, full_subspace, span_polys, zero_subspace
+from .linalg import ModularEchelon, SpanBuilder, Subspace, full_subspace, span_polys, zero_subspace
 from .monomials import dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial, partial
 
@@ -214,9 +221,9 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
     argument needs. Returns the builder, or None once it is full.
     """
     table = product_index_table(n, 1, k - 1)
-    leads = sorted(((tu[p], p, i) for p in below for i, tu in enumerate(table)), reverse=True)
+    leads = sorted(((tu[p], p, tu) for p in below for tu in table), reverse=True)
     todo, last = len({lead for lead, _, _ in leads}), None
-    for lead, p, i in leads:
+    for lead, p, tu in leads:
         first = lead != last
         if builder.dim + todo == bound:
             if bound == builder.length:
@@ -225,7 +232,7 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
                 continue
         if first:
             todo, last = todo - 1, lead
-        builder.insert({table[i][j]: x for j, x in below[p].items()})
+        builder.insert({tu[j]: x for j, x in below[p].items()})
     return None if builder.is_full() else builder
 
 
@@ -281,12 +288,51 @@ def partials_piece(f: HomogeneousPolynomial, k: int) -> Subspace:
     return generated_piece(span_polys([partial(f, i) for i in range(f.n + 1)], f.n, f.degree - 1), k)
 
 
+@lru_cache(maxsize=256)
+def socle_functional_mod_p(span: Subspace) -> dict | None:
+    """The functional nu at T of a walk mod p proving span a complete intersection.
+
+    The relay of an (n+1)-dimensional span of S_{d-1} walked mod
+    ``linalg.PRIME``: ``relay_step`` into ``ModularEchelon`` builders from
+    d-1 to T+1, each degree stopped at b(k). Products of reduced rows are
+    reductions of integer products, so the walk's span at k lies in the
+    reduction of the lattice (I_W)_k meet Z^N, of dimension at most
+    dim (I_W)_k <= b(k). Where the walk reaches b(T) at T it is that whole
+    reduction, and its one functional nu (a sparse {column: int mod p}
+    dict) vanishes on the reduction of every integer vector of (I_W)_T.
+    Where it then fills S_{T+1}, so does (I_W)_{T+1}, rank mod p being at
+    most rank over Q: span is a complete intersection. Returns nu then,
+    and None otherwise, which proves nothing. Cached per span and shared,
+    so read only; only nu is kept, not the rows of the walk.
+    """
+    n, d = span.n, span.k + 1
+    top = socle_degree(n, d)
+    profile = hilbert_profile(n, d)
+    piece = ModularEchelon(dim_graded(n, d - 1))
+    for row in span.int_rows.values():
+        piece.insert(row)
+    # below S_{T+1} every bound b(k) falls short of dim S_k, so no step returns None
+    for k in range(d, top + 1):
+        piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
+    if piece.dim != profile.b(top):
+        return None
+    fill = ModularEchelon(dim_graded(n, top + 1))
+    if relay_step(fill, piece.int_rows, n, top + 1, fill.length) is not None:
+        return None
+    (nu,) = piece.annihilator()
+    return nu
+
+
 def is_complete_intersection(w: GeneratorTuple) -> bool:
     """Artinian colength test: the degree-(T+1) piece fills S_{T+1}.
 
     Equivalent to the generators forming a regular sequence (nonvanishing
-    resultant); every higher degree is then full as well.
+    resultant); every higher degree is then full as well. Decided by the
+    walk mod p of ``socle_functional_mod_p`` where it proves the fill, and
+    by the exact relay to T+1 where it does not.
     """
+    if socle_functional_mod_p(w.span) is not None:
+        return True
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 
 
@@ -294,8 +340,8 @@ def is_complete_intersection(w: GeneratorTuple) -> bool:
 def is_smooth(f: HomogeneousPolynomial) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
-    Decided exactly: smoothness of a degree-d form is equivalent to its
-    partials forming a complete intersection.
+    Smoothness of a degree-d form is equivalent to its partials forming a
+    complete intersection, which ``is_complete_intersection`` decides.
     """
     try:
         w = jacobian_gens(f)

@@ -26,14 +26,15 @@ can be and compared piece by piece where it cannot.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
+    generated_piece,
     hilbert_profile,
     ideal_piece,
-    is_complete_intersection,
     socle_degree,
 )
 from .linalg import (
@@ -87,20 +88,35 @@ def associated_form(w: GeneratorTuple) -> AssociatedForm:
 
     This is the unique normalized form spanning the apolar complement of
     the degree-T ideal piece: F_alpha = nu_alpha / alpha! for the functional
-    nu vanishing on the piece. That nu is unique up to scalar is asserted,
-    a failure meaning non-complete-intersection input.
+    nu vanishing on the piece, divided by its leading coefficient. That nu
+    is unique up to scalar is asserted, a failure meaning
+    non-complete-intersection input. Computed once per span(W).
     """
-    if not is_complete_intersection(w):
+    return _associated_form(w.span)
+
+
+@lru_cache(maxsize=256)
+def _associated_form(span: Subspace) -> AssociatedForm:
+    """``associated_form`` of the tuple spanning ``span``, read off its exact relay.
+
+    The exact relay to T is built for nu anyway, so the complete-intersection
+    test is its fill at T+1, not a second walk mod p.
+    """
+    n, d = span.n, span.k + 1
+    top = socle_degree(n, d)
+    if not generated_piece(span, top + 1).is_full():
         raise PreconditionError("generator tuple is not a complete intersection")
-    top = socle_degree(w.n, w.d)
-    duals = annihilator(ideal_piece(w, top))
+    duals = annihilator(generated_piece(span, top))
     if len(duals) != 1:
         raise PreconditionError(
             f"socle complement has dimension {len(duals)}, expected a line"
         )
-    monos, weights = mono_basis(w.n, top), factorial_weights(w.n, top)
-    terms = {monos[j]: Q(x, weights[j]) for j, x in duals[0].items()}
-    return AssociatedForm(HomogeneousPolynomial(w.n, top, terms).normalized(), w.d)
+    nu = duals[0]
+    monos, weights = mono_basis(n, top), factorial_weights(n, top)
+    # mono_basis lists the term order descending, so the leading monomial is nu's first column
+    lead = min(nu)
+    terms = {monos[j]: Q(x * weights[lead], weights[j] * nu[lead]) for j, x in nu.items()}
+    return AssociatedForm(HomogeneousPolynomial(n, top, terms), d)
 
 
 def catalecticant_matrix(b: HomogeneousPolynomial, k: int) -> list:

@@ -27,12 +27,12 @@ an integer matrix that is nonzero mod p is nonzero over Q, so the rank mod
 p is at most the rank over Q. Its insert has two users. ``certify_rank``
 decides a rank claim: a caller that already knows an exact upper bound on
 the rank over Q learns the rank exactly when the rank mod p reaches that
-bound, and runs the exact code whenever it falls short. ``deformation``
-walks the relay of ``ideals`` mod p through it, to certify once per tuple
-that the tuple is a complete intersection whose colon at the socle degree
-is the tuple itself, and runs the exact code whenever that falls short.
-Modular arithmetic only ever decides a boolean; no output is computed
-mod p.
+bound, and runs the exact code whenever it falls short. ``ideals`` walks
+its relay mod p through it, once per tuple, to decide that the tuple is a
+complete intersection; ``deformation`` reads the same walk to certify
+that the tuple's colon at the socle degree is the tuple itself. Where a
+walk falls short, the exact code runs. Modular arithmetic only ever
+decides a boolean; no output is computed mod p.
 """
 
 from __future__ import annotations
@@ -112,8 +112,17 @@ class ModularEchelon:
         return len(self.int_rows) == self.length
 
     def insert(self, row: dict) -> bool:
-        """Add a sparse {column: int} row, reduced mod p first; True if the span grew."""
+        """Add a sparse {column: int} row, reduced mod p first; True if the span grew.
+
+        A row already in stored form (1 at a lead no stored row has, every
+        entry in [1, p)) is stored as it is, and may be shared: the relay
+        mod p multiplies stored rows by variables, which keeps that form.
+        """
         p, rows = PRIME, self.int_rows
+        lead = min(row, default=None)
+        if row.get(lead) == 1 and lead not in rows and 0 < min(row.values()) and max(row.values()) < p:
+            rows[lead] = row
+            return True
         v = {j: y for j, x in row.items() if (y := x % p)}
         while v:
             # entries are reduced mod p only at the lead, where it matters

@@ -11,9 +11,11 @@ for a smooth form that is not a direct sum, and the span of the summands,
 whose dimension counts them, for a direct sum.
 
 Input validation is mandatory: the maps inverted here are only defined
-on complete-intersection input, so the dimensions of E and of the colon,
-the Artinian fill of the recovered tuple at degree T+1 and the round trip
-back to E are all checked before a result is returned.
+on complete-intersection input, so the dimension of E, the colon and the
+complete-intersection test of the recovered tuple are all checked before
+a result is returned. Together they prove (I_W)_k = E with no round trip:
+the colon gives W * S_{k-d+1} in E, so (I_W)_k lies in E, and a complete
+intersection has dim (I_W)_k = b(k) = dim E.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .ideals import (
     GeneratorTuple,
     generated_piece,
     hilbert_profile,
-    ideal_piece,
     is_complete_intersection,
     is_smooth,
     jacobian_gens,
@@ -105,7 +106,10 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     evaluated on K, so K = C exactly. Valid input E = (I_W')_k has C = W'
     of dimension n+1, so it is never rejected. A colon of any other size
     is refused before a piece is grown from it; then C must be a complete
-    intersection whose degree-k piece is E. Failures raise PreconditionError.
+    intersection (``is_complete_intersection``, mod p where it can be).
+    That makes E the degree-k piece of C, with no piece grown: C * S_{k-d+1}
+    lies in E, so (I_C)_k does, and dim (I_C)_k = b(k) = dim E, checked on
+    entry. Failures raise PreconditionError.
     """
     if (e.n, e.k) != (n, k):
         raise ValueError(f"subspace lives in {(e.n, e.k)}, not {(n, k)}")
@@ -130,8 +134,6 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     w = GeneratorTuple(n, d, [HomogeneousPolynomial.from_coords(n, d - 1, r) for r in kernel.rows])
     if not is_complete_intersection(w):
         raise PreconditionError("recovered generators are not a complete intersection")
-    if ideal_piece(w, k) != e:
-        raise PreconditionError("input is not the degree-k piece of a complete-intersection ideal")
     return w
 
 

@@ -41,7 +41,7 @@ from milnoralg import (
 import milnoralg.deformation as deformation
 import milnoralg.linalg as linalg
 import milnoralg.suite as suite
-from milnoralg.ideals import _relay
+from milnoralg.ideals import _relay, socle_functional_mod_p
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
@@ -507,13 +507,21 @@ def report_text(report):
     return report.k, report.tangent_dim, report.kernel_dim, basis
 
 
+# the certificate cache and the cache of the walk mod p it reads, taken before any patch
+CERTIFICATE_CACHES = (deformation._certified, socle_functional_mod_p)
+
+
+def clear_certificates():
+    for cache in CERTIFICATE_CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_certificates(monkeypatch):
-    """Empty the certificate cache around a test that may patch the prime."""
-    certified = deformation._certified
-    certified.cache_clear()
+    """Empty the certificate caches around a test that may patch the prime."""
+    clear_certificates()
     yield monkeypatch
-    certified.cache_clear()
+    clear_certificates()
 
 
 def count_exact_colons(monkeypatch) -> list:
@@ -588,7 +596,7 @@ def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(fresh_certifi
     # f is a binary cubic with distinct roots, a direct sum of two cubes: s = 2
     assert exact == [(2, 2, 0, []), (2, 3, 1, ["x0^3 + 9*x0*x1^2"])]
     monkeypatch.setattr(linalg, "PRIME", 3)
-    deformation._certified.cache_clear()
+    clear_certificates()
     assert not deformation._certified(w.span)
     colons = count_exact_colons(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
@@ -602,15 +610,14 @@ def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(fresh_certificates):
     exact = [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)]
     assert [kernel_dim for _, _, kernel_dim, _ in exact] == [0, 0]
     monkeypatch.setattr(linalg, "PRIME", 5)
-    deformation._certified.cache_clear()
+    clear_certificates()
     walks = []
 
-    class Counting(linalg.ModularEchelon):
-        def __init__(self, length=0):
-            walks.append(length)
-            super().__init__(length)
+    def counted(span):
+        walks.append(span)
+        return socle_functional_mod_p(span)
 
-    monkeypatch.setattr(deformation, "ModularEchelon", Counting)
+    monkeypatch.setattr(deformation, "socle_functional_mod_p", counted)
     colons = count_exact_colons(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)] == exact
     assert walks == [] and colons == [2, 3]
@@ -631,7 +638,7 @@ def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(fresh_certi
     # one row per monomial u of degree T-d+1 = 3, one column per monomial of S_3 outside W
     outside = dim_graded(2, 3) - 3
     assert asked == [(dim_graded(2, 3), outside, outside)]
-    deformation._certified.cache_clear()
+    clear_certificates()
     monkeypatch.setattr(deformation, "certify_rank", lambda rows, bound: False)
     colons = count_exact_colons(monkeypatch)
     assert tangent_kernel_at_tuple(w, 4).kernel_dim == 0
@@ -662,4 +669,5 @@ def test_no_fallback_on_seeded_pools(ci_pools, nonst_pools, smooth_pools):
     spans = [w.span for pool in ci_pools.values() for w in pool]
     spans += [jacobian_gens(f).span for pools in (nonst_pools, smooth_pools) for pool in pools.values() for f in pool]
     assert len(spans) == 250
+    assert all(socle_functional_mod_p(span) is not None for span in spans)
     assert all(deformation._certified(span) for span in spans)

@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+import milnoralg.deformation as deformation
+import milnoralg.linalg as linalg
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
+    associated_form,
     check_size,
     dim_graded,
     hilbert_profile,
@@ -20,8 +23,12 @@ from milnoralg import (
     evaluate,
     fermat,
     random_smooth,
+    recover_generators,
     socle_degree,
+    st_report,
+    tangent_kernel_at_tuple,
 )
+from milnoralg.ideals import _relay, socle_functional_mod_p
 from milnoralg.polynomials import HomogeneousPolynomial
 
 
@@ -243,3 +250,71 @@ def test_is_smooth_hesse_singular():
 def test_is_smooth_rejects_low_degree():
     with pytest.raises(ValueError):
         is_smooth(parse_poly("x0", n=1))
+
+
+# -- the walk mod p and its exact fallback ---------------------------------------------
+
+# the caches that keep an answer read off a walk mod p, taken before any patch
+WALK_CACHES = (socle_functional_mod_p, is_smooth, deformation._certified)
+
+
+@pytest.fixture
+def fresh_walks(monkeypatch):
+    """Empty the caches of walks mod p around a test that may patch the prime."""
+    for cache in WALK_CACHES:
+        cache.cache_clear()
+    yield monkeypatch
+    for cache in WALK_CACHES:
+        cache.cache_clear()
+
+
+def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(fresh_walks):
+    # x0^2 + 3 x1^2, x0*x1 is a complete intersection over Q; mod 3 it is
+    # x0^2, x0*x1, with the common zero x0 = 0, so the walk mod 3 never fills
+    # S_3. f = x0^2 x1 + x1^3 has partials 2 x0 x1 and x0^2 + 3 x1^2.
+    monkeypatch = fresh_walks
+    w = GeneratorTuple(1, 3, [parse_poly("x0^2 + 3*x1^2", n=1), parse_poly("x0*x1", n=1)])
+    f = parse_poly("x0^2*x1 + x1^3", n=1)
+    assert jacobian_gens(f).span == w.span
+    e = ideal_piece(w, 2)
+    assert socle_functional_mod_p(w.span) is not None
+    assert is_complete_intersection(w) and is_smooth(f)
+    exact = recover_generators(e, 2, 1, 3)
+    assert exact.span == w.span
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    for cache in WALK_CACHES:
+        cache.cache_clear()
+    _relay.cache_clear()
+    assert socle_functional_mod_p(w.span) is None
+    assert is_complete_intersection(w)
+    assert _relay.cache_info().misses == 2  # the exact relay at d-1 = 2 and T+1 = 3 decided it
+    assert is_smooth(f)
+    back = recover_generators(e, 2, 1, 3)
+    assert back == exact and back.span == w.span
+
+
+def test_ci_walk_returns_the_functional_at_the_socle_degree():
+    w = jacobian_gens(random_smooth(2, 4, seed=11))
+    nu = socle_functional_mod_p(w.span)
+    top = socle_degree(2, 4)
+    # it vanishes mod p on every integer row of the exact piece at T
+    rows = ideal_piece(w, top).int_rows.values()
+    assert all(sum(x * nu.get(j, 0) for j, x in row.items()) % linalg.PRIME == 0 for row in rows)
+    assert nu and set(nu) <= set(range(dim_graded(2, top)))
+
+
+def test_non_ci_input_keeps_its_refusals():
+    bad = monomial_tuple("x0^2", "x0*x1", "x0*x2")
+    assert socle_functional_mod_p(bad.span) is None
+    assert not is_complete_intersection(bad)
+    with pytest.raises(PreconditionError, match="^generator tuple is not a complete intersection$"):
+        associated_form(bad)
+    with pytest.raises(PreconditionError, match="^generator tuple is not a complete intersection$"):
+        tangent_kernel_at_tuple(bad, 2)
+    with pytest.raises(PreconditionError, match="^recovered generators are not a complete intersection$"):
+        recover_generators(ideal_piece(bad, 2), 2, 2, 3)
+    hesse = parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")
+    assert socle_functional_mod_p(jacobian_gens(hesse).span) is None
+    assert not is_smooth(hesse)
+    with pytest.raises(PreconditionError, match="^form is not smooth$"):
+        st_report(hesse)

@@ -637,6 +637,23 @@ def test_modular_echelon_leads_match_the_exact_pivots():
             assert all(0 < x < linalg.PRIME for x in row.values())
 
 
+def test_modular_echelon_stores_a_row_in_stored_form_as_it_is():
+    p = linalg.PRIME
+    stored = {1: 1, 2: p - 1}
+    echelon = ModularEchelon(4)
+    assert echelon.insert({2: 3, 3: 5}) and echelon.insert(stored)
+    assert echelon.int_rows[1] is stored
+    # entries outside [1, p), a lead entry other than 1, or a lead already taken:
+    # reduced into a fresh row in stored form
+    for row in ({0: 1, 3: p + 2}, {0: 3, 2: 1}, {0: 1, 1: -1}, {1: 1, 3: 1}):
+        other = ModularEchelon(4)
+        assert other.insert({2: 3, 3: 5}) and other.insert(dict(stored))
+        assert other.insert(row)
+        assert all(kept is not row for kept in other.int_rows.values())
+        for lead, kept in other.int_rows.items():
+            assert kept[lead] == 1 and min(kept) == lead and all(0 < x < p for x in kept.values())
+
+
 def test_modular_annihilator_vanishes_on_the_rows_mod_p():
     rng = random.Random(47)
     p = linalg.PRIME

@@ -179,8 +179,25 @@ def test_recovery_builds_each_relay_degree_once():
         _relay.cache_clear()
         for k in range(d - 1, top + 1):
             assert recover_generators(ideal_piece(w, k), k, n, d).span == w.span
-        # degrees d-1..T+1 of W, the last one full; no other span is grown
-        assert _relay.cache_info().misses == top + 1 - (d - 1) + 1
+        # degrees d-1..T of W, grown by ideal_piece; recovery grows none, not even T+1
+        assert _relay.cache_info().misses == top - (d - 1) + 1
+
+
+def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
+    from milnoralg.ideals import _relay, socle_functional_mod_p
+
+    for n, d in [(2, 4), (3, 3), (2, 5)]:
+        f = random_smooth(n, d, seed=31 * n + d, require_non_st=True)
+        pieces = {k: jacobian_piece(f, k) for k in range(d - 1, socle_degree(n, d) + 1)}
+        for cache in (_relay, socle_functional_mod_p, is_smooth):
+            cache.cache_clear()
+        assert is_smooth(f)
+        for k, e in pieces.items():
+            result = reconstruct_poly(e, k, n, d)
+            assert result.s == 1 and result.basis[0] == f.normalized()
+        # one walk mod p, shared by the smoothness test and every recovery
+        assert _relay.cache_info().misses == 0
+        assert socle_functional_mod_p.cache_info().misses == 1
 
 
 def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
