@@ -45,8 +45,8 @@ span, so a tuple whose test has already run walks nothing again:
   mod p is W mod p. Hence dim C_T <= n+1, and C_T = W.
 
 When the certificate holds, the tuple kernel is empty and the form
-kernel is the cached fiber modulo f, with no exact piece and no exact
-colon. When it falls short (a pivot entry divisible by p, a walk short of
+kernel is the fiber modulo f, with no exact piece and no exact colon.
+When it falls short (a pivot entry divisible by p, a walk short of
 b(T) or of S_{T+1}, or colon rows short of full rank mod p), the exact
 code runs: the complete-intersection or smoothness test decides the
 precondition, and C_k is computed from the exact piece by the
@@ -60,7 +60,12 @@ Jacobian tuple by the partials of h, so the kernel there is
 is the fiber of ``reconstruction.fiber`` modulo the line through f,
 which the fiber always contains (Euler identity): the kernel vanishes at
 a smooth non-direct-sum form and has dimension exactly s - 1 at a direct
-sum with s summands.
+sum with s summands. Whether it vanishes is decided once per span by
+``reconstruction.fiber_is_line``, a rank certificate mod p with the
+exact fiber as its fallback. When both certificates hold, the report is
+the zero kernel at every k, and neither the fiber nor the quotient by f
+is built; otherwise the kernel is read off the exact fiber, cached per
+span, modulo f.
 """
 
 from __future__ import annotations
@@ -91,9 +96,9 @@ from .linalg import (
     span_polys,
     span_vectors,
 )
-from .monomials import mono_basis
+from .monomials import dim_graded, mono_basis
 from .polynomials import HomogeneousPolynomial
-from .reconstruction import colon_rows, forms_with_partials_in
+from .reconstruction import colon_rows, fiber_is_line, forms_with_partials_in
 
 
 class TupleTangentVector:
@@ -255,7 +260,8 @@ def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     the colon piece} modulo f: zero for a smooth non-direct-sum f, and of
     dimension s - 1 for a direct sum with s summands. Where ``_certified``
     proves the Jacobian tuple a complete intersection with colon W, f is
-    smooth and the kernel is the cached fiber modulo f.
+    smooth and the kernel is the fiber modulo f: zero where
+    ``fiber_is_line`` holds, and otherwise the cached exact fiber modulo f.
     """
     n, d = f.n, f.degree
     _check_degree(n, d, k)
@@ -266,6 +272,8 @@ def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     certified = w is not None and _certified(w.span)
     if not certified and not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
+    if certified and fiber_is_line(w.span):
+        return KernelReport(k, dim_graded(n, d) - 1, 0, ())
 
     fq = QuotientMap(span_polys([f]))
     preimage = forms_with_partials_in(w.span if certified else colon_piece(w, k))

@@ -75,13 +75,28 @@ def factorial_weights(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def product_index_table(n: int, ka: int, kb: int) -> tuple:
-    """table[i][j] = basis position in S_{ka+kb} of basis_ka[i] * basis_kb[j]."""
-    target = mono_index(n, ka + kb)
-    basis_b = mono_basis(n, kb)
-    return tuple(
-        tuple(target[tuple(x + y for x, y in zip(a, b))] for b in basis_b)
-        for a in mono_basis(n, ka)
-    )
+    """table[i][j] = basis position in S_{ka+kb} of basis_ka[i] * basis_kb[j].
+
+    Built block by block, with no monomial formed: grlex lists S_k by the
+    exponent e0 of x0, largest first, and within each e0 by the order of
+    the remaining n variables in degree k - e0. So the product of a block
+    a0 of S_ka and a block b0 of S_kb lands in the block e0 = a0 + b0 of
+    S_{ka+kb}, which starts after the C(n + ka + kb - e0 - 1, n) monomials
+    of larger e0, at the place the table of n-1 variables at
+    (ka - a0, kb - b0) gives. Those tables are cached and shared, and the
+    recursion is n+1 calls deep, as in ``mono_basis``.
+    """
+    if n == 0:
+        return ((0,),)
+    rows = []
+    for a0 in range(ka, -1, -1):
+        blocks = [
+            (math.comb(n + ka + kb - a0 - b0 - 1, n), product_index_table(n - 1, ka - a0, kb - b0))
+            for b0 in range(kb, -1, -1)
+        ]
+        for i in range(dim_graded(n - 1, ka - a0)):
+            rows.append(tuple(start + t for start, sub in blocks for t in sub[i]))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

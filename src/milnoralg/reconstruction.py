@@ -8,7 +8,9 @@ A_{d-1} perfectly with A_{T-d+1} = A_{T-k} * A_{k-d+1}. So W comes from
 one small linear system, with no lift of E to higher degrees. The fiber
 step solves {g in S_d : all partials of g lie in W}: the line through f
 for a smooth form that is not a direct sum, and the span of the summands,
-whose dimension counts them, for a direct sum.
+whose dimension counts them, for a direct sum. Where only that count
+matters, whether it is 1, ``fiber_is_line`` decides it by a rank mod p
+and solves the fiber exactly only where that rank falls short.
 
 Input validation is mandatory: the maps inverted here are only defined
 on complete-intersection input, so the dimension of E, the colon and the
@@ -35,7 +37,15 @@ from .ideals import (
     partials_piece,
     socle_degree,
 )
-from .linalg import Subspace, annihilator, contains, kernel_builder, nullspace, span_vectors
+from .linalg import (
+    Subspace,
+    annihilator,
+    certify_rank,
+    contains,
+    kernel_builder,
+    nullspace,
+    span_vectors,
+)
 from .monomials import derivative_table, dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial
 
@@ -137,23 +147,55 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     return w
 
 
+def partials_rows(e: Subspace):
+    """Integer rows of the fiber system over E in S_k, on S_{k+1}, lazily.
+
+    One row per variable x_i and functional nu of ``annihilator(E)``, with
+    entry nu(d g / d x_i) at each monomial g of S_{k+1}: the kernel is
+    {g in S_{k+1} : all partials of g lie in E}.
+    """
+    duals = annihilator(e)
+    for di in derivative_table(e.n, e.k + 1):
+        hits = [(s, *hit) for s, hit in enumerate(di) if hit]
+        for nu in duals:
+            yield {s: f * nu[t] for s, t, f in hits if t in nu}
+
+
 @lru_cache(maxsize=256)
 def forms_with_partials_in(e: Subspace) -> tuple:
     """Canonical basis of {g in S_{k+1} : all partials of g lie in E}, E in S_k.
 
-    Solved as one exact linear system: every functional of
-    ``annihilator(E)`` must vanish on every partial of g. Cached on E, so
-    the tangent kernels and reconstructions at every k over one W, which
-    all ask for the same E = span(W), solve it once.
+    Solved as one exact linear system, the kernel of ``partials_rows``.
+    Cached on E, so the reconstructions and direct-sum tangent kernels at
+    every k over one W, which all ask for the same E = span(W), solve it
+    once.
     """
     n, d = e.n, e.k + 1
-    duals = annihilator(e)
-    rows = []
-    for di in derivative_table(n, d):
-        hits = [(s, *hit) for s, hit in enumerate(di) if hit]
-        rows.extend({s: f * nu[t] for s, t, f in hits if t in nu} for nu in duals)
-    solutions = nullspace(rows, dim_graded(n, d))
+    solutions = nullspace(partials_rows(e), dim_graded(n, d))
     return tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
+
+
+@lru_cache(maxsize=256)
+def fiber_is_line(e: Subspace) -> bool:
+    """Whether {g in S_{k+1} : all partials of g lie in E} has dimension at most 1.
+
+    Meant for E the Jacobian span of a form f, whose fiber contains f
+    (Euler identity: (k+1) * f = sum_i x_i * df/dx_i): there the rows of
+    ``partials_rows`` have rank at most dim S_{k+1} - 1 over Q, so a rank
+    mod p that reaches it (``linalg.certify_rank``) proves the fiber is
+    the line of f, with no exact elimination. Where the rank mod p falls
+    short, the exact fiber of ``forms_with_partials_in`` decides. Cached
+    on E; only the boolean is decided mod p.
+    """
+    width = dim_graded(e.n, e.k + 1)
+    # columns last to first: the row of x_i and the functional of a nonpivot q
+    # of E has entries at q * x_i and at p * x_i for the pivots p of E, which
+    # come first in grlex (for a generic E, the first monomials). So each row
+    # leads with q * x_i, and a clash leaves a row on the few columns p * x_i
+    rows = ({width - 1 - s: x for s, x in row.items()} for row in partials_rows(e))
+    if certify_rank(rows, width - 1):
+        return True
+    return len(forms_with_partials_in(e)) <= 1
 
 
 def fiber(w: GeneratorTuple, d: int) -> FiberResult:
@@ -182,7 +224,7 @@ def _reference_fault(f: HomogeneousPolynomial) -> Optional[str]:
     """Why f cannot be a containment reference, or None; checked once per f."""
     if not is_smooth(f):
         return "reference polynomial is not smooth"
-    if fiber(jacobian_gens(f), f.degree).s != 1:
+    if not fiber_is_line(jacobian_gens(f).span):
         return "reference polynomial is a direct sum"
     return None
 

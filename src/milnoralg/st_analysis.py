@@ -6,7 +6,11 @@ variables. For a smooth form the finest such splitting is unique, and the
 space {g : all partials of g lie in span of the partials of f} is spanned
 by the summands, so its dimension equals the summand count s. Detection
 here is exactly that fiber-dimension test; the coordinate change and the
-individual summands are never computed.
+individual summands are never computed. ``st_report`` solves the fiber
+exactly, as it reports its basis. The sampler only asks whether s = 1,
+which ``reconstruction.fiber_is_line`` decides by a rank certificate mod
+p, solving the fiber exactly only where the certificate falls short; it
+draws the same forms either way.
 
 This module also generates the seeded random instances (smooth forms,
 smooth non-direct-sum forms, complete-intersection tuples) used by the
@@ -24,7 +28,7 @@ from .errors import PreconditionError
 from .ideals import GeneratorTuple, check_size, is_complete_intersection, is_smooth, jacobian_gens
 from .monomials import mono_basis
 from .polynomials import HomogeneousPolynomial, fermat
-from .reconstruction import FiberResult, fiber
+from .reconstruction import FiberResult, fiber, fiber_is_line
 
 
 class STReport(NamedTuple):
@@ -124,7 +128,7 @@ def random_smooth(
             continue
         if not is_complete_intersection(w):
             continue
-        if require_non_st and fiber(w, d).s != 1:
+        if require_non_st and not fiber_is_line(w.span):
             continue
         return candidate
     raise PreconditionError(

@@ -1,9 +1,45 @@
 import pytest
 
+import milnoralg.deformation as deformation
+import milnoralg.ideals as ideals
+import milnoralg.linalg as linalg
+import milnoralg.reconstruction as reconstruction
 from milnoralg import random_ci_tuple, random_smooth
 
 # The sizes every pool-based check runs over.
 PAIRS = [(1, 4), (2, 3), (2, 4), (2, 5), (3, 3)]
+
+# Every cache whose value is read off arithmetic mod linalg.PRIME. Each is
+# keyed on its input alone, so a test that patches the prime must empty them,
+# or it reads an answer found at the old prime, and no fallback runs.
+PRIME_CACHES = (
+    ideals.socle_functional_mod_p,
+    ideals.is_smooth,
+    deformation._certified,
+    reconstruction.fiber_is_line,
+)
+
+
+def clear_prime_caches():
+    for cache in PRIME_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def patched_prime(monkeypatch):
+    """``patched_prime(p)`` sets ``linalg.PRIME`` to p for this test, with fresh caches.
+
+    The caches of ``PRIME_CACHES`` are emptied at each call and when the
+    test ends, so no answer found at one prime is read at another.
+    """
+
+    def patch(p: int):
+        monkeypatch.setattr(linalg, "PRIME", p)
+        clear_prime_caches()
+
+    clear_prime_caches()
+    yield patch
+    clear_prime_caches()
 
 
 @pytest.fixture(scope="session")

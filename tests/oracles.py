@@ -1,6 +1,7 @@
 """Independent oracle implementations used to cross-check the library.
 
-Everything here except ``direct_product_piece``,
+Everything here except ``product_index_table_by_lookup``,
+``direct_product_piece``,
 ``recover_generators_by_lift``, ``verify_inverse_system_by_pieces``,
 the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
@@ -42,8 +43,22 @@ from milnoralg import (
 )
 from milnoralg.deformation import TupleTangentVector, _check_tuple_pre
 from milnoralg.linalg import QuotientMap, SpanBuilder
-from milnoralg.monomials import mono_index, product_index_table
+from milnoralg.monomials import mono_basis, mono_index, product_index_table
 from milnoralg.rationals import Q, ZERO
+
+
+def product_index_table_by_lookup(n: int, ka: int, kb: int) -> tuple:
+    """table[i][j] = basis position in S_{ka+kb} of basis_ka[i] * basis_kb[j].
+
+    The library's former route: every product formed as an exponent tuple
+    and looked up in ``mono_index``.
+    """
+    target = mono_index(n, ka + kb)
+    basis_b = mono_basis(n, kb)
+    return tuple(
+        tuple(target[tuple(x + y for x, y in zip(a, b))] for b in basis_b)
+        for a in mono_basis(n, ka)
+    )
 
 
 def enum_monomials(nvars: int, k: int):

@@ -40,11 +40,13 @@ from milnoralg import (
 )
 import milnoralg.deformation as deformation
 import milnoralg.linalg as linalg
+import milnoralg.reconstruction as reconstruction
 import milnoralg.suite as suite
 from milnoralg.ideals import _relay, socle_functional_mod_p
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
+from conftest import clear_prime_caches
 from oracles import membership_solutions, multiplication_matrix, tangent_image
 
 SQUARES = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x1^2", "x2^2")])
@@ -266,7 +268,7 @@ def count_exact_ranks(monkeypatch) -> list:
     return built
 
 
-def test_koszul_check_falls_back_to_the_exact_rank(monkeypatch):
+def test_koszul_check_falls_back_to_the_exact_rank(monkeypatch, patched_prime):
     # every entry of the Koszul vectors of (2 x0^2, 2 x1^2, 2 x2^2) is even,
     # so their rank mod 2 is 0 against 3 * dim S_2 - dim (I_W)_4 = 3
     w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("2*x0^2", "2*x1^2", "2*x2^2")])
@@ -274,7 +276,7 @@ def test_koszul_check_falls_back_to_the_exact_rank(monkeypatch):
     built = count_exact_ranks(monkeypatch)
     assert koszul_check(w, 4, parts) == 3
     assert built == []
-    monkeypatch.setattr(linalg, "PRIME", 2)
+    patched_prime(2)
     assert koszul_check(w, 4, parts) == 3
     assert built == [3 * 6]
 
@@ -507,23 +509,6 @@ def report_text(report):
     return report.k, report.tangent_dim, report.kernel_dim, basis
 
 
-# the certificate cache and the cache of the walk mod p it reads, taken before any patch
-CERTIFICATE_CACHES = (deformation._certified, socle_functional_mod_p)
-
-
-def clear_certificates():
-    for cache in CERTIFICATE_CACHES:
-        cache.cache_clear()
-
-
-@pytest.fixture
-def fresh_certificates(monkeypatch):
-    """Empty the certificate caches around a test that may patch the prime."""
-    clear_certificates()
-    yield monkeypatch
-    clear_certificates()
-
-
 def count_exact_colons(monkeypatch) -> list:
     """Record every exact colon elimination, the fallback of both kernels."""
     calls = []
@@ -560,8 +545,8 @@ PARITY_IDS = [*(f"seeded{size}" for size in PARITY_SIZES), "fermat(2,4)", "squar
 
 
 @pytest.mark.parametrize("w,f", PARITY_INPUTS, ids=PARITY_IDS)
-def test_certified_kernels_match_the_exact_path_at_every_k(w, f, fresh_certificates):
-    monkeypatch = fresh_certificates
+def test_certified_kernels_match_the_exact_path_at_every_k(w, f, monkeypatch):
+    clear_prime_caches()
     spans = [x.span for x in (w, f and jacobian_gens(f)) if x is not None]
     assert all(deformation._certified(span) for span in spans)
     exact_colons = count_exact_colons(monkeypatch)
@@ -574,7 +559,8 @@ def test_certified_kernels_match_the_exact_path_at_every_k(w, f, fresh_certifica
         assert {kernel_dim for _, _, kernel_dim, _ in certified} == {2}
 
 
-def test_certified_kernels_grow_no_exact_piece(fresh_certificates):
+def test_certified_kernels_grow_no_exact_piece():
+    clear_prime_caches()
     w, f = random_ci_tuple(2, 5, seed=5), random_smooth(2, 5, seed=6, require_non_st=True)
     jacobian_gens(f)
     _relay.cache_clear()
@@ -584,33 +570,29 @@ def test_certified_kernels_grow_no_exact_piece(fresh_certificates):
     assert _relay.cache_info().misses == 0
 
 
-def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(fresh_certificates):
+def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(monkeypatch, patched_prime):
     # x0^2 + 3 x1^2, x0*x1 is a complete intersection over Q; mod 3 it is
     # x0^2, x0*x1, with the common zero x0 = 0, so the walk mod 3 never fills
     # S_3. f = x0^2 x1 + x1^3 has partials 2 x0 x1 and x0^2 + 3 x1^2.
-    monkeypatch = fresh_certificates
     w = GeneratorTuple(1, 3, [parse_poly("x0^2 + 3*x1^2", n=1), parse_poly("x0*x1", n=1)])
     f = parse_poly("x0^2*x1 + x1^3", n=1)
     assert jacobian_gens(f).span == w.span
     exact = [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))]
     # f is a binary cubic with distinct roots, a direct sum of two cubes: s = 2
     assert exact == [(2, 2, 0, []), (2, 3, 1, ["x0^3 + 9*x0*x1^2"])]
-    monkeypatch.setattr(linalg, "PRIME", 3)
-    clear_certificates()
+    patched_prime(3)
     assert not deformation._certified(w.span)
     colons = count_exact_colons(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
     assert colons == [2, 2]
 
 
-def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(fresh_certificates):
+def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(monkeypatch, patched_prime):
     # the integer row of 5 x0^2 + x1*x2 has pivot entry 5: refused mod 5 before any walk
-    monkeypatch = fresh_certificates
     w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("5*x0^2 + x1*x2", "x1^2", "x2^2")])
     exact = [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)]
     assert [kernel_dim for _, _, kernel_dim, _ in exact] == [0, 0]
-    monkeypatch.setattr(linalg, "PRIME", 5)
-    clear_certificates()
+    patched_prime(5)
     walks = []
 
     def counted(span):
@@ -623,8 +605,8 @@ def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(fresh_certificates):
     assert walks == [] and colons == [2, 3]
 
 
-def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(fresh_certificates):
-    monkeypatch = fresh_certificates
+def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(monkeypatch):
+    clear_prime_caches()
     real, asked = deformation.certify_rank, []
 
     def recording(rows, bound):
@@ -638,14 +620,14 @@ def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(fresh_certi
     # one row per monomial u of degree T-d+1 = 3, one column per monomial of S_3 outside W
     outside = dim_graded(2, 3) - 3
     assert asked == [(dim_graded(2, 3), outside, outside)]
-    clear_certificates()
+    clear_prime_caches()
     monkeypatch.setattr(deformation, "certify_rank", lambda rows, bound: False)
     colons = count_exact_colons(monkeypatch)
     assert tangent_kernel_at_tuple(w, 4).kernel_dim == 0
     assert colons == [4]
 
 
-def test_certificate_keeps_the_refusals(fresh_certificates):
+def test_certificate_keeps_the_refusals():
     with pytest.raises(ValueError, match="need d-1 <= k <= 3"):
         tangent_kernel_at_tuple(SQUARES, 1)
     bad = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
@@ -671,3 +653,68 @@ def test_no_fallback_on_seeded_pools(ci_pools, nonst_pools, smooth_pools):
     assert len(spans) == 250
     assert all(socle_functional_mod_p(span) is not None for span in spans)
     assert all(deformation._certified(span) for span in spans)
+
+
+# -- the fiber certificate mod p and its exact fallback --------------------------------
+
+
+def fresh_fibers():
+    """Empty the fiber caches, so that exact fiber solves are counted from zero."""
+    clear_prime_caches()
+    reconstruction.forms_with_partials_in.cache_clear()
+
+
+def exact_fiber_solves() -> int:
+    return reconstruction.forms_with_partials_in.cache_info().misses
+
+
+FIBER_PARITY_INPUTS = [
+    *(random_smooth(n, d, seed=421 + n + d, require_non_st=True) for n, d in PARITY_SIZES),
+    fermat(2, 4),
+]
+FIBER_PARITY_IDS = [*(f"non-direct-sum{size}" for size in PARITY_SIZES), "fermat(2,4)"]
+
+
+@pytest.mark.parametrize("f", FIBER_PARITY_INPUTS, ids=FIBER_PARITY_IDS)
+def test_fiber_certificate_matches_the_exact_fiber_at_every_k(f, monkeypatch):
+    s = fiber(jacobian_gens(f), f.degree).s
+    fresh_fibers()
+    certified = [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(f.n, f.degree)]
+    # a non-direct sum needs no exact fiber; at a direct sum the certificate
+    # falls short and the exact fiber runs, once for every k
+    assert exact_fiber_solves() == (0 if s == 1 else 1)
+    monkeypatch.setattr(deformation, "fiber_is_line", lambda span: False)
+    assert [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(f.n, f.degree)] == certified
+    assert exact_fiber_solves() == 1
+    assert {kernel_dim for _, _, kernel_dim, _ in certified} == {s - 1}
+
+
+def test_fiber_certificate_falls_back_to_the_exact_fiber_mod_2(patched_prime):
+    f = random_smooth(2, 4, seed=1, require_non_st=True)
+    span = jacobian_gens(f).span
+    certified = [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(2, 4)]
+    fresh_fibers()
+    assert reconstruction.fiber_is_line(span) and exact_fiber_solves() == 0
+    # mod 2 the rows of this fiber system fall short of rank dim S_4 - 1
+    patched_prime(2)
+    fresh_fibers()
+    assert reconstruction.fiber_is_line(span) and exact_fiber_solves() == 1
+    assert [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(2, 4)] == certified
+    assert exact_fiber_solves() == 1
+
+
+def test_fiber_fallback_where_only_the_tuple_certificate_holds(monkeypatch):
+    f = random_smooth(2, 4, seed=1, require_non_st=True)
+    certified = [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(2, 4)]
+    monkeypatch.setattr(reconstruction, "certify_rank", lambda rows, bound: False)
+    fresh_fibers()
+    assert [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(2, 4)] == certified
+    assert deformation._certified(jacobian_gens(f).span) and exact_fiber_solves() == 1
+
+
+def test_fiber_certificate_needs_no_fallback_on_seeded_pools(nonst_pools):
+    spans = [jacobian_gens(f).span for pool in nonst_pools.values() for f in pool]
+    assert len(spans) == 100
+    fresh_fibers()
+    assert all(reconstruction.fiber_is_line(span) for span in spans)
+    assert exact_fiber_solves() == 0

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-import milnoralg.deformation as deformation
 import milnoralg.linalg as linalg
 from milnoralg import (
     GeneratorTuple,
@@ -254,25 +253,11 @@ def test_is_smooth_rejects_low_degree():
 
 # -- the walk mod p and its exact fallback ---------------------------------------------
 
-# the caches that keep an answer read off a walk mod p, taken before any patch
-WALK_CACHES = (socle_functional_mod_p, is_smooth, deformation._certified)
 
-
-@pytest.fixture
-def fresh_walks(monkeypatch):
-    """Empty the caches of walks mod p around a test that may patch the prime."""
-    for cache in WALK_CACHES:
-        cache.cache_clear()
-    yield monkeypatch
-    for cache in WALK_CACHES:
-        cache.cache_clear()
-
-
-def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(fresh_walks):
+def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(patched_prime):
     # x0^2 + 3 x1^2, x0*x1 is a complete intersection over Q; mod 3 it is
     # x0^2, x0*x1, with the common zero x0 = 0, so the walk mod 3 never fills
     # S_3. f = x0^2 x1 + x1^3 has partials 2 x0 x1 and x0^2 + 3 x1^2.
-    monkeypatch = fresh_walks
     w = GeneratorTuple(1, 3, [parse_poly("x0^2 + 3*x1^2", n=1), parse_poly("x0*x1", n=1)])
     f = parse_poly("x0^2*x1 + x1^3", n=1)
     assert jacobian_gens(f).span == w.span
@@ -281,9 +266,7 @@ def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(fresh_
     assert is_complete_intersection(w) and is_smooth(f)
     exact = recover_generators(e, 2, 1, 3)
     assert exact.span == w.span
-    monkeypatch.setattr(linalg, "PRIME", 3)
-    for cache in WALK_CACHES:
-        cache.cache_clear()
+    patched_prime(3)
     _relay.cache_clear()
     assert socle_functional_mod_p(w.span) is None
     assert is_complete_intersection(w)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 import milnoralg.inverse_systems as inverse_systems
-import milnoralg.linalg as linalg
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
@@ -246,7 +245,7 @@ def count_apolar_pieces(monkeypatch) -> list:
     return calls
 
 
-def test_verify_inverse_system_falls_back_to_exact_pieces(monkeypatch):
+def test_verify_inverse_system_falls_back_to_exact_pieces(monkeypatch, patched_prime):
     # F = x0^2 x1^2 has the one weighted coefficient 2! 2! = 4, which vanishes
     # mod 2, so every catalecticant rank drops to 0 there
     w = tuple_of("x0^3", "x1^3")
@@ -254,7 +253,7 @@ def test_verify_inverse_system_falls_back_to_exact_pieces(monkeypatch):
     calls = count_apolar_pieces(monkeypatch)
     assert verify_inverse_system(w)
     assert calls == []
-    monkeypatch.setattr(linalg, "PRIME", 2)
+    patched_prime(2)
     assert verify_inverse_system(w)
     assert sorted(calls) == [1, 2, 2, 3]  # k and T - k for k = 1, 2, T = 4
 

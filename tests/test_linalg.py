@@ -602,8 +602,8 @@ def test_certify_rank_reduces_large_entries():
     assert certify_rank([{0: 2**200 + 1, 1: 3}, {0: 2**200, 1: 3}], 2)
 
 
-def test_certify_rank_falls_short_where_the_prime_divides_a_minor(monkeypatch):
-    monkeypatch.setattr(linalg, "PRIME", 3)
+def test_certify_rank_falls_short_where_the_prime_divides_a_minor(patched_prime):
+    patched_prime(3)
     rows = sparse_rows([[1, 2], [2, 1]])  # determinant -3
     assert certify_rank(rows, 1)
     assert not certify_rank(rows, 2)

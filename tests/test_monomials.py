@@ -1,9 +1,10 @@
 import math
 
+import milnoralg.monomials as monomials
 from milnoralg import dim_graded, factorial_weights, grlex_key, mono_basis, mono_index
 from milnoralg.monomials import derivative_table, product_index_table
 
-from oracles import enum_monomials
+from oracles import enum_monomials, product_index_table_by_lookup
 
 
 def test_basis_examples():
@@ -45,6 +46,35 @@ def test_product_table_is_exponent_addition():
         for j, b in enumerate(b_basis):
             summed = tuple(x + y for x, y in zip(a, b))
             assert table[i][j] == target[summed]
+
+
+def test_product_table_by_blocks_equals_the_lookup_table():
+    for n in range(5):
+        for ka in range(7):
+            for kb in range(7):
+                table = product_index_table(n, ka, kb)
+                assert repr(table) == repr(product_index_table_by_lookup(n, ka, kb))
+
+
+def test_product_table_recursion_is_n_plus_one_calls_deep(monkeypatch):
+    # mono_basis nests one generator per variable, n+1 in all; the block
+    # recursion must go no deeper
+    real, depth, deepest = monomials.product_index_table, [0], [0]
+
+    def counted(n, ka, kb):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return real(n, ka, kb)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(monomials, "product_index_table", counted)
+    for n in range(6):
+        real.cache_clear()
+        deepest[0] = 0
+        counted(n, 3, 2)
+        assert deepest[0] == n + 1
 
 
 def test_derivative_table_matches_calculus():

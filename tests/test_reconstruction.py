@@ -336,15 +336,19 @@ def test_reconstruct_poly_edge_degree_matches_other_degrees():
     ids=["non-direct-sum", "fermat"],
 )
 def test_tangent_kernels_at_every_k_solve_the_fiber_system_once(f):
-    from milnoralg.reconstruction import forms_with_partials_in
+    from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
 
     n, d = f.n, f.degree
     degrees = range(d - 1, socle_degree(n, d) + 1)
+    s = fiber(jacobian_gens(f), d).s
     forms_with_partials_in.cache_clear()
+    fiber_is_line.cache_clear()
     kernels = {tangent_kernel_at_poly(f, k).kernel_dim for k in degrees}
-    assert kernels == {fiber(jacobian_gens(f), d).s - 1}
+    assert kernels == {s - 1}
     info = forms_with_partials_in.cache_info()
-    assert (info.misses, info.hits) == (1, len(degrees))
+    # the certificate mod p proves the fiber of a non-direct sum is the line of
+    # f with no exact solve; a direct sum solves it once, for every k
+    assert (info.misses, info.hits) == ((0, 0) if s == 1 else (1, len(degrees)))
 
 
 def test_reconstructions_at_every_k_solve_the_fiber_system_once():
@@ -428,14 +432,14 @@ def test_containment_rejects_singular_reference():
 def test_containment_checks_each_reference_once(monkeypatch):
     import milnoralg.reconstruction as reconstruction
 
-    real_fiber = reconstruction.fiber
+    real_test = reconstruction.fiber_is_line
     calls = []
 
-    def counted_fiber(w, d):
-        calls.append(w)
-        return real_fiber(w, d)
+    def counted_test(span):
+        calls.append(span)
+        return real_test(span)
 
-    monkeypatch.setattr(reconstruction, "fiber", counted_fiber)
+    monkeypatch.setattr(reconstruction, "fiber_is_line", counted_test)
     reconstruction._reference_fault.cache_clear()
     refs = [random_smooth(2, 3, seed=s, require_non_st=True) for s in (71, 73)]
     others = [random_smooth(2, 3, seed=s) for s in range(80, 86)]
@@ -444,3 +448,36 @@ def test_containment_checks_each_reference_once(monkeypatch):
             for k in (2, 3):
                 containment_implies_equal(h, f, k)
     assert len(calls) == len(refs)
+
+
+def exact_reference_fault(f):
+    """The reference check decided by the exact fiber alone."""
+    if not is_smooth(f):
+        return "reference polynomial is not smooth"
+    if fiber(jacobian_gens(f), f.degree).s != 1:
+        return "reference polynomial is a direct sum"
+    return None
+
+
+def test_reference_fault_matches_the_exact_fiber(smooth_pools):
+    import milnoralg.reconstruction as reconstruction
+
+    forms = [f for pool in smooth_pools.values() for f in pool[:4]]
+    forms += [fermat(2, 3), fermat(2, 4), fermat(3, 3), parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")]
+    forms += [parse_poly("x0^4 + x1^4 + x2^4 + x1^2*x2^2"), parse_poly("x0^3 + x1^3", n=2)]
+    reconstruction._reference_fault.cache_clear()
+    verdicts = [reconstruction._reference_fault(f) for f in forms]
+    assert verdicts == [exact_reference_fault(f) for f in forms]
+    assert {None, "reference polynomial is a direct sum", "reference polynomial is not smooth"} == set(verdicts)
+
+
+def test_non_direct_sum_sampler_draws_what_the_exact_fiber_draws(monkeypatch):
+    import milnoralg.st_analysis as st_analysis
+    from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
+
+    draws = [(n, d, seed) for n, d in PAIRS for seed in range(4)]
+    fiber_is_line.cache_clear()
+    certified = [random_smooth(n, d, seed, require_non_st=True) for n, d, seed in draws]
+    monkeypatch.setattr(st_analysis, "fiber_is_line", lambda span: len(forms_with_partials_in(span)) == 1)
+    assert [random_smooth(n, d, seed, require_non_st=True) for n, d, seed in draws] == certified
+
