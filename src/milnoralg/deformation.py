@@ -19,62 +19,35 @@ when every h_i lies in the colon piece
     C_k = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
 
 and the kernel at a tuple is n+1 copies of C_k / W (``colon_piece``).
-C_k always contains W, and the colons grow with k for every ideal: if
-c * S_{k-d+1} lies in I_k, then c * S_{k-d+2} lies in S_1 * I_k = I_{k+1}.
-So C_T = W gives W = C_k = C_T at every d-1 <= k <= T, T = (n+1)(d-2) the
-socle degree. At a complete intersection C_T = W does hold, by Gorenstein
-duality: the quotient algebra A pairs A_{d-1} perfectly with A_{T-d+1},
-so a class killed by A_{T-d+1} is zero.
-
-That one colon is proved mod p, once per span (``_certified``, cached).
-It reads the walk of the relay mod ``linalg.PRIME`` that also decides the
-complete-intersection test, ``ideals.socle_functional_mod_p``, cached per
-span, so a tuple whose test has already run walks nothing again:
-
-* Where that walk reaches b(T) at T and fills S_{T+1}, W is a complete
-  intersection, and the one functional nu it leaves at T vanishes on the
-  reduction of every integer vector of (I_W)_T (the docstring there says
-  why).
-* Every integer c in C_T has c * u in (I_W)_T meet Z^N for each monomial
-  u of degree T-d+1, so its reduction lies in the colon mod p,
-  {c : nu(c * u) = 0 for all u}. The lattice C_T meet Z^M is saturated, so
-  its reduction has dimension dim C_T. Every pivot entry of W's integer
-  rows must be nonzero mod p; then W mod p has W's pivots and lies in the
-  colon mod p, and when the rows nu(u * m_j) on the nonpivot monomials m_j
-  of W have full column rank mod p (``linalg.certify_rank``), the colon
-  mod p is W mod p. Hence dim C_T <= n+1, and C_T = W.
-
-When the certificate holds, the tuple kernel is empty and the form
-kernel is the fiber modulo f, with no exact piece and no exact colon.
-When it falls short (a pivot entry divisible by p, a walk short of
-b(T) or of S_{T+1}, or colon rows short of full rank mod p), the exact
-code runs: the complete-intersection or smoothness test decides the
-precondition, and C_k is computed from the exact piece by the
-``reconstruction.colon_rows`` that recover W from a piece, over the
-nonpivot monomials of W only, stopping at full rank. No prime is
-skipped, and only the booleans of the certificate are decided mod p.
+At a complete intersection C_k = W for every d-1 <= k <= T, T = (n+1)(d-2)
+the socle degree, by Gorenstein duality: the quotient algebra A is
+Artinian Gorenstein with socle degree T, so the pairing
+A_{d-1} x A_{T-d+1} -> A_T is perfect, and A_{T-d+1} = A_{T-k} * A_{k-d+1}.
+A class of A_{d-1} killed by A_{k-d+1} is therefore killed by A_{T-d+1},
+so it is zero. The kernel at a tuple is empty, and the only thing to
+decide is the precondition: ``is_complete_intersection``, by the cached
+walk mod p of ``ideals.ci_walk_mod_p`` with the exact fill at T+1 as its
+fallback. No piece and no colon is computed.
 
 Moving a polynomial f by h in S_d modulo the line through f moves its
 Jacobian tuple by the partials of h, so the kernel there is
-{h in S_d : every partial of h lies in C_k} modulo f. With C_k = W this
-is the fiber of ``reconstruction.fiber`` modulo the line through f,
-which the fiber always contains (Euler identity): the kernel vanishes at
-a smooth non-direct-sum form and has dimension exactly s - 1 at a direct
+{h in S_d : every partial of h lies in C_k} modulo f. f is smooth exactly
+when its Jacobian tuple is a complete intersection, so C_k = W, and the
+kernel is the fiber of ``reconstruction.fiber`` modulo the line through
+f, which the fiber always contains (Euler identity): it vanishes at a
+smooth non-direct-sum form and has dimension exactly s - 1 at a direct
 sum with s summands. Whether it vanishes is decided once per span by
 ``reconstruction.fiber_is_line``, a rank certificate mod p with the
-exact fiber as its fallback. When both certificates hold, the report is
-the zero kernel at every k, and neither the fiber nor the quotient by f
-is built; otherwise the kernel is read off the exact fiber, cached per
-span, modulo f.
+exact fiber as its fallback. When it holds, the report is the zero kernel
+at every k, and neither the fiber nor the quotient by f is built;
+otherwise the kernel is read off the exact fiber, cached per span,
+modulo f.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from functools import lru_cache
-
-from . import linalg
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
@@ -84,13 +57,11 @@ from .ideals import (
     is_smooth,
     jacobian_gens,
     socle_degree,
-    socle_functional_mod_p,
 )
 from .linalg import (
     QuotientMap,
     Subspace,
     annihilator,
-    certify_rank,
     nullspace,
     rref,
     span_polys,
@@ -178,24 +149,6 @@ def _check_tuple_pre(w: GeneratorTuple, k: int):
         raise PreconditionError("generator tuple is not a complete intersection")
 
 
-@lru_cache(maxsize=256)
-def _certified(span: Subspace) -> bool:
-    """Whether a walk mod p proves span(W) a complete intersection with C_T = W.
-
-    The certificate of the module docstring: True proves both claims
-    exactly, so that C_k = W at every d-1 <= k <= T. False proves nothing,
-    and the caller runs the exact code. Cached per span; read only.
-    """
-    if any(row[q] % linalg.PRIME == 0 for q, row in span.int_rows.items()):
-        return False
-    nu = socle_functional_mod_p(span)
-    if nu is None:
-        return False
-    nonpivots = QuotientMap(span).nonpivots
-    rows = colon_rows([nu], span.n, socle_degree(span.n, span.k + 1), span.k, nonpivots)
-    return certify_rank(rows, len(nonpivots))
-
-
 def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
     """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
 
@@ -230,26 +183,13 @@ def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
     """Kernel of the tangent map of W |-> (I_W)_k at a complete intersection.
 
     The tangent space has dimension (n+1) * (dim S_{d-1} - (n+1)); the
-    kernel is n+1 copies of C / W for the colon piece C, so its canonical
-    basis is the basis of C / W placed in each part in turn. It vanishes
-    for every complete intersection and every k between d-1 and the socle
-    degree. Where ``_certified`` proves that, no piece is computed exactly.
+    kernel is n+1 copies of C / W for the colon piece C, which Gorenstein
+    duality makes W itself at every k between d-1 and the socle degree.
+    So the kernel vanishes, and only the precondition is computed.
     """
-    _check_degree(w.n, w.d, k)
+    _check_tuple_pre(w, k)
     n = w.n
-    if _certified(w.span):
-        gq, block = QuotientMap(w.span), []
-    else:
-        _check_tuple_pre(w, k)
-        gq, block = _colon_mod_span(w, k)
-    zero = HomogeneousPolynomial.zero(n, w.d - 1)
-    forms = [_from_quotient_coords(gq, n, w.d - 1, v) for v in block]
-    basis = tuple(
-        TupleTangentVector(w, [form if i == slot else zero for i in range(n + 1)])
-        for slot in range(n + 1)
-        for form in forms
-    )
-    return KernelReport(k, (n + 1) * gq.dim, len(basis), basis)
+    return KernelReport(k, (n + 1) * (dim_graded(n, w.d - 1) - (n + 1)), 0, ())
 
 
 def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
@@ -257,27 +197,21 @@ def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
 
     Computed in S_d modulo the line through f, so the tangent space has
     dimension dim(S_d) - 1. The kernel is {h : every partial of h lies in
-    the colon piece} modulo f: zero for a smooth non-direct-sum f, and of
-    dimension s - 1 for a direct sum with s summands. Where ``_certified``
-    proves the Jacobian tuple a complete intersection with colon W, f is
-    smooth and the kernel is the fiber modulo f: zero where
-    ``fiber_is_line`` holds, and otherwise the cached exact fiber modulo f.
+    the colon piece} modulo f, and the colon piece of a smooth f is its
+    Jacobian span W: the kernel is the fiber over W modulo f. It is zero
+    where ``fiber_is_line`` holds, and otherwise the cached exact fiber
+    modulo f, of dimension s - 1 for a direct sum with s summands.
     """
     n, d = f.n, f.degree
     _check_degree(n, d, k)
-    try:
-        w = jacobian_gens(f)
-    except PreconditionError:
-        w = None  # a cone: dependent partials, which ``is_smooth`` refuses
-    certified = w is not None and _certified(w.span)
-    if not certified and not is_smooth(f):
+    if not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
-    if certified and fiber_is_line(w.span):
+    span = jacobian_gens(f).span
+    if fiber_is_line(span):
         return KernelReport(k, dim_graded(n, d) - 1, 0, ())
 
     fq = QuotientMap(span_polys([f]))
-    preimage = forms_with_partials_in(w.span if certified else colon_piece(w, k))
-    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
+    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in forms_with_partials_in(span)])
     basis = tuple(
         PolyTangentVector(f, _from_quotient_coords(fq, n, d, vec)) for vec in kernel_vectors
     )

@@ -29,12 +29,13 @@ The tuple is a complete intersection exactly when the quotient is
 Artinian: the degree-(T+1) piece fills S_{T+1}, T = (n+1)(d-2) being the
 socle degree. This colength test needs no resultant. It is decided by
 one walk of the relay mod ``linalg.PRIME``, cached per span
-(``socle_functional_mod_p``): the bound b(k) holds in every
-characteristic, as a regular sequence reaches it there too, and rank mod
-p is at most rank over Q, so a walk that fills S_{T+1} mod p proves the
-fill over Q. Where the walk falls short the exact relay to T+1 decides,
-so the answer is always exact. The walk also leaves the one functional at
-T that ``deformation`` reads its tangent certificate off. For the
+(``ci_walk_mod_p``): the bound b(k) holds in every characteristic, as a
+regular sequence reaches it there too, and rank mod p is at most rank
+over Q, so a walk that fills S_{T+1} mod p proves the fill over Q. Where
+the walk falls short the exact relay to T+1 decides, so the answer is
+always exact. The tangent kernels of ``deformation`` need nothing more:
+at a complete intersection Gorenstein duality makes each colon
+((I_W)_k : S_{k-d+1})_{d-1}, d-1 <= k <= T, the span of W itself. For the
 Jacobian ideal of a smooth degree-d form the codimension of the degree-k
 piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
 """
@@ -289,21 +290,18 @@ def partials_piece(f: HomogeneousPolynomial, k: int) -> Subspace:
 
 
 @lru_cache(maxsize=256)
-def socle_functional_mod_p(span: Subspace) -> dict | None:
-    """The functional nu at T of a walk mod p proving span a complete intersection.
+def ci_walk_mod_p(span: Subspace) -> bool:
+    """Whether a walk mod p proves span a complete intersection.
 
     The relay of an (n+1)-dimensional span of S_{d-1} walked mod
     ``linalg.PRIME``: ``relay_step`` into ``ModularEchelon`` builders from
     d-1 to T+1, each degree stopped at b(k). Products of reduced rows are
     reductions of integer products, so the walk's span at k lies in the
     reduction of the lattice (I_W)_k meet Z^N, of dimension at most
-    dim (I_W)_k <= b(k). Where the walk reaches b(T) at T it is that whole
-    reduction, and its one functional nu (a sparse {column: int mod p}
-    dict) vanishes on the reduction of every integer vector of (I_W)_T.
-    Where it then fills S_{T+1}, so does (I_W)_{T+1}, rank mod p being at
-    most rank over Q: span is a complete intersection. Returns nu then,
-    and None otherwise, which proves nothing. Cached per span and shared,
-    so read only; only nu is kept, not the rows of the walk.
+    dim (I_W)_k <= b(k). Where the walk reaches b(T) at T and then fills
+    S_{T+1}, so does (I_W)_{T+1}, rank mod p being at most rank over Q:
+    span is a complete intersection, and True says so. False proves
+    nothing. Cached per span and shared; no row of the walk is kept.
     """
     n, d = span.n, span.k + 1
     top = socle_degree(n, d)
@@ -315,12 +313,9 @@ def socle_functional_mod_p(span: Subspace) -> dict | None:
     for k in range(d, top + 1):
         piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
     if piece.dim != profile.b(top):
-        return None
+        return False
     fill = ModularEchelon(dim_graded(n, top + 1))
-    if relay_step(fill, piece.int_rows, n, top + 1, fill.length) is not None:
-        return None
-    (nu,) = piece.annihilator()
-    return nu
+    return relay_step(fill, piece.int_rows, n, top + 1, fill.length) is None
 
 
 def is_complete_intersection(w: GeneratorTuple) -> bool:
@@ -328,10 +323,10 @@ def is_complete_intersection(w: GeneratorTuple) -> bool:
 
     Equivalent to the generators forming a regular sequence (nonvanishing
     resultant); every higher degree is then full as well. Decided by the
-    walk mod p of ``socle_functional_mod_p`` where it proves the fill, and
-    by the exact relay to T+1 where it does not.
+    walk mod p of ``ci_walk_mod_p`` where it proves the fill, and by the
+    exact relay to T+1 where it does not.
     """
-    if socle_functional_mod_p(w.span) is not None:
+    if ci_walk_mod_p(w.span):
         return True
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 

@@ -29,10 +29,9 @@ decides a rank claim: a caller that already knows an exact upper bound on
 the rank over Q learns the rank exactly when the rank mod p reaches that
 bound, and runs the exact code whenever it falls short. ``ideals`` walks
 its relay mod p through it, once per tuple, to decide that the tuple is a
-complete intersection; ``deformation`` reads the same walk to certify
-that the tuple's colon at the socle degree is the tuple itself. Where a
-walk falls short, the exact code runs. Modular arithmetic only ever
-decides a boolean; no output is computed mod p.
+complete intersection; where the walk falls short, the exact relay
+decides. Modular arithmetic only ever decides a boolean; no output is
+computed mod p.
 """
 
 from __future__ import annotations
@@ -140,24 +139,6 @@ class ModularEchelon:
                 v[j] = v.get(j, 0) + c * y
             del v[lead]
         return False
-
-    def annihilator(self) -> list:
-        """Functionals mod p that vanish on the rows, one per free column q.
-
-        Each is 1 at q and 0 at the other free columns; its values at the
-        leads follow by back-substitution, rightmost lead first, as each
-        row is 1 at its lead and has its other entries right of it.
-        """
-        p, rows = PRIME, self.int_rows
-        out = []
-        for q in range(self.length):
-            if q not in rows:
-                nu = {q: 1}
-                for lead in sorted(rows, reverse=True):
-                    if c := -sum(x * nu.get(j, 0) for j, x in rows[lead].items()) % p:
-                        nu[lead] = c
-                out.append(nu)
-        return out
 
 
 def certify_rank(rows: Iterable, bound: int) -> bool:

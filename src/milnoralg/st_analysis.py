@@ -6,11 +6,14 @@ variables. For a smooth form the finest such splitting is unique, and the
 space {g : all partials of g lie in span of the partials of f} is spanned
 by the summands, so its dimension equals the summand count s. Detection
 here is exactly that fiber-dimension test; the coordinate change and the
-individual summands are never computed. ``st_report`` solves the fiber
-exactly, as it reports its basis. The sampler only asks whether s = 1,
-which ``reconstruction.fiber_is_line`` decides by a rank certificate mod
-p, solving the fiber exactly only where the certificate falls short; it
-draws the same forms either way.
+individual summands are never computed. The fiber is solved on the
+(n+1)^2 coefficients of the partials of g in the basis of W, as the
+tuples (h_i) with d h_i / d x_l = d h_l / d x_i, each the gradient of
+one g. ``st_report`` solves it exactly, as it reports its basis. The
+sampler only asks whether s = 1, which ``reconstruction.fiber_is_line``
+decides by a rank certificate mod p on the same rows, solving the fiber
+exactly only where the certificate falls short; it draws the same forms
+either way.
 
 This module also generates the seeded random instances (smooth forms,
 smooth non-direct-sum forms, complete-intersection tuples) used by the

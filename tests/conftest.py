@@ -1,6 +1,5 @@
 import pytest
 
-import milnoralg.deformation as deformation
 import milnoralg.ideals as ideals
 import milnoralg.linalg as linalg
 import milnoralg.reconstruction as reconstruction
@@ -13,9 +12,8 @@ PAIRS = [(1, 4), (2, 3), (2, 4), (2, 5), (3, 3)]
 # keyed on its input alone, so a test that patches the prime must empty them,
 # or it reads an answer found at the old prime, and no fallback runs.
 PRIME_CACHES = (
-    ideals.socle_functional_mod_p,
+    ideals.ci_walk_mod_p,
     ideals.is_smooth,
-    deformation._certified,
     reconstruction.fiber_is_line,
 )
 

@@ -7,7 +7,10 @@ the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
 ``tangent_image``), the rational reduction loops
 (``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``) and
-the pivot-major relay (``relay_rows``) deliberately avoids the package's
+the pivot-major relay (``relay_rows``), the tangent kernels read off the
+exact colon piece (``tuple_kernel_by_colon``, ``poly_kernel_by_colon``),
+the fiber by annihilator rows (``forms_with_partials_in_by_annihilator``)
+and ``modular_annihilator`` deliberately avoids the package's
 own linear algebra and polynomial machinery: enumeration by itertools,
 determinants by permutation expansion, symbolic differentiation and
 matrix work by sympy. Expected values frozen into tests were computed by
@@ -31,19 +34,30 @@ from milnoralg import (
     apolar_piece,
     associated_form,
     catalecticant_matrix,
+    colon_piece,
     dim_graded,
     full_subspace,
     hilbert_profile,
     ideal_piece,
+    jacobian_gens,
     lift_piece,
     map_kernel,
     orthogonal_complement,
+    rref,
     socle_degree,
+    span_polys,
     zero_subspace,
 )
-from milnoralg.deformation import TupleTangentVector, _check_tuple_pre
-from milnoralg.linalg import QuotientMap, SpanBuilder
-from milnoralg.monomials import mono_basis, mono_index, product_index_table
+import milnoralg.linalg as linalg
+from milnoralg.deformation import (
+    KernelReport,
+    PolyTangentVector,
+    TupleTangentVector,
+    _check_degree,
+    _check_tuple_pre,
+)
+from milnoralg.linalg import QuotientMap, SpanBuilder, annihilator, nullspace
+from milnoralg.monomials import derivative_table, mono_basis, mono_index, product_index_table
 from milnoralg.rationals import Q, ZERO
 
 
@@ -429,3 +443,107 @@ def relay_rows(span, top: int, rng=None):
             builder.insert(v)
         rows = builder.int_rows
         yield k, rows
+
+
+# -- the fiber by annihilator rows ----------------------------------------------------------
+# The library's route to the fiber {g : all partials of g lie in E} before it solved the
+# integrability system on the coefficients of the partials: one row per variable and
+# functional vanishing on E, on the dim S_{k+1} coefficients of g.
+
+
+def partials_rows_by_annihilator(e: Subspace):
+    """Integer rows of the fiber system over E in S_k, on S_{k+1}, lazily.
+
+    One row per variable x_i and functional nu of ``annihilator(E)``, with
+    entry nu(d g / d x_i) at each monomial g of S_{k+1}: the kernel is
+    {g in S_{k+1} : all partials of g lie in E}.
+    """
+    duals = annihilator(e)
+    for di in derivative_table(e.n, e.k + 1):
+        hits = [(s, *hit) for s, hit in enumerate(di) if hit]
+        for nu in duals:
+            yield {s: f * nu[t] for s, t, f in hits if t in nu}
+
+
+def forms_with_partials_in_by_annihilator(e: Subspace) -> tuple:
+    """Canonical basis of {g in S_{k+1} : all partials of g lie in E}, E in S_k.
+
+    Solved as one exact linear system, the kernel of
+    ``partials_rows_by_annihilator``.
+    """
+    n, d = e.n, e.k + 1
+    solutions = nullspace(partials_rows_by_annihilator(e), dim_graded(n, d))
+    return tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
+
+
+# -- the functionals of an echelon basis mod p ----------------------------------------------
+
+
+def modular_annihilator(echelon) -> list:
+    """Functionals mod p that vanish on the rows of a ``ModularEchelon``, one per free column q.
+
+    Each is 1 at q and 0 at the other free columns; its values at the
+    leads follow by back-substitution, rightmost lead first, as each
+    row is 1 at its lead and has its other entries right of it.
+    """
+    p, rows = linalg.PRIME, echelon.int_rows
+    out = []
+    for q in range(echelon.length):
+        if q not in rows:
+            nu = {q: 1}
+            for lead in sorted(rows, reverse=True):
+                if c := -sum(x * nu.get(j, 0) for j, x in rows[lead].items()) % p:
+                    nu[lead] = c
+            out.append(nu)
+    return out
+
+
+# -- tangent kernels off the exact colon piece --------------------------------------------
+# The library's exact route to tangent kernels before it read them off Gorenstein duality:
+# the colon piece C = ((I_W)_k : S_{k-d+1})_{d-1} computed at each k, the kernel at a tuple
+# n+1 copies of C / W, and at a form the fiber over C modulo f. The preconditions are decided
+# by the exact fill at T+1, with the library's refusals.
+
+
+def _exact_ci(w: GeneratorTuple) -> bool:
+    return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
+
+
+def _from_nonpivots(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:
+    monos = mono_basis(n, degree)
+    return HomogeneousPolynomial(n, degree, {monos[j]: c for j, c in zip(qm.nonpivots, vec) if c})
+
+
+def tuple_kernel_by_colon(w: GeneratorTuple, k: int) -> KernelReport:
+    """Kernel of the tangent map of W |-> (I_W)_k: n+1 copies of C / W, C = ``colon_piece(w, k)``."""
+    _check_degree(w.n, w.d, k)
+    if not _exact_ci(w):
+        raise PreconditionError("generator tuple is not a complete intersection")
+    n = w.n
+    gq = QuotientMap(w.span)
+    block, _ = rref([gq.coords(row) for row in colon_piece(w, k).rows])
+    zero = HomogeneousPolynomial.zero(n, w.d - 1)
+    forms = [_from_nonpivots(gq, n, w.d - 1, v) for v in block]
+    basis = tuple(
+        TupleTangentVector(w, [form if i == slot else zero for i in range(n + 1)])
+        for slot in range(n + 1)
+        for form in forms
+    )
+    return KernelReport(k, (n + 1) * gq.dim, len(basis), basis)
+
+
+def poly_kernel_by_colon(f: HomogeneousPolynomial, k: int) -> KernelReport:
+    """Kernel of the tangent map of f |-> (J(f))_k: the fiber over ``colon_piece`` modulo f."""
+    n, d = f.n, f.degree
+    _check_degree(n, d, k)
+    try:
+        w = jacobian_gens(f)
+    except PreconditionError:
+        w = None
+    if w is None or not _exact_ci(w):
+        raise PreconditionError("polynomial is not smooth")
+    fq = QuotientMap(span_polys([f]))
+    preimage = forms_with_partials_in_by_annihilator(colon_piece(w, k))
+    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
+    basis = tuple(PolyTangentVector(f, _from_nonpivots(fq, n, d, vec)) for vec in kernel_vectors)
+    return KernelReport(k, fq.dim, len(basis), basis)

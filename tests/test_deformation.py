@@ -39,15 +39,22 @@ from milnoralg import (
     tangent_kernel_at_tuple,
 )
 import milnoralg.deformation as deformation
+import milnoralg.ideals as ideals
 import milnoralg.linalg as linalg
 import milnoralg.reconstruction as reconstruction
 import milnoralg.suite as suite
-from milnoralg.ideals import _relay, socle_functional_mod_p
+from milnoralg.ideals import _relay, ci_walk_mod_p
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
 from conftest import clear_prime_caches
-from oracles import membership_solutions, multiplication_matrix, tangent_image
+from oracles import (
+    membership_solutions,
+    multiplication_matrix,
+    poly_kernel_by_colon,
+    tangent_image,
+    tuple_kernel_by_colon,
+)
 
 SQUARES = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x1^2", "x2^2")])
 
@@ -477,11 +484,13 @@ def test_poly_kernel_vectors_have_zero_tangent_image(f):
 
 
 @pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (2, 4), (3, 3), (2, 5)])
-def test_colon_piece_is_the_span_at_ci(n, d):
-    # Gorenstein duality: nothing outside W is killed by S_{k-d+1} for k <= T
-    w = random_ci_tuple(n, d, seed=223 + 10 * n + d)
-    for k in k_range(n, d):
-        assert colon_piece(w, k) == w.span
+def test_colon_piece_is_the_span_at_ci(n, d, ci_pools):
+    # Gorenstein duality: nothing outside W is killed by S_{k-d+1} for k <= T,
+    # the theorem the tangent kernels are read off; checked exactly
+    tuples = [random_ci_tuple(n, d, seed=223 + 10 * n + d), *ci_pools[(n, d)]]
+    for w in tuples:
+        for k in k_range(n, d):
+            assert colon_piece(w, k) == w.span
 
 
 def test_colon_piece_past_the_socle_is_everything():
@@ -497,7 +506,7 @@ def test_poly_kernel_dim_is_fiber_dim_minus_one(f):
         assert tangent_kernel_at_poly(f, k).kernel_dim == s - 1
 
 
-# -- the certificate mod p and its exact fallback ------------------------------------
+# -- kernels by Gorenstein duality, against the exact colon --------------------------------
 
 
 def report_text(report):
@@ -510,7 +519,7 @@ def report_text(report):
 
 
 def count_exact_colons(monkeypatch) -> list:
-    """Record every exact colon elimination, the fallback of both kernels."""
+    """Record every exact colon elimination of the library."""
     calls = []
     real = deformation._colon_mod_span
 
@@ -522,14 +531,43 @@ def count_exact_colons(monkeypatch) -> list:
     return calls
 
 
-def all_reports(w, f):
+def all_reports(w, f, tuple_kernel=tangent_kernel_at_tuple, poly_kernel=tangent_kernel_at_poly):
     """The tuple kernels of w and the form kernels of f at every k, as text."""
     reports = []
     if w is not None:
-        reports += [tangent_kernel_at_tuple(w, k) for k in k_range(w.n, w.d)]
+        reports += [tuple_kernel(w, k) for k in k_range(w.n, w.d)]
     if f is not None:
-        reports += [tangent_kernel_at_poly(f, k) for k in k_range(f.n, f.degree)]
+        reports += [poly_kernel(f, k) for k in k_range(f.n, f.degree)]
     return [report_text(r) for r in reports]
+
+
+def colon_reports(w, f):
+    """The same reports read off the exact colon piece at every k."""
+    return all_reports(w, f, tuple_kernel_by_colon, poly_kernel_by_colon)
+
+
+def kernel_path_work(monkeypatch):
+    """Empty the walk and relay caches; return a probe of (exact colons, relay degrees grown)."""
+    clear_prime_caches()
+    _relay.cache_clear()
+    colons = count_exact_colons(monkeypatch)
+    return lambda: (list(colons), _relay.cache_info().misses)
+
+
+@pytest.fixture
+def walk_fails(monkeypatch):
+    """``walk_fails()`` makes every walk mod p fall short, so the exact fill at T+1 decides.
+
+    The caches of ``PRIME_CACHES`` are emptied then and when the test ends,
+    so no answer found with the walk failing is read by another test.
+    """
+
+    def fail():
+        clear_prime_caches()
+        monkeypatch.setattr(ideals, "ci_walk_mod_p", lambda span: False)
+
+    yield fail
+    clear_prime_caches()
 
 
 PARITY_SIZES = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)]
@@ -545,16 +583,16 @@ PARITY_IDS = [*(f"seeded{size}" for size in PARITY_SIZES), "fermat(2,4)", "squar
 
 
 @pytest.mark.parametrize("w,f", PARITY_INPUTS, ids=PARITY_IDS)
-def test_certified_kernels_match_the_exact_path_at_every_k(w, f, monkeypatch):
-    clear_prime_caches()
-    spans = [x.span for x in (w, f and jacobian_gens(f)) if x is not None]
-    assert all(deformation._certified(span) for span in spans)
-    exact_colons = count_exact_colons(monkeypatch)
+def test_certified_kernels_match_the_exact_path_at_every_k(w, f, monkeypatch, walk_fails):
+    work = kernel_path_work(monkeypatch)
     certified = all_reports(w, f)
-    assert exact_colons == []
-    monkeypatch.setattr(deformation, "_certified", lambda span: False)
+    assert work() == ([], 0)  # no colon, no exact piece: the walk and the fiber decide
+    walk_fails()
     assert all_reports(w, f) == certified
-    assert len(exact_colons) == len(certified)
+    # each complete-intersection test fell back to the exact relay d-1..T+1, once per span
+    n, d = (w.n, w.d) if w is not None else (f.n, f.degree)
+    assert work() == ([], (socle_degree(n, d) - d + 3) * ((w is not None) + (f is not None)))
+    assert certified == colon_reports(w, f)
     if f is not None and w is None:  # fermat(2, 4): s = 3 summands, kernel dimension n
         assert {kernel_dim for _, _, kernel_dim, _ in certified} == {2}
 
@@ -580,63 +618,62 @@ def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(monkeypatch, 
     exact = [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))]
     # f is a binary cubic with distinct roots, a direct sum of two cubes: s = 2
     assert exact == [(2, 2, 0, []), (2, 3, 1, ["x0^3 + 9*x0*x1^2"])]
+    assert exact == colon_reports(w, f)
     patched_prime(3)
-    assert not deformation._certified(w.span)
-    colons = count_exact_colons(monkeypatch)
+    assert not ci_walk_mod_p(w.span)
+    work = kernel_path_work(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
-    assert colons == [2, 2]
+    # the exact fill decided both preconditions: the relay at d-1 = 2 and T+1 = 3, once
+    assert work() == ([], 2)
 
 
 def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(monkeypatch, patched_prime):
-    # the integer row of 5 x0^2 + x1*x2 has pivot entry 5: refused mod 5 before any walk
+    # the integer row of 5 x0^2 + x1*x2 has pivot entry 5: mod 5 the tuple is
+    # x1*x2, x1^2, x2^2, with the common zero x1 = x2 = 0, so the walk mod 5 falls short
     w = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("5*x0^2 + x1*x2", "x1^2", "x2^2")])
     exact = [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)]
     assert [kernel_dim for _, _, kernel_dim, _ in exact] == [0, 0]
+    assert exact == colon_reports(w, None)
     patched_prime(5)
-    walks = []
-
-    def counted(span):
-        walks.append(span)
-        return socle_functional_mod_p(span)
-
-    monkeypatch.setattr(deformation, "socle_functional_mod_p", counted)
-    colons = count_exact_colons(monkeypatch)
+    work = kernel_path_work(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)] == exact
-    assert walks == [] and colons == [2, 3]
+    assert not ci_walk_mod_p(w.span)
+    assert work() == ([], 3)  # the exact relay at 2, 3 and T+1 = 4
 
 
-def test_certificate_asks_full_column_rank_on_the_nonpivot_monomials(monkeypatch):
-    clear_prime_caches()
-    real, asked = deformation.certify_rank, []
+def test_tuple_kernel_asks_no_rank_past_the_ci_test(monkeypatch, walk_fails):
+    real, asked = reconstruction.certify_rank, []
 
     def recording(rows, bound):
-        rows = list(rows)
-        asked.append((len(rows), 1 + max(j for row in rows for j in row), bound))
+        asked.append(bound)
         return real(rows, bound)
 
-    monkeypatch.setattr(deformation, "certify_rank", recording)
+    monkeypatch.setattr(reconstruction, "certify_rank", recording)
     w = random_ci_tuple(2, 4, seed=7)
-    assert deformation._certified(w.span)
-    # one row per monomial u of degree T-d+1 = 3, one column per monomial of S_3 outside W
-    outside = dim_graded(2, 3) - 3
-    assert asked == [(dim_graded(2, 3), outside, outside)]
-    clear_prime_caches()
-    monkeypatch.setattr(deformation, "certify_rank", lambda rows, bound: False)
-    colons = count_exact_colons(monkeypatch)
-    assert tangent_kernel_at_tuple(w, 4).kernel_dim == 0
-    assert colons == [4]
+    exact = report_text(tuple_kernel_by_colon(w, 4))
+    assert exact == (4, 3 * (dim_graded(2, 3) - 3), 0, [])
+    work = kernel_path_work(monkeypatch)
+    assert report_text(tangent_kernel_at_tuple(w, 4)) == exact
+    assert asked == [] and work() == ([], 0)
+    walk_fails()
+    assert report_text(tangent_kernel_at_tuple(w, 4)) == exact
+    assert asked == [] and work() == ([], socle_degree(2, 4) + 1 - 2)  # the exact relay 3..T+1
 
 
 def test_certificate_keeps_the_refusals():
-    with pytest.raises(ValueError, match="need d-1 <= k <= 3"):
-        tangent_kernel_at_tuple(SQUARES, 1)
     bad = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
-    assert not deformation._certified(bad.span)
-    with pytest.raises(PreconditionError, match="generator tuple is not a complete intersection"):
-        tangent_kernel_at_tuple(bad, 2)
     cone = parse_poly("x0^3 + x1^3", n=2)  # no x2: the partials are dependent
-    with pytest.raises(PreconditionError, match="polynomial is not smooth"):
-        tangent_kernel_at_poly(cone, 2)
+    assert not ci_walk_mod_p(bad.span)
+    for tuple_kernel, poly_kernel in (
+        (tangent_kernel_at_tuple, tangent_kernel_at_poly),
+        (tuple_kernel_by_colon, poly_kernel_by_colon),
+    ):
+        with pytest.raises(ValueError, match="need d-1 <= k <= 3"):
+            tuple_kernel(SQUARES, 1)
+        with pytest.raises(PreconditionError, match="generator tuple is not a complete intersection"):
+            tuple_kernel(bad, 2)
+        with pytest.raises(PreconditionError, match="polynomial is not smooth"):
+            poly_kernel(cone, 2)
 
 
 def test_colon_pieces_grow_with_k_on_a_non_ci_tuple():
@@ -647,12 +684,18 @@ def test_colon_pieces_grow_with_k_on_a_non_ci_tuple():
     assert all(contains(big, small) for small, big in zip(colons, colons[1:]))
 
 
-def test_no_fallback_on_seeded_pools(ci_pools, nonst_pools, smooth_pools):
-    spans = [w.span for pool in ci_pools.values() for w in pool]
-    spans += [jacobian_gens(f).span for pools in (nonst_pools, smooth_pools) for pool in pools.values() for f in pool]
-    assert len(spans) == 250
-    assert all(socle_functional_mod_p(span) is not None for span in spans)
-    assert all(deformation._certified(span) for span in spans)
+def test_no_fallback_on_seeded_pools(ci_pools, nonst_pools, smooth_pools, monkeypatch):
+    tuples = [w for pool in ci_pools.values() for w in pool]
+    forms = [f for pools in (nonst_pools, smooth_pools) for pool in pools.values() for f in pool]
+    assert len(tuples) + len(forms) == 250
+    work = kernel_path_work(monkeypatch)
+    assert all(ci_walk_mod_p(w.span) for w in tuples)
+    assert all(ci_walk_mod_p(jacobian_gens(f).span) for f in forms)
+    for w in tuples:
+        assert tangent_kernel_at_tuple(w, w.d - 1).kernel_dim == 0
+    for f in forms:
+        tangent_kernel_at_poly(f, f.degree - 1)
+    assert work() == ([], 0)
 
 
 # -- the fiber certificate mod p and its exact fallback --------------------------------
@@ -709,7 +752,8 @@ def test_fiber_fallback_where_only_the_tuple_certificate_holds(monkeypatch):
     monkeypatch.setattr(reconstruction, "certify_rank", lambda rows, bound: False)
     fresh_fibers()
     assert [report_text(tangent_kernel_at_poly(f, k)) for k in k_range(2, 4)] == certified
-    assert deformation._certified(jacobian_gens(f).span) and exact_fiber_solves() == 1
+    assert ci_walk_mod_p(jacobian_gens(f).span) and exact_fiber_solves() == 1
+    assert certified == colon_reports(None, f)
 
 
 def test_fiber_certificate_needs_no_fallback_on_seeded_pools(nonst_pools):

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-import milnoralg.linalg as linalg
 from milnoralg import (
     GeneratorTuple,
     PreconditionError,
@@ -27,7 +26,7 @@ from milnoralg import (
     st_report,
     tangent_kernel_at_tuple,
 )
-from milnoralg.ideals import _relay, socle_functional_mod_p
+from milnoralg.ideals import _relay, ci_walk_mod_p
 from milnoralg.polynomials import HomogeneousPolynomial
 
 
@@ -262,13 +261,13 @@ def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(patche
     f = parse_poly("x0^2*x1 + x1^3", n=1)
     assert jacobian_gens(f).span == w.span
     e = ideal_piece(w, 2)
-    assert socle_functional_mod_p(w.span) is not None
+    assert ci_walk_mod_p(w.span)
     assert is_complete_intersection(w) and is_smooth(f)
     exact = recover_generators(e, 2, 1, 3)
     assert exact.span == w.span
     patched_prime(3)
     _relay.cache_clear()
-    assert socle_functional_mod_p(w.span) is None
+    assert not ci_walk_mod_p(w.span)
     assert is_complete_intersection(w)
     assert _relay.cache_info().misses == 2  # the exact relay at d-1 = 2 and T+1 = 3 decided it
     assert is_smooth(f)
@@ -276,19 +275,24 @@ def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(patche
     assert back == exact and back.span == w.span
 
 
-def test_ci_walk_returns_the_functional_at_the_socle_degree():
+def test_ci_walk_decides_what_the_exact_fill_decides():
     w = jacobian_gens(random_smooth(2, 4, seed=11))
-    nu = socle_functional_mod_p(w.span)
+    bad = monomial_tuple("x0^2", "x0*x1", "x0*x2")
     top = socle_degree(2, 4)
-    # it vanishes mod p on every integer row of the exact piece at T
-    rows = ideal_piece(w, top).int_rows.values()
-    assert all(sum(x * nu.get(j, 0) for j, x in row.items()) % linalg.PRIME == 0 for row in rows)
-    assert nu and set(nu) <= set(range(dim_graded(2, top)))
+    _relay.cache_clear()
+    ci_walk_mod_p.cache_clear()
+    # a bare boolean, read off the walk mod p alone: no exact relay is grown
+    assert ci_walk_mod_p(w.span) is True and ci_walk_mod_p(bad.span) is False
+    assert _relay.cache_info().misses == 0
+    # the exact relay agrees: dim (I_W)_T = b(T), and only w fills its S_{T+1}
+    assert ideal_piece(w, top).dim == hilbert_profile(2, 4).b(top)
+    assert ideal_piece(w, top + 1).is_full()
+    assert not ideal_piece(bad, socle_degree(2, 3) + 1).is_full()
 
 
 def test_non_ci_input_keeps_its_refusals():
     bad = monomial_tuple("x0^2", "x0*x1", "x0*x2")
-    assert socle_functional_mod_p(bad.span) is None
+    assert not ci_walk_mod_p(bad.span)
     assert not is_complete_intersection(bad)
     with pytest.raises(PreconditionError, match="^generator tuple is not a complete intersection$"):
         associated_form(bad)
@@ -297,7 +301,7 @@ def test_non_ci_input_keeps_its_refusals():
     with pytest.raises(PreconditionError, match="^recovered generators are not a complete intersection$"):
         recover_generators(ideal_piece(bad, 2), 2, 2, 3)
     hesse = parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")
-    assert socle_functional_mod_p(jacobian_gens(hesse).span) is None
+    assert not ci_walk_mod_p(jacobian_gens(hesse).span)
     assert not is_smooth(hesse)
     with pytest.raises(PreconditionError, match="^form is not smooth$"):
         st_report(hesse)

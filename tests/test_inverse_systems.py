@@ -63,18 +63,18 @@ def test_associated_form_rejects_non_ci():
 
 
 def test_associated_form_is_computed_once_per_span_from_the_exact_relay():
-    from milnoralg.ideals import socle_functional_mod_p
+    from milnoralg.ideals import ci_walk_mod_p
 
     w = random_ci_tuple(2, 4, seed=12)
     same = GeneratorTuple(2, 4, w.span.basis_polynomials())
     cache = inverse_systems._associated_form
     cache.cache_clear()
-    socle_functional_mod_p.cache_clear()
+    ci_walk_mod_p.cache_clear()
     form = associated_form(w)
     assert verify_inverse_system(w) and associated_form(same) is form
     assert (cache.cache_info().hits, cache.cache_info().misses) == (2, 1)
     # its complete-intersection test is the exact fill at T+1, not a walk mod p
-    assert socle_functional_mod_p.cache_info().misses == 0
+    assert ci_walk_mod_p.cache_info().misses == 0
 
 
 def test_associated_form_is_normalized():

@@ -34,6 +34,7 @@ from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
 from conftest import PAIRS
 from oracles import (
+    modular_annihilator,
     perm_determinant,
     quotient_coords_by_rational_rows,
     reduce_by_rational_rows,
@@ -663,7 +664,7 @@ def test_modular_annihilator_vanishes_on_the_rows_mod_p():
         echelon = ModularEchelon(cols)
         for row in mat:
             echelon.insert(row)
-        duals = echelon.annihilator()
+        duals = modular_annihilator(echelon)
         assert len(duals) == cols - echelon.dim
         for nu in duals:
             (free,) = [q for q in nu if q not in echelon.int_rows]

@@ -10,6 +10,8 @@ from milnoralg import (
     euler_recover,
     fermat,
     fiber,
+    format_poly,
+    full_subspace,
     hilbert_profile,
     ideal_piece,
     is_smooth,
@@ -31,7 +33,11 @@ from milnoralg.linalg import annihilator
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
-from oracles import fiber_dimension_oracle, recover_generators_by_lift
+from oracles import (
+    fiber_dimension_oracle,
+    forms_with_partials_in_by_annihilator,
+    recover_generators_by_lift,
+)
 
 
 FERMAT3 = fermat(2, 3)
@@ -184,12 +190,12 @@ def test_recovery_builds_each_relay_degree_once():
 
 
 def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
-    from milnoralg.ideals import _relay, socle_functional_mod_p
+    from milnoralg.ideals import _relay, ci_walk_mod_p
 
     for n, d in [(2, 4), (3, 3), (2, 5)]:
         f = random_smooth(n, d, seed=31 * n + d, require_non_st=True)
         pieces = {k: jacobian_piece(f, k) for k in range(d - 1, socle_degree(n, d) + 1)}
-        for cache in (_relay, socle_functional_mod_p, is_smooth):
+        for cache in (_relay, ci_walk_mod_p, is_smooth):
             cache.cache_clear()
         assert is_smooth(f)
         for k, e in pieces.items():
@@ -197,7 +203,7 @@ def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
             assert result.s == 1 and result.basis[0] == f.normalized()
         # one walk mod p, shared by the smoothness test and every recovery
         assert _relay.cache_info().misses == 0
-        assert socle_functional_mod_p.cache_info().misses == 1
+        assert ci_walk_mod_p.cache_info().misses == 1
 
 
 def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
@@ -379,6 +385,41 @@ def test_equal_subspaces_built_apart_share_one_fiber_entry():
     assert all(s is solved[0] for s in solved)
     info = forms_with_partials_in.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+# -- the fiber on the coefficients of the partials, against the annihilator rows -------
+
+# a binary quartic that is not a direct sum, plus a fourth power: s = 2
+MIXED_SUM = parse_poly("-x0^4 + x0^3*x1 + x0^2*x1^2 - 2*x0*x1^3 + x2^4")
+
+
+def assert_fibers_byte_equal(spans):
+    from milnoralg.reconstruction import forms_with_partials_in
+
+    for e in spans:
+        solved, expected = forms_with_partials_in(e), forms_with_partials_in_by_annihilator(e)
+        assert solved == expected
+        assert [format_poly(g) for g in solved] == [format_poly(g) for g in expected]
+        assert [list(g.coords()) for g in solved] == [list(g.coords()) for g in expected]
+
+
+def test_fiber_matches_the_annihilator_fiber_on_the_pools(nonst_pools, smooth_pools):
+    forms = [f for pools in (nonst_pools, smooth_pools) for pool in pools.values() for f in pool]
+    forms += [fermat(n, d) for n, d in PAIRS] + [MIXED_SUM]
+    assert_fibers_byte_equal(jacobian_gens(f).span for f in forms)
+    assert fiber(jacobian_gens(MIXED_SUM), 4).s == 2
+
+
+def test_fiber_matches_the_annihilator_fiber_off_the_jacobian_locus(ci_pools):
+    # past binary forms and nets of conics, a random complete-intersection tuple
+    # is no Jacobian tuple: its fiber is 0
+    tuples = [w for pool in ci_pools.values() for w in pool[:4]]
+    assert_fibers_byte_equal(w.span for w in tuples)
+    assert [w.n for w in tuples if fiber(w, w.d).s == 0] == [2] * 8 + [3] * 4
+    # E = 0 has the zero fiber, E = S_k all of S_{k+1}, k = 0 included
+    edges = [zero_subspace(n, k) for n, k in ((1, 0), (2, 0), (2, 2), (3, 3))]
+    edges += [full_subspace(n, k) for n, k in ((1, 0), (2, 0), (2, 2), (3, 3))]
+    assert_fibers_byte_equal(edges)
 
 
 # -- distinct tuples stay distinct (injectivity seen on pieces) ------------------------
