@@ -294,11 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_n(args) -> None:
+    """Refuse an explicit --n below 1 before any input is read, in ``check_size``'s words.
+
+    Every command that takes --n refuses it alike, whatever it would read
+    next: a polynomial naming higher variables, a file, or a degree.
+    """
+    n = getattr(args, "n", None)
+    if n is not None and n < 1:
+        d = getattr(args, "d", None)
+        raise ValueError(f"need n >= 1 and d >= 2, got n={n}" + ("" if d is None else f", d={d}"))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     from .errors import PreconditionError
     try:
+        _check_n(args)
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

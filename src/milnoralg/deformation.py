@@ -40,12 +40,14 @@ sum with s summands. Whether it vanishes is decided once per span by
 ``reconstruction.fiber_is_line``, a rank certificate mod p with the
 exact fiber as its fallback. When it holds, the report is the zero kernel
 at every k, and neither the fiber nor the quotient by f is built;
-otherwise the kernel is read off the exact fiber, cached per span,
-modulo f.
+otherwise the kernel does not depend on k either: its basis, the exact
+fiber modulo f, is built once per form (``_fiber_mod_f``) and read at
+every k.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -192,27 +194,37 @@ def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
     return KernelReport(k, (n + 1) * (dim_graded(n, w.d - 1) - (n + 1)), 0, ())
 
 
+@lru_cache(maxsize=256)
+def _fiber_mod_f(f: HomogeneousPolynomial) -> tuple:
+    """(dim S_d - 1, canonical basis of the fiber of f modulo the line through f).
+
+    The kernel of ``tangent_kernel_at_poly`` at every k, built once per form.
+    """
+    fq = QuotientMap(span_polys([f]))
+    fiber = forms_with_partials_in(jacobian_gens(f).span)
+    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in fiber])
+    basis = tuple(
+        PolyTangentVector(f, _from_quotient_coords(fq, f.n, f.degree, vec)) for vec in kernel_vectors
+    )
+    return fq.dim, basis
+
+
 def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     """Kernel of the tangent map of f |-> degree-k Jacobian piece.
 
     Computed in S_d modulo the line through f, so the tangent space has
     dimension dim(S_d) - 1. The kernel is {h : every partial of h lies in
     the colon piece} modulo f, and the colon piece of a smooth f is its
-    Jacobian span W: the kernel is the fiber over W modulo f. It is zero
-    where ``fiber_is_line`` holds, and otherwise the cached exact fiber
-    modulo f, of dimension s - 1 for a direct sum with s summands.
+    Jacobian span W: the kernel is the fiber over W modulo f, the same at
+    every k. It is zero where ``fiber_is_line`` holds, and otherwise the
+    exact fiber modulo f, of dimension s - 1 for a direct sum with s
+    summands, cached per form.
     """
     n, d = f.n, f.degree
     _check_degree(n, d, k)
     if not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
-    span = jacobian_gens(f).span
-    if fiber_is_line(span):
+    if fiber_is_line(jacobian_gens(f).span):
         return KernelReport(k, dim_graded(n, d) - 1, 0, ())
-
-    fq = QuotientMap(span_polys([f]))
-    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in forms_with_partials_in(span)])
-    basis = tuple(
-        PolyTangentVector(f, _from_quotient_coords(fq, n, d, vec)) for vec in kernel_vectors
-    )
-    return KernelReport(k, fq.dim, len(basis), basis)
+    tangent_dim, basis = _fiber_mod_f(f)
+    return KernelReport(k, tangent_dim, len(basis), basis)

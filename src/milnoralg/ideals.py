@@ -31,13 +31,20 @@ socle degree. This colength test needs no resultant. It is decided by
 one walk of the relay mod ``linalg.PRIME``, cached per span
 (``ci_walk_mod_p``): the bound b(k) holds in every characteristic, as a
 regular sequence reaches it there too, and rank mod p is at most rank
-over Q, so a walk that fills S_{T+1} mod p proves the fill over Q. Where
-the walk falls short the exact relay to T+1 decides, so the answer is
-always exact. The tangent kernels of ``deformation`` need nothing more:
-at a complete intersection Gorenstein duality makes each colon
-((I_W)_k : S_{k-d+1})_{d-1}, d-1 <= k <= T, the span of W itself. For the
-Jacobian ideal of a smooth degree-d form the codimension of the degree-k
-piece is a(k), which depends only on (n, d); see ``hilbert_profile``.
+over Q, so a walk that fills S_{T+1} mod p proves the fill over Q. The
+walk stops at the first degree that falls short of b(k): the reduced
+tuple is then no regular sequence over F_p, so it would not fill S_{T+1}
+either. Where the walk falls short the exact relay to T+1 decides, so the
+answer is always exact. ``relay_step`` hands each product to its builder
+with the lead it already knows from the sort: the walk's
+``linalg.ModularEchelon`` stores a product at a new lead as it is, since
+a product of stored rows is already in stored form, and reduces only the
+products that repeat a lead. The tangent kernels of ``deformation`` need
+nothing more: at a complete intersection Gorenstein duality makes each
+colon ((I_W)_k : S_{k-d+1})_{d-1}, d-1 <= k <= T, the span of W itself.
+For the Jacobian ideal of a smooth degree-d form the codimension of the
+degree-k piece is a(k), which depends only on (n, d); see
+``hilbert_profile``.
 """
 
 from __future__ import annotations
@@ -219,21 +226,24 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
 
     The builder is an exact ``SpanBuilder`` or a ``linalg.ModularEchelon``;
     both set a new pivot at a lead that no stored row has, which is all the
-    argument needs. Returns the builder, or None once it is full.
+    argument needs. Each product goes to ``insert_product`` with its lead:
+    the exact builder reduces it as any row, and the echelon mod p stores
+    one at a new lead as it is, with no arithmetic. Returns the builder, or
+    None once it is full.
     """
     table = product_index_table(n, 1, k - 1)
     leads = sorted(((tu[p], p, tu) for p in below for tu in table), reverse=True)
     todo, last = len({lead for lead, _, _ in leads}), None
     for lead, p, tu in leads:
         first = lead != last
-        if builder.dim + todo == bound:
+        if len(builder.int_rows) + todo == bound:
             if bound == builder.length:
                 return None
             if not first:
                 continue
         if first:
             todo, last = todo - 1, lead
-        builder.insert({tu[j]: x for j, x in below[p].items()})
+        builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
     return None if builder.is_full() else builder
 
 
@@ -300,8 +310,12 @@ def ci_walk_mod_p(span: Subspace) -> bool:
     reduction of the lattice (I_W)_k meet Z^N, of dimension at most
     dim (I_W)_k <= b(k). Where the walk reaches b(T) at T and then fills
     S_{T+1}, so does (I_W)_{T+1}, rank mod p being at most rank over Q:
-    span is a complete intersection, and True says so. False proves
-    nothing. Cached per span and shared; no row of the walk is kept.
+    span is a complete intersection, and True says so. The walk returns
+    False at the first degree k that falls short of b(k): it spans the
+    degree-k piece of the ideal of the reduced tuple, which a regular
+    sequence over F_p would fill to b(k), so the fill at T+1 would fall
+    short too. False proves nothing over Q. Cached per span and shared;
+    no row of the walk is kept.
     """
     n, d = span.n, span.k + 1
     top = socle_degree(n, d)
@@ -311,6 +325,8 @@ def ci_walk_mod_p(span: Subspace) -> bool:
         piece.insert(row)
     # below S_{T+1} every bound b(k) falls short of dim S_k, so no step returns None
     for k in range(d, top + 1):
+        if piece.dim != profile.b(k - 1):
+            return False
         piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
     if piece.dim != profile.b(top):
         return False

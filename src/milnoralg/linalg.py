@@ -24,14 +24,23 @@ membership and quotient coordinates all go through it.
 Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
 basis of integer rows reduced modulo the prime ``PRIME``. Every minor of
 an integer matrix that is nonzero mod p is nonzero over Q, so the rank mod
-p is at most the rank over Q. Its insert has two users. ``certify_rank``
-decides a rank claim: a caller that already knows an exact upper bound on
-the rank over Q learns the rank exactly when the rank mod p reaches that
+p is at most the rank over Q. It has two users. ``certify_rank`` decides
+a rank claim: a caller that already knows an exact upper bound on the
+rank over Q learns the rank exactly when the rank mod p reaches that
 bound, and runs the exact code whenever it falls short. ``ideals`` walks
 its relay mod p through it, once per tuple, to decide that the tuple is a
 complete intersection; where the walk falls short, the exact relay
 decides. Modular arithmetic only ever decides a boolean; no output is
 computed mod p.
+
+Its rows are kept in stored form: 1 at the lead, every entry in [1, p).
+A product of a stored row by a variable keeps that form, so the relay
+hands each product over with the lead it already knows
+(``insert_product``), and one leading where no stored row does is stored
+as it is, with no arithmetic. Every other row, a product repeating a
+lead, a row of a span, a row of ``certify_rank``, is reduced in one dense
+accumulator, from its lead rightwards, reducing mod p only the entries it
+reads.
 """
 
 from __future__ import annotations
@@ -90,18 +99,27 @@ class ModularEchelon:
     """Echelon basis mod PRIME of a growing row space of integer rows.
 
     ``int_rows`` maps each leading column to its row, a sparse {column:
-    entry} dict with entries in [1, PRIME), 1 at the lead and every other
-    column right of it. The basis is in echelon form only, not reduced:
-    its leads, and so its dimension, are those of the RREF of the rows mod
-    p, which is all its callers read. ``length`` is the ambient dimension,
-    needed only by ``is_full``. Stored rows are never changed.
+    entry} dict in stored form: entries in [1, PRIME), 1 at the lead and
+    every other column right of it. The basis is in echelon form only, not
+    reduced: its leads, and so its dimension, are those of the RREF of the
+    rows mod p, which is all its callers read. ``length`` is the ambient
+    dimension, needed only by ``is_full``. Stored rows are never changed,
+    so they may be shared.
+
+    A row is reduced in one dense accumulator, a list as wide as the widest
+    row seen so far (at least ``length``), kept zero between inserts. The
+    reduction runs from the row's lead rightwards; an entry is reduced mod
+    p only when the scan reads it, and a stored row is subtracted wherever
+    it leads at a nonzero entry. The first nonzero entry at a lead no row
+    has becomes a new row, scaled to 1 there.
     """
 
-    __slots__ = ("length", "int_rows")
+    __slots__ = ("length", "int_rows", "_acc")
 
     def __init__(self, length: int = 0):
         self.length = length
         self.int_rows: dict = {}
+        self._acc = [0] * length
 
     @property
     def dim(self) -> int:
@@ -111,33 +129,55 @@ class ModularEchelon:
         return len(self.int_rows) == self.length
 
     def insert(self, row: dict) -> bool:
-        """Add a sparse {column: int} row, reduced mod p first; True if the span grew.
+        """Add a sparse {column: int} row, reduced mod p; True if the span grew."""
+        return bool(row) and self._reduce(row, min(row))
 
-        A row already in stored form (1 at a lead no stored row has, every
-        entry in [1, p)) is stored as it is, and may be shared: the relay
-        mod p multiplies stored rows by variables, which keeps that form.
+    def insert_product(self, row: dict, lead: int) -> bool:
+        """Add a row in stored form leading at ``lead``, columns below ``length``; True if it grew.
+
+        Such a row is x_i times a stored row of an echelon one degree
+        below, its columns mapped in order: lead 1, entries in [1, p).
+        Where no stored row leads at ``lead`` it is stored as it is, with
+        no arithmetic; otherwise it is reduced like any other row.
         """
-        p, rows = PRIME, self.int_rows
-        lead = min(row, default=None)
-        if row.get(lead) == 1 and lead not in rows and 0 < min(row.values()) and max(row.values()) < p:
-            rows[lead] = row
-            return True
-        v = {j: y for j, x in row.items() if (y := x % p)}
-        while v:
-            # entries are reduced mod p only at the lead, where it matters
-            lead = min(v)
-            c = v.pop(lead) % p
+        rows = self.int_rows
+        if lead in rows:
+            return self._reduce(row, lead)
+        rows[lead] = row
+        return True
+
+    def _reduce(self, row: dict, lead: int) -> bool:
+        """Reduce ``row``, leading at ``lead``, in the accumulator; store what is left, if anything."""
+        p, rows, acc = PRIME, self.int_rows, self._acc
+        width = max(row) + 1
+        if width > len(acc):
+            acc.extend([0] * (width - len(acc)))
+        width = len(acc)
+        for j, x in row.items():
+            acc[j] = x
+        for j in range(lead, width):
+            c = acc[j]
             if not c:
                 continue
-            r = rows.get(lead)
+            acc[j] = 0
+            c %= p
+            if not c:
+                continue
+            r = rows.get(j)
             if r is None:
                 inv = pow(c, -1, p)
-                rows[lead] = {lead: 1, **{j: y for j, x in v.items() if (y := x * inv % p)}}
+                new = {j: 1}
+                for i in range(j + 1, width):
+                    if y := acc[i]:
+                        acc[i] = 0
+                        if y := y * inv % p:
+                            new[i] = y
+                rows[j] = new
                 return True
             c = p - c
-            for j, y in r.items():
-                v[j] = v.get(j, 0) + c * y
-            del v[lead]
+            for i, y in r.items():
+                acc[i] += c * y
+            acc[j] = 0
         return False
 
 
@@ -209,6 +249,10 @@ class SpanBuilder:
         rows[pivot] = v
         insort(self.pivots, pivot)
         return True
+
+    def insert_product(self, row: dict, lead: int) -> bool:
+        """``insert`` a product of the relay; an exact row must be reduced whatever its lead."""
+        return self.insert(row)
 
 
 def rref(rows: Iterable) -> tuple:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 import milnoralg.ideals as ideals
@@ -15,12 +17,31 @@ PRIME_CACHES = (
     ideals.ci_walk_mod_p,
     ideals.is_smooth,
     reconstruction.fiber_is_line,
+    reconstruction._reference_fault,
 )
 
 
 def clear_prime_caches():
     for cache in PRIME_CACHES:
         cache.cache_clear()
+
+
+def recorded_walk(span) -> tuple:
+    """(verdict, {k: stored rows}) of an uncached ``ideals.ci_walk_mod_p``.
+
+    Each degree is read off ``relay_step``: the rows it was handed, one
+    degree below, and the rows its builder holds when it returns.
+    """
+    kept, real = {}, ideals.relay_step
+
+    def step(builder, below, n, k, bound):
+        kept[k - 1] = below
+        out = real(builder, below, n, k, bound)
+        kept[k] = builder.int_rows
+        return out
+
+    with mock.patch.object(ideals, "relay_step", step):
+        return ideals.ci_walk_mod_p.__wrapped__(span), kept
 
 
 @pytest.fixture

@@ -9,8 +9,11 @@ the assembled tangent map
 (``reduce_by_rational_rows``, ``quotient_coords_by_rational_rows``) and
 the pivot-major relay (``relay_rows``), the tangent kernels read off the
 exact colon piece (``tuple_kernel_by_colon``, ``poly_kernel_by_colon``),
-the fiber by annihilator rows (``forms_with_partials_in_by_annihilator``)
-and ``modular_annihilator`` deliberately avoids the package's
+the fiber by annihilator rows (``forms_with_partials_in_by_annihilator``),
+``modular_annihilator`` and the walk mod p by rescanning each row
+(``ScanningEchelon``, ``relay_step_by_scan``, ``ci_walk_by_scan``,
+``ci_walk_by_scan_cut``)
+deliberately avoids the package's
 own linear algebra and polynomial machinery: enumeration by itertools,
 determinants by permutation expansion, symbolic differentiation and
 matrix work by sympy. Expected values frozen into tests were computed by
@@ -547,3 +550,112 @@ def poly_kernel_by_colon(f: HomogeneousPolynomial, k: int) -> KernelReport:
     kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
     basis = tuple(PolyTangentVector(f, _from_nonpivots(fq, n, d, vec)) for vec in kernel_vectors)
     return KernelReport(k, fq.dim, len(basis), basis)
+
+
+# -- the walk mod p by rescanning each row ---------------------------------------------------
+# The library's insert mod p and relay walk before each product was handed over with its
+# lead: every row, products included, is scanned for stored form, and a row that is not
+# is reduced in a dict, its lead found by ``min`` at every step. The walk runs every degree
+# up to T and the fill at T+1, wherever it falls short.
+
+
+class ScanningEchelon:
+    """Echelon basis mod ``linalg.PRIME``, the former ``ModularEchelon``."""
+
+    __slots__ = ("length", "int_rows")
+
+    def __init__(self, length: int = 0):
+        self.length = length
+        self.int_rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.int_rows)
+
+    def is_full(self) -> bool:
+        return len(self.int_rows) == self.length
+
+    def insert(self, row: dict) -> bool:
+        """Add a sparse {column: int} row, reduced mod p first; True if the span grew.
+
+        A row already in stored form (1 at a lead no stored row has, every
+        entry in [1, p)) is stored as it is, and may be shared: the relay
+        mod p multiplies stored rows by variables, which keeps that form.
+        """
+        p, rows = linalg.PRIME, self.int_rows
+        lead = min(row, default=None)
+        if row.get(lead) == 1 and lead not in rows and 0 < min(row.values()) and max(row.values()) < p:
+            rows[lead] = row
+            return True
+        v = {j: y for j, x in row.items() if (y := x % p)}
+        while v:
+            # entries are reduced mod p only at the lead, where it matters
+            lead = min(v)
+            c = v.pop(lead) % p
+            if not c:
+                continue
+            r = rows.get(lead)
+            if r is None:
+                inv = pow(c, -1, p)
+                rows[lead] = {lead: 1, **{j: y for j, x in v.items() if (y := x * inv % p)}}
+                return True
+            c = p - c
+            for j, y in r.items():
+                v[j] = v.get(j, 0) + c * y
+            del v[lead]
+        return False
+
+
+def relay_step_by_scan(builder, below: dict, n: int, k: int, bound: int):
+    """The former ``ideals.relay_step``: each product inserted without its lead."""
+    table = product_index_table(n, 1, k - 1)
+    leads = sorted(((tu[p], p, tu) for p in below for tu in table), reverse=True)
+    todo, last = len({lead for lead, _, _ in leads}), None
+    for lead, p, tu in leads:
+        first = lead != last
+        if builder.dim + todo == bound:
+            if bound == builder.length:
+                return None
+            if not first:
+                continue
+        if first:
+            todo, last = todo - 1, lead
+        builder.insert({tu[j]: x for j, x in below[p].items()})
+    return None if builder.is_full() else builder
+
+
+def ci_walk_by_scan(span: Subspace) -> tuple:
+    """(verdict, {k: stored rows}): the former ``ideals.ci_walk_mod_p`` with every degree kept.
+
+    The rows at T+1 are those stored when the fill stopped.
+    """
+    n, d = span.n, span.k + 1
+    top = socle_degree(n, d)
+    profile = hilbert_profile(n, d)
+    piece = ScanningEchelon(dim_graded(n, d - 1))
+    for row in span.int_rows.values():
+        piece.insert(row)
+    kept = {d - 1: piece.int_rows}
+    for k in range(d, top + 1):
+        piece = relay_step_by_scan(ScanningEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
+        kept[k] = piece.int_rows
+    if piece.dim != profile.b(top):
+        return False, kept
+    fill = ScanningEchelon(dim_graded(n, top + 1))
+    full = relay_step_by_scan(fill, piece.int_rows, n, top + 1, fill.length) is None
+    kept[top + 1] = fill.int_rows
+    return full, kept
+
+
+def ci_walk_by_scan_cut(span: Subspace) -> tuple:
+    """``ci_walk_by_scan`` cut at the first degree short of b(k), where the library's walk stops.
+
+    A walk short at d-1 hands nothing to ``relay_step``, so no degree is kept.
+    """
+    verdict, kept = ci_walk_by_scan(span)
+    n, d = span.n, span.k + 1
+    profile = hilbert_profile(n, d)
+    short = [k for k in kept if k <= socle_degree(n, d) and len(kept[k]) != profile.b(k)]
+    if short:
+        kept = {k: rows for k, rows in kept.items() if k <= min(short)} if min(short) >= d else {}
+    return verdict, kept

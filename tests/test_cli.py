@@ -364,3 +364,30 @@ def test_size_outside_domain_exit_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "need n >= 1 and d >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, got",
+    [
+        (["hilbert", "--n", "-1", "--d", "3"], "n=-1, d=3"),
+        (["hilbert", "--n", "0", "--d", "1"], "n=0, d=1"),
+        (["reconstruct", "--subspace", "MISSING", "--d", "3", "--n", "0"], "n=0, d=3"),
+        (["st", "--poly", "x0^3+x1^3+x2^3", "--n", "-1"], "n=-1"),
+        (["smooth", "--poly", "x0^3+x1^3+x2^3", "--n", "-1"], "n=-1"),
+        (["smooth", "--poly", "x0^3", "--n", "0"], "n=0"),
+        (["fiber", "--poly", "@MISSING", "--n", "0"], "n=0"),
+        (["tangent-kernel", "--poly", "x0^3+x1^3", "--n", "-1", "--k", "2"], "n=-1"),
+        (["tangent-kernel", "--gens", "MISSING", "--n", "0", "--k", "2"], "n=0"),
+        (["random", "--n", "-1", "--d", "3", "--seed", "0"], "n=-1, d=3"),
+        (["suite", "--n", "0", "--d", "3"], "n=0, d=3"),
+        (["suite", "--n", "-2", "--d", "1", "--seed", "-1"], "n=-2, d=1"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_n_below_one_is_refused_alike_before_any_input_is_read(tmp_path, capsys, argv, got):
+    # a missing file, or variables beyond n, would give another message if read first
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    argv = ["@" + str(tmp_path / "missing.txt") if a == "@MISSING" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: need n >= 1 and d >= 2, got {got}\n"

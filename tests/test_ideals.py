@@ -26,8 +26,13 @@ from milnoralg import (
     st_report,
     tangent_kernel_at_tuple,
 )
+import milnoralg.ideals as ideals
 from milnoralg.ideals import _relay, ci_walk_mod_p
+from milnoralg.linalg import ModularEchelon
 from milnoralg.polynomials import HomogeneousPolynomial
+
+from conftest import recorded_walk
+from oracles import ci_walk_by_scan, ci_walk_by_scan_cut
 
 
 def monomial_tuple(*texts):
@@ -305,3 +310,69 @@ def test_non_ci_input_keeps_its_refusals():
     assert not is_smooth(hesse)
     with pytest.raises(PreconditionError, match="^form is not smooth$"):
         st_report(hesse)
+
+
+# -- the walk mod p against the walk by rescanning each row --------------------------------
+
+
+def walk_spans(ci_pools, nonst_pools):
+    spans = [w.span for pool in ci_pools.values() for w in pool]
+    return spans + [jacobian_gens(f).span for pool in nonst_pools.values() for f in pool]
+
+
+def test_ci_walk_keeps_the_rows_of_the_scanning_walk(ci_pools, nonst_pools):
+    spans = walk_spans(ci_pools, nonst_pools)
+    assert len(spans) == 150
+    for span in spans:
+        verdict, kept = recorded_walk(span)
+        assert verdict is True
+        assert (verdict, kept) == ci_walk_by_scan_cut(span)
+        assert max(kept) == socle_degree(span.n, span.k + 1) + 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ci_walk_keeps_the_rows_of_the_scanning_walk_at_a_small_prime(ci_pools, nonst_pools, patched_prime, p):
+    patched_prime(p)
+    short = 0
+    for span in walk_spans(ci_pools, nonst_pools):
+        verdict, kept = recorded_walk(span)
+        assert (verdict, kept) == ci_walk_by_scan_cut(span)
+        short += not verdict
+    assert short > 0  # the prime forces walks that fall short, and so fallbacks
+
+
+def test_ci_walk_stores_each_first_lead_product_as_it_is(monkeypatch):
+    span = jacobian_gens(random_smooth(2, 5, seed=11)).span
+    counts = dict.fromkeys(("first", "repeated", "reduced"), 0)
+    real_product, real_reduce = ModularEchelon.insert_product, ModularEchelon._reduce
+
+    def product(echelon, row, lead):
+        first = lead not in echelon.int_rows
+        counts["first" if first else "repeated"] += 1
+        grew = real_product(echelon, row, lead)
+        assert not first or (grew and echelon.int_rows[lead] is row)
+        return grew
+
+    def reduce(echelon, row, lead):
+        counts["reduced"] += 1
+        return real_reduce(echelon, row, lead)
+
+    monkeypatch.setattr(ModularEchelon, "insert_product", product)
+    monkeypatch.setattr(ModularEchelon, "_reduce", reduce)
+    assert ci_walk_mod_p.__wrapped__(span)
+    # only the rows of span at d-1 and the products repeating a lead are reduced
+    assert counts["first"] > counts["repeated"] > 0
+    assert counts["reduced"] == span.dim + counts["repeated"]
+
+
+def test_ci_walk_stops_at_the_first_degree_short_of_the_bound():
+    # x0^3, x1^3, x0*x1*x2 vanish at (0, 0, 1): dim I_5 = 16 < b(5) = 18, so the
+    # walk stops at 5 and grows neither T = 6 nor T+1, where the scanning walk goes on
+    w = monomial_tuple("x0^3", "x1^3", "x0*x1*x2")
+    assert socle_degree(2, 4) == 6
+    verdict, kept = recorded_walk(w.span)
+    assert verdict is False and sorted(kept) == [3, 4, 5]
+    assert [len(kept[k]) for k in (3, 4, 5)] == [3, 9, 16]
+    scanned, full = ci_walk_by_scan(w.span)
+    assert scanned is False and sorted(full) == [3, 4, 5, 6]
+    assert not is_complete_intersection(w)

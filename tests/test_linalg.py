@@ -34,6 +34,7 @@ from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
 from conftest import PAIRS
 from oracles import (
+    ScanningEchelon,
     modular_annihilator,
     perm_determinant,
     quotient_coords_by_rational_rows,
@@ -639,20 +640,66 @@ def test_modular_echelon_leads_match_the_exact_pivots():
 
 
 def test_modular_echelon_stores_a_row_in_stored_form_as_it_is():
+    # a product handed over with a lead no stored row has is stored as it is, shared
     p = linalg.PRIME
-    stored = {1: 1, 2: p - 1}
+    product = {1: 1, 2: p - 1}
     echelon = ModularEchelon(4)
-    assert echelon.insert({2: 3, 3: 5}) and echelon.insert(stored)
-    assert echelon.int_rows[1] is stored
-    # entries outside [1, p), a lead entry other than 1, or a lead already taken:
-    # reduced into a fresh row in stored form
-    for row in ({0: 1, 3: p + 2}, {0: 3, 2: 1}, {0: 1, 1: -1}, {1: 1, 3: 1}):
-        other = ModularEchelon(4)
-        assert other.insert({2: 3, 3: 5}) and other.insert(dict(stored))
-        assert other.insert(row)
-        assert all(kept is not row for kept in other.int_rows.values())
-        for lead, kept in other.int_rows.items():
-            assert kept[lead] == 1 and min(kept) == lead and all(0 < x < p for x in kept.values())
+    assert echelon.insert({2: 3, 3: 5}) and echelon.insert_product(product, 1)
+    assert echelon.int_rows[1] is product
+    # a product at a lead already taken is reduced, and so is every row given to
+    # insert, even one in stored form: each becomes a fresh row in stored form,
+    # the same rows the former insert kept
+    for lead, row in ((1, {1: 1, 3: 1}), (2, {2: 1, 3: p - 1}), (0, {0: 1, 3: 2}), (0, {0: 1, 1: 1})):
+        for as_product in (True, False):
+            other, oracle = ModularEchelon(4), ScanningEchelon(4)
+            for echelon_ in (other, oracle):
+                assert echelon_.insert({2: 3, 3: 5}) and echelon_.insert(dict(product))
+            taken = lead in other.int_rows
+            grew = other.insert_product(row, lead) if as_product else other.insert(row)
+            assert grew == oracle.insert(dict(row)) and other.int_rows == oracle.int_rows
+            shared = any(kept is row for kept in other.int_rows.values())
+            assert shared == (as_product and not taken)
+            for lead_, kept in other.int_rows.items():
+                assert kept[lead_] == 1 and min(kept) == lead_ and all(0 < x < p for x in kept.values())
+    # entries outside [1, p) or a lead entry other than 1: reduced into stored form
+    for row in ({0: 1, 3: p + 2}, {0: 3, 2: 1}, {0: 1, 1: -1}, {1: 1, 3: 1}, {2: p, 3: 1}):
+        other, oracle = ModularEchelon(4), ScanningEchelon(4)
+        for echelon_ in (other, oracle):
+            echelon_.insert({2: 3, 3: 5})
+            echelon_.insert(dict(product))
+        assert other.insert(row) == oracle.insert(row) and other.int_rows == oracle.int_rows
+
+
+def test_modular_echelon_matches_the_scanning_insert_on_random_rows():
+    # the dense accumulator keeps the rows the former dict reduction kept
+    rng = random.Random(53)
+    for _ in range(60):
+        cols = rng.randint(1, 9)
+        echelon, oracle = ModularEchelon(rng.choice((0, cols))), ScanningEchelon()
+        for _ in range(rng.randint(1, 8)):
+            row = {j: x for j in range(cols) if (x := rng.choice((0, 0, 1, -2, 7, 2**40 + 3)))}
+            if row:
+                assert echelon.insert(row) == oracle.insert(row)
+        assert echelon.int_rows == oracle.int_rows
+
+
+def test_certify_rank_takes_rows_wider_than_any_stored_row():
+    # certify_rank's echelon has no length: its accumulator widens with each row,
+    # so a row reaching past every stored row reduces against them all
+    p = linalg.PRIME
+    rows = [{0: 1, 2: 1}, {0: 1, 40: 3}, {2: 5, 100: 1}, {0: 2, 2: 6, 40: 3, 100: 1}, {3: p, 150: 2}]
+    dense = [[row.get(j, 0) for j in range(151)] for row in rows]
+    rank = sympy_rank(dense)
+    assert rank == 4
+    assert certify_rank(rows, rank) and not certify_rank(rows, rank + 1)
+    # a narrow row after wide ones, and a wide row after narrow ones
+    assert certify_rank([{0: 1, 90: 1}, {0: 1}], 2)
+    assert not certify_rank([{0: 1}, {1: 1}, {0: 3, 1: 3}], 3)
+    assert certify_rank([{0: 1}, {1: 1}, {0: 3, 1: 3, 60: 1}], 3)
+    echelon, oracle = ModularEchelon(), ScanningEchelon()
+    for row in rows:
+        assert echelon.insert(row) == oracle.insert(row)
+    assert echelon.int_rows == oracle.int_rows
 
 
 def test_modular_annihilator_vanishes_on_the_rows_mod_p():

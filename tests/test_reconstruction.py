@@ -342,6 +342,7 @@ def test_reconstruct_poly_edge_degree_matches_other_degrees():
     ids=["non-direct-sum", "fermat"],
 )
 def test_tangent_kernels_at_every_k_solve_the_fiber_system_once(f):
+    from milnoralg.deformation import _fiber_mod_f
     from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
 
     n, d = f.n, f.degree
@@ -349,12 +350,14 @@ def test_tangent_kernels_at_every_k_solve_the_fiber_system_once(f):
     s = fiber(jacobian_gens(f), d).s
     forms_with_partials_in.cache_clear()
     fiber_is_line.cache_clear()
+    _fiber_mod_f.cache_clear()
     kernels = {tangent_kernel_at_poly(f, k).kernel_dim for k in degrees}
     assert kernels == {s - 1}
     info = forms_with_partials_in.cache_info()
     # the certificate mod p proves the fiber of a non-direct sum is the line of
-    # f with no exact solve; a direct sum solves it once, for every k
-    assert (info.misses, info.hits) == ((0, 0) if s == 1 else (1, len(degrees)))
+    # f with no exact solve; a direct sum solves it once (the certificate's
+    # fallback) and reads it once more, for the kernel basis of every k
+    assert (info.misses, info.hits) == ((0, 0) if s == 1 else (1, 1))
 
 
 def test_reconstructions_at_every_k_solve_the_fiber_system_once():
@@ -489,6 +492,25 @@ def test_containment_checks_each_reference_once(monkeypatch):
             for k in (2, 3):
                 containment_implies_equal(h, f, k)
     assert len(calls) == len(refs)
+
+
+def test_containment_reads_no_reference_verdict_found_at_another_prime(patched_prime):
+    # _reference_fault caches a verdict read off the walk and the fiber certificate
+    # mod p; at 3 both fall short for this form, so after the prime changes the
+    # verdict must be found again, by the exact fallbacks
+    from milnoralg.ideals import ci_walk_mod_p
+    from milnoralg.reconstruction import _reference_fault, forms_with_partials_in
+
+    f = random_smooth(1, 4, seed=1, require_non_st=True)
+    assert containment_implies_equal(f, f, 3) == (True, True)
+    assert _reference_fault.cache_info().currsize == 1
+    patched_prime(3)
+    forms_with_partials_in.cache_clear()
+    assert containment_implies_equal(f, f, 3) == (True, True)
+    assert containment_implies_equal(f * Q(2, 5), f, 4) == (True, True)
+    assert (_reference_fault.cache_info().misses, _reference_fault.cache_info().hits) == (1, 1)
+    assert ci_walk_mod_p.cache_info().misses == 1 and forms_with_partials_in.cache_info().misses == 1
+    assert not ci_walk_mod_p(jacobian_gens(f).span)
 
 
 def exact_reference_fault(f):
