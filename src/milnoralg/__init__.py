@@ -29,25 +29,20 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "deformation": "KernelReport PolyTangentVector TupleTangentVector colon_piece "
-    "tangent_kernel_at_poly tangent_kernel_at_tuple",
+    "deformation": "KernelReport PolyTangentVector tangent_kernel_at_poly tangent_kernel_at_tuple",
     "errors": "PreconditionError",
     "ideals": "GeneratorTuple HilbertProfile check_size hilbert_profile ideal_piece "
     "is_complete_intersection is_smooth jacobian_gens jacobian_piece partials_piece "
     "socle_degree",
-    "inverse_systems": "AssociatedForm apolar_piece associated_form catalecticant_matrix "
-    "verify_inverse_system",
-    "linalg": "QuotientMap Subspace contains full_subspace map_image map_kernel nullspace "
-    "orthogonal_complement rref span_polys span_vectors subspace_intersect subspace_sum "
-    "zero_subspace",
+    "inverse_systems": "AssociatedForm apolar_piece associated_form verify_inverse_system",
+    "linalg": "Subspace contains full_subspace map_kernel span_polys span_vectors zero_subspace",
     "monomials": "dim_graded factorial_weights grlex_key mono_basis mono_index",
-    "polynomials": "HomogeneousPolynomial apolar_inner euler_check euler_recover evaluate "
-    "fermat format_poly linear_change multiply parse_poly partial polar_apply",
+    "polynomials": "HomogeneousPolynomial fermat format_poly linear_change multiply parse_poly "
+    "partial polar_apply",
     "rationals": "Q",
     "reconstruction": "ContainmentCheck FiberResult containment_implies_equal fiber "
-    "lift_piece reconstruct_poly recover_generators",
-    "st_analysis": "STReport coordinate_split random_ci_tuple random_smooth "
-    "random_unimodular st_report",
+    "reconstruct_poly recover_generators",
+    "st_analysis": "STReport coordinate_split random_ci_tuple random_smooth st_report",
     "suite": "SuiteCheck run_suite",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

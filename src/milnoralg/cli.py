@@ -151,9 +151,8 @@ def _cmd_tangent_kernel(args) -> int:
         f"k = {report.k}",
         f"tangent_dim = {report.tangent_dim}",
         f"kernel_dim = {report.kernel_dim}",
+        *obj["kernel_basis"],
     ]
-    for entry in obj["kernel_basis"]:
-        lines.append(entry if isinstance(entry, str) else "; ".join(entry))
     _emit(args, "\n".join(lines), obj)
     return 0
 

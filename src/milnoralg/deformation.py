@@ -18,8 +18,8 @@ when every h_i lies in the colon piece
 
     C_k = ((I_W)_k : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in (I_W)_k},
 
-and the kernel at a tuple is n+1 copies of C_k / W (``colon_piece``).
-At a complete intersection C_k = W for every d-1 <= k <= T, T = (n+1)(d-2)
+and the kernel at a tuple is n+1 copies of C_k / W. At a complete
+intersection C_k = W for every d-1 <= k <= T, T = (n+1)(d-2)
 the socle degree, by Gorenstein duality: the quotient algebra A is
 Artinian Gorenstein with socle degree T, so the pairing
 A_{d-1} x A_{T-d+1} -> A_T is perfect, and A_{T-d+1} = A_{T-k} * A_{k-d+1}.
@@ -41,8 +41,9 @@ sum with s summands. Whether it vanishes is decided once per span by
 exact fiber as its fallback. When it holds, the report is the zero kernel
 at every k, and neither the fiber nor the quotient by f is built;
 otherwise the kernel does not depend on k either: its basis, the exact
-fiber modulo f, is built once per form (``_fiber_mod_f``) and read at
-every k.
+fiber reduced against the line through f and brought to RREF, is built
+once per form (``_fiber_mod_f``) and read at every k. The exact colon
+piece is kept only as a reference in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -51,59 +52,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .ideals import (
-    GeneratorTuple,
-    check_size,
-    ideal_piece,
-    is_complete_intersection,
-    is_smooth,
-    jacobian_gens,
-    socle_degree,
-)
-from .linalg import (
-    QuotientMap,
-    Subspace,
-    annihilator,
-    nullspace,
-    rref,
-    span_polys,
-    span_vectors,
-)
-from .monomials import dim_graded, mono_basis
+from .ideals import GeneratorTuple, check_degree, is_complete_intersection, is_smooth, jacobian_gens
+from .linalg import span_polys, span_vectors
+from .monomials import dim_graded
 from .polynomials import HomogeneousPolynomial
-from .reconstruction import colon_rows, fiber_is_line, forms_with_partials_in
-
-
-class TupleTangentVector:
-    """A tangent direction at a generator tuple: n+1 forms modulo span(W).
-
-    The stored parts are the canonical representatives, each reduced
-    against the echelon basis of span(W), so a direction is zero exactly
-    when every stored part is the zero form.
-    """
-
-    __slots__ = ("w", "parts")
-
-    def __init__(self, w: GeneratorTuple, parts):
-        parts = tuple(parts)
-        if len(parts) != w.n + 1:
-            raise ValueError(f"expected {w.n + 1} parts, got {len(parts)}")
-        span = w.span
-        reduced = []
-        for p in parts:
-            if p.n != w.n or p.degree != w.d - 1:
-                raise ValueError("tangent parts must be forms of the generator degree")
-            reduced.append(
-                HomogeneousPolynomial.from_coords(w.n, w.d - 1, span.reduce(p.coords()))
-            )
-        self.w = w
-        self.parts = tuple(reduced)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
-
-    def __repr__(self):
-        return f"TupleTangentVector({', '.join(str(p) for p in self.parts)})"
+from .reconstruction import fiber_is_line, forms_with_partials_in
 
 
 class PolyTangentVector:
@@ -138,47 +91,10 @@ class KernelReport(NamedTuple):
     basis: tuple
 
 
-def _check_degree(n: int, d: int, k: int):
-    check_size(n, d)
-    top = socle_degree(n, d)
-    if not d - 1 <= k <= top:
-        raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
-
-
 def _check_tuple_pre(w: GeneratorTuple, k: int):
-    _check_degree(w.n, w.d, k)
+    check_degree(w.n, w.d, k)
     if not is_complete_intersection(w):
         raise PreconditionError("generator tuple is not a complete intersection")
-
-
-def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
-    """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
-
-    Returns (that quotient map, canonical basis): the kernel of
-    ``colon_rows`` on the nonpivot monomials of span(W). C contains W, so
-    these columns see all of C / W, and rows stop being read once they
-    have full rank, which leaves no kernel to miss.
-    """
-    gq = QuotientMap(w.span)
-    rows = colon_rows(annihilator(ideal_piece(w, k)), w.n, k, w.d - 1, gq.nonpivots)
-    return gq, nullspace(rows, gq.dim, gq.dim)
-
-
-def _from_quotient_coords(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:
-    monos = mono_basis(n, degree)
-    return HomogeneousPolynomial(n, degree, {monos[j]: c for j, c in zip(qm.nonpivots, vec) if c})
-
-
-def colon_piece(w: GeneratorTuple, k: int) -> Subspace:
-    """C = ((I_W)_k : S_{k-(d-1)})_{d-1}, canonical basis, for k >= d-1.
-
-    The forms c of the generator degree with c * u in (I_W)_k for every
-    monomial u of degree k-(d-1). Contains span(W); equal to it at a
-    complete intersection for d-1 <= k <= T.
-    """
-    gq, extra = _colon_mod_span(w, k)
-    lifted = [_from_quotient_coords(gq, w.n, w.d - 1, v).coords() for v in extra]
-    return span_vectors(w.n, w.d - 1, [*w.span.int_rows.values(), *lifted])
 
 
 def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
@@ -196,17 +112,17 @@ def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
 
 @lru_cache(maxsize=256)
 def _fiber_mod_f(f: HomogeneousPolynomial) -> tuple:
-    """(dim S_d - 1, canonical basis of the fiber of f modulo the line through f).
+    """Canonical basis of the fiber of f modulo the line through f.
 
-    The kernel of ``tangent_kernel_at_poly`` at every k, built once per form.
+    The kernel of ``tangent_kernel_at_poly`` at every k, built once per form:
+    each fiber form reduced against the line, then brought to RREF. Every
+    reduced form is zero at the line's pivot, so this is the RREF of the
+    quotient coordinates, lifted back.
     """
-    fq = QuotientMap(span_polys([f]))
+    line = span_polys([f])
     fiber = forms_with_partials_in(jacobian_gens(f).span)
-    kernel_vectors, _ = rref([fq.coords(h.coords()) for h in fiber])
-    basis = tuple(
-        PolyTangentVector(f, _from_quotient_coords(fq, f.n, f.degree, vec)) for vec in kernel_vectors
-    )
-    return fq.dim, basis
+    reduced = span_vectors(f.n, f.degree, [line.reduce(h.coords()) for h in fiber])
+    return tuple(PolyTangentVector(f, h) for h in reduced.basis_polynomials())
 
 
 def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
@@ -221,10 +137,11 @@ def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:
     summands, cached per form.
     """
     n, d = f.n, f.degree
-    _check_degree(n, d, k)
+    check_degree(n, d, k)
     if not is_smooth(f):
         raise PreconditionError("polynomial is not smooth")
+    tangent_dim = dim_graded(n, d) - 1
     if fiber_is_line(jacobian_gens(f).span):
-        return KernelReport(k, dim_graded(n, d) - 1, 0, ())
-    tangent_dim, basis = _fiber_mod_f(f)
+        return KernelReport(k, tangent_dim, 0, ())
+    basis = _fiber_mod_f(f)
     return KernelReport(k, tangent_dim, len(basis), basis)

@@ -74,6 +74,18 @@ def socle_degree(n: int, d: int) -> int:
     return (n + 1) * (d - 2)
 
 
+def check_degree(n: int, d: int, k: int) -> None:
+    """Reject a size outside ``check_size``, then a degree k outside d-1 <= k <= T.
+
+    The one range check of every entry point that reads a piece of degree
+    k: the tangent kernels, ``recover_generators`` and the containment test.
+    """
+    check_size(n, d)
+    top = socle_degree(n, d)
+    if not d - 1 <= k <= top:
+        raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
+
+
 class HilbertProfile(NamedTuple):
     """Hilbert function of the Artinian complete-intersection quotient.
 
@@ -314,7 +326,8 @@ def ci_walk_mod_p(span: Subspace) -> bool:
     False at the first degree k that falls short of b(k): it spans the
     degree-k piece of the ideal of the reduced tuple, which a regular
     sequence over F_p would fill to b(k), so the fill at T+1 would fall
-    short too. False proves nothing over Q. Cached per span and shared;
+    short too. At d = 2, T = 0 and the walk takes no step: the span itself
+    must fill S_1. False proves nothing over Q. Cached per span and shared;
     no row of the walk is kept.
     """
     n, d = span.n, span.k + 1
@@ -323,15 +336,14 @@ def ci_walk_mod_p(span: Subspace) -> bool:
     piece = ModularEchelon(dim_graded(n, d - 1))
     for row in span.int_rows.values():
         piece.insert(row)
-    # below S_{T+1} every bound b(k) falls short of dim S_k, so no step returns None
-    for k in range(d, top + 1):
+    # b(k) < dim S_k up to T, and b(T+1) = dim S_{T+1}: only the fill returns None
+    for k in range(d, top + 2):
         if piece.dim != profile.b(k - 1):
             return False
         piece = relay_step(ModularEchelon(dim_graded(n, k)), piece.int_rows, n, k, profile.b(k))
-    if piece.dim != profile.b(top):
-        return False
-    fill = ModularEchelon(dim_graded(n, top + 1))
-    return relay_step(fill, piece.int_rows, n, top + 1, fill.length) is None
+        if piece is None:
+            return True
+    return piece.is_full()
 
 
 def is_complete_intersection(w: GeneratorTuple) -> bool:

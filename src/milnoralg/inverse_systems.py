@@ -25,7 +25,6 @@ can be and compared piece by piece where it cannot.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,7 +44,7 @@ from .linalg import (
     integer_row,
     map_kernel,
 )
-from .monomials import factorial_weights, mono_basis, mono_index, product_index_table
+from .monomials import factorial_weights, mono_basis, product_index_table
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q
 
@@ -117,37 +116,6 @@ def _associated_form(span: Subspace) -> AssociatedForm:
     lead = min(nu)
     terms = {monos[j]: Q(x * weights[lead], weights[j] * nu[lead]) for j, x in nu.items()}
     return AssociatedForm(HomogeneousPolynomial(n, top, terms), d)
-
-
-def catalecticant_matrix(b: HomogeneousPolynomial, k: int) -> list:
-    """Matrix of g |-> (g applied as differential operator to b), on S_k.
-
-    Column convention: dim(S_{m-k}) rows and dim(S_k) columns for
-    m = deg(b); entry (t, s) is the target-monomial-t coefficient of the
-    s-th source monomial acting on b.
-    """
-    m, n = b.degree, b.n
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= {m}, got {k}")
-    src = mono_basis(n, k)
-    tgt = mono_basis(n, m - k)
-    idx = mono_index(n, m)
-    coeffs = {}
-    for alpha, c in b.terms.items():
-        coeffs[idx[alpha]] = c
-    table = product_index_table(n, m - k, k)
-    rows = []
-    for t, beta in enumerate(tgt):
-        row = []
-        for s, alpha in enumerate(src):
-            c = coeffs.get(table[t][s])
-            if c is None:
-                row.append(0)
-            else:
-                factor = math.prod(math.perm(bt + at, at) for bt, at in zip(beta, alpha))
-                row.append(c * factor)
-        rows.append(row)
-    return rows
 
 
 def _weighted_coefficients(b: HomogeneousPolynomial) -> dict:

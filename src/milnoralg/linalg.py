@@ -18,8 +18,8 @@ denominators), so the canonical basis is unchanged while the elimination
 pays one gcd per row instead of one per rational operation. These integer
 rows are the only stored form of a subspace, in ``SpanBuilder`` and
 ``Subspace`` alike; rationals are formed only when ``rows`` is read. One
-routine, ``reduce_row``, reduces a vector against them: insertion,
-membership and quotient coordinates all go through it.
+routine, ``reduce_row``, reduces a vector against them: insertion and
+membership both go through it.
 
 Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
 basis of integer rows reduced modulo the prime ``PRIME``. Every minor of
@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .monomials import dim_graded, factorial_weights
+from .monomials import dim_graded
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q, ZERO
 
@@ -255,21 +255,6 @@ class SpanBuilder:
         return self.insert(row)
 
 
-def rref(rows: Iterable) -> tuple:
-    """Reduced row-echelon form of a matrix given as a list of rows.
-
-    Returns (reduced rows, pivot columns); zero rows are dropped. The
-    result depends only on the row space, hence is deterministic.
-    """
-    rows = list(rows)
-    if not rows:
-        return [], []
-    builder = SpanBuilder(len(rows[0]))
-    for r in rows:
-        builder.insert(r)
-    return builder.rows, list(builder.pivots)
-
-
 def _kernel_vectors(rows: dict, length: int):
     """For integer RREF ``rows``, one primitive kernel vector per free column q.
 
@@ -302,11 +287,6 @@ def kernel_builder(rows: Iterable, ncols: int, rank: Optional[int] = None) -> Sp
     for v in _kernel_vectors(reduced.int_rows, ncols):
         builder.insert(v)
     return builder
-
-
-def nullspace(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
-    """The rows of ``kernel_builder`` as dense lists of rationals."""
-    return kernel_builder(rows, ncols, rank).rows
 
 
 class Subspace:
@@ -442,25 +422,6 @@ def span_polys(polys, n: Optional[int] = None, k: Optional[int] = None) -> Subsp
     return span_vectors(n, k, (f.coords() for f in polys))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_ambient(a, b)
-    return span_vectors(a.n, a.k, [*a.int_rows.values(), *b.int_rows.values()])
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus double-block reduction."""
-    _check_same_ambient(a, b)
-    amb = a.ambient_dim
-    builder = SpanBuilder(2 * amb)
-    for row in a.int_rows.values():
-        builder.insert({**row, **{j + amb: x for j, x in row.items()}})
-    for row in b.int_rows.values():
-        builder.insert(row)
-    rows = builder.int_rows
-    shifted = ({j - amb: x for j, x in rows[p].items()} for p in builder.pivots if p >= amb)
-    return span_vectors(a.n, a.k, shifted)
-
-
 def contains(a: Subspace, b: Subspace) -> bool:
     """Whether a contains b (decided on canonical bases)."""
     _check_same_ambient(a, b)
@@ -476,52 +437,6 @@ def annihilator(e: Subspace) -> list:
     return list(_kernel_vectors(e.int_rows, e.ambient_dim))
 
 
-def orthogonal_complement(e: Subspace) -> Subspace:
-    """Complement under the apolar inner product on S_k.
-
-    The pairing is diagonal on monomials with weights alpha!, so the
-    complement is the kernel of the weighted basis matrix. Involutive:
-    the complement of the complement is the original subspace.
-    """
-    weights = factorial_weights(e.n, e.k)
-    rows = [{j: x * weights[j] for j, x in row.items()} for row in e.int_rows.values()]
-    return map_kernel(rows, e.n, e.k)
-
-
 def map_kernel(matrix_rows, n: int, k: int) -> Subspace:
     """Kernel in S_k of a map given by a matrix with dim(S_k) columns."""
     return Subspace.from_builder(n, k, kernel_builder(matrix_rows, dim_graded(n, k)))
-
-
-def map_image(matrix_rows, n: int, m: int) -> Subspace:
-    """Image in S_m of a map given by a matrix with dim(S_m) rows."""
-    if not matrix_rows:
-        return zero_subspace(n, m)
-    ncols = len(matrix_rows[0])
-    cols = ([row[j] for row in matrix_rows] for j in range(ncols))
-    return span_vectors(n, m, cols)
-
-
-class QuotientMap:
-    """Canonical coordinates on S_k / E for a subspace E in RREF.
-
-    The coordinates of a vector are the non-pivot positions of its
-    residual modulo E; they vanish exactly on E, and there are
-    dim(S_k) - dim(E) of them.
-    """
-
-    __slots__ = ("subspace", "pivots", "nonpivots")
-
-    def __init__(self, subspace: Subspace):
-        self.subspace = subspace
-        self.pivots = subspace.pivots
-        self.nonpivots = tuple(sorted(set(range(subspace.ambient_dim)) - set(subspace.pivots)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.nonpivots)
-
-    def coords(self, vec) -> list:
-        """Quotient coordinates of an ambient coordinate vector, entries of type Q."""
-        residual = self.subspace.reduce(vec)
-        return [residual[j] for j in self.nonpivots]

@@ -236,71 +236,6 @@ def polar_apply(f: HomogeneousPolynomial, q: HomogeneousPolynomial) -> Homogeneo
     return HomogeneousPolynomial(f.n, q.degree - f.degree, out)
 
 
-def apolar_inner(f: HomogeneousPolynomial, q: HomogeneousPolynomial):
-    """The inner product sum(alpha! * a_alpha * b_alpha) over shared monomials.
-
-    Symmetric, bilinear, and positive definite on rational coefficients;
-    agrees with ``polar_apply`` in equal degrees.
-    """
-    if f.n != q.n:
-        raise ValueError(f"variable count mismatch: n={f.n} vs n={q.n}")
-    if f.degree != q.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {q.degree}")
-    small, large = (f.terms, q.terms) if len(f.terms) <= len(q.terms) else (q.terms, f.terms)
-    total = ZERO
-    for alpha, c in small.items():
-        other = large.get(alpha)
-        if other is not None:
-            total += c * other * math.prod(math.factorial(e) for e in alpha)
-    return total
-
-
-def euler_check(f: HomogeneousPolynomial) -> bool:
-    """Verify the Euler identity sum_i x_i * df/dx_i = deg(f) * f exactly."""
-    if f.degree < 1:
-        raise ValueError("Euler identity needs degree >= 1")
-    acc = HomogeneousPolynomial.zero(f.n, f.degree)
-    for i in range(f.n + 1):
-        acc = acc + multiply(HomogeneousPolynomial.variable(f.n, i), partial(f, i))
-    return acc == f * f.degree
-
-
-def euler_recover(gens) -> HomogeneousPolynomial:
-    """Rebuild (1/d) * sum_i x_i * g_i from an (n+1)-tuple of degree d-1 forms.
-
-    When the g_i are the partial derivatives of a form f this returns f
-    exactly, by the Euler identity.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("empty generator sequence")
-    n = gens[0].n
-    e = gens[0].degree
-    if len(gens) != n + 1:
-        raise ValueError(f"expected {n + 1} forms, got {len(gens)}")
-    acc = HomogeneousPolynomial.zero(n, e + 1)
-    for i, g in enumerate(gens):
-        if g.n != n or g.degree != e:
-            raise ValueError("generator sequence is not homogeneous of one degree")
-        acc = acc + multiply(HomogeneousPolynomial.variable(n, i), g)
-    return acc / (e + 1)
-
-
-def evaluate(f: HomogeneousPolynomial, point):
-    """Evaluate f at a rational point given as a sequence of n+1 scalars."""
-    point = [Q(p) for p in point]
-    if len(point) != f.n + 1:
-        raise ValueError(f"point has length {len(point)}, expected {f.n + 1}")
-    total = ZERO
-    for alpha, c in f.terms.items():
-        val = c
-        for p, e in zip(point, alpha):
-            if e:
-                val *= p ** e
-        total += val
-    return total
-
-
 def linear_change(f: HomogeneousPolynomial, matrix) -> HomogeneousPolynomial:
     """Substitute x_i -> sum_j matrix[i][j] * x_j into f.
 

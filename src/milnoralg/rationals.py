@@ -24,11 +24,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def rational(value) -> "Q":
-    """Coerce an int, string, Fraction, or rational to the scalar type."""
-    return Q(value)
-
-
 def parse_rational(text: str) -> "Q":
     """Parse ``"p"`` or ``"p/q"`` into an exact rational.
 

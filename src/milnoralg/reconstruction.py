@@ -32,14 +32,13 @@ from typing import NamedTuple, Optional
 from .errors import PreconditionError
 from .ideals import (
     GeneratorTuple,
-    generated_piece,
+    check_degree,
     hilbert_profile,
     is_complete_intersection,
     is_smooth,
     jacobian_gens,
     jacobian_piece,
     partials_piece,
-    socle_degree,
 )
 from .linalg import (
     Subspace,
@@ -84,16 +83,6 @@ class ContainmentCheck(NamedTuple):
     conclusion_holds: Optional[bool]
 
 
-def lift_piece(e: Subspace, m: int) -> Subspace:
-    """Span of S_{m-k} * E inside S_m, for a subspace E of S_k.
-
-    Idempotent under composition: lifting a lift equals lifting once.
-    """
-    if m < e.k:
-        raise ValueError(f"cannot lift from degree {e.k} down to {m}")
-    return generated_piece(e, m)
-
-
 def colon_rows(duals, n: int, k: int, degree: int, columns):
     """Integer rows of c |-> (c * u mod E) over u in S_{k-degree}, E in S_k, lazily.
 
@@ -126,10 +115,8 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     """
     if (e.n, e.k) != (n, k):
         raise ValueError(f"subspace lives in {(e.n, e.k)}, not {(n, k)}")
+    check_degree(n, d, k)
     profile = hilbert_profile(n, d)
-    top = socle_degree(n, d)
-    if not d - 1 <= k <= top:
-        raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
     if e.dim != profile.b(k):
         raise PreconditionError(
             f"dimension {e.dim} does not match the expected piece dimension {profile.b(k)}"
@@ -272,10 +259,7 @@ def containment_implies_equal(
     """
     if (h.n, h.degree) != (f.n, f.degree):
         raise ValueError("h and f must live in the same graded piece")
-    d, n = f.degree, f.n
-    top = socle_degree(n, d)
-    if not d - 1 <= k <= top:
-        raise ValueError(f"need d-1 <= k <= {top}, got k={k}")
+    check_degree(f.n, f.degree, k)
     if fault := _reference_fault(f):
         raise PreconditionError(fault)
 

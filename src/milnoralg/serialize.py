@@ -9,7 +9,7 @@ produce byte-identical JSON. The documented schemas:
   fiber         {"s", "basis": [poly strings]}
   form          {"n", "d", "T", "form": poly string}
   st report     {"is_st", "s", "fiber": fiber object}
-  kernel report {"k", "tangent_dim", "kernel_dim", "kernel_basis": [...]}
+  kernel report {"k", "tangent_dim", "kernel_dim", "kernel_basis": [poly strings]}
   hilbert       {"n", "d", "T", "a": [int], "b": [int]}
 """
 
@@ -113,18 +113,11 @@ def st_report_to_dict(report) -> dict:
 
 
 def kernel_report_to_dict(report: KernelReport) -> dict:
-    from .deformation import PolyTangentVector  # loaded already: it made the report
-    rendered = []
-    for vec in report.basis:
-        if isinstance(vec, PolyTangentVector):
-            rendered.append(format_poly(vec.h))
-        else:
-            rendered.append([format_poly(p) for p in vec.parts])
     return {
         "k": report.k,
         "tangent_dim": report.tangent_dim,
         "kernel_dim": report.kernel_dim,
-        "kernel_basis": rendered,
+        "kernel_basis": [format_poly(vec.h) for vec in report.basis],
     }
 
 

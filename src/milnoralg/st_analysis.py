@@ -19,7 +19,7 @@ This module also generates the seeded random instances (smooth forms,
 smooth non-direct-sum forms, complete-intersection tuples) used by the
 verification suites. Generation is a rejection loop around a Fermat
 anchor with bounded integer perturbations, deterministic in the seed;
-negative seeds are rejected.
+negative seeds and coefficient bounds are rejected.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def random_smooth(
     """
     check_size(n, d)
     check_seed(seed)
+    if coeff_bound < 0:
+        raise ValueError(f"need coeff_bound >= 0, got {coeff_bound}")
     if require_non_st and d < 3:
         raise ValueError("non-direct-sum sampling needs d >= 3")
     rng = random.Random(seed)
@@ -154,6 +156,8 @@ def random_ci_tuple(
     """
     check_size(n, d)
     check_seed(seed)
+    if coeff_bound < 0:
+        raise ValueError(f"need coeff_bound >= 0, got {coeff_bound}")
     rng = random.Random(seed)
     monomials = mono_basis(n, d - 1)
     for _ in range(max_attempts):
@@ -173,21 +177,3 @@ def random_ci_tuple(
         f"no complete intersection found in {max_attempts} attempts (n={n}, d={d})"
     )
 
-
-def random_unimodular(n: int, seed: int, steps: int = 12) -> list:
-    """Random integer matrix of determinant +-1 on the n+1 variables.
-
-    Built from elementary row operations, so it is always invertible;
-    used to exercise invariance of the summand count under coordinate
-    changes.
-    """
-    check_seed(seed)
-    rng = random.Random(seed)
-    size = n + 1
-    mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for _ in range(steps):
-        i, j = rng.sample(range(size), 2)
-        c = rng.choice([-1, 1])
-        for col in range(size):
-            mat[i][col] += c * mat[j][col]
-    return mat

@@ -136,6 +136,8 @@ def run_suite(
     if n < 1 or d < 3:
         raise ValueError(f"suite needs n >= 1 and d >= 3, got n={n}, d={d}")
     check_seed(seed)
+    if polys < 0 or tuples < 0:
+        raise ValueError(f"need polys >= 0 and tuples >= 0, got polys={polys}, tuples={tuples}")
     started = time.monotonic()
     results: list = []
     profile = hilbert_profile(n, d)

@@ -10,21 +10,28 @@ the assembled tangent map
 the pivot-major relay (``relay_rows``), the tangent kernels read off the
 exact colon piece (``tuple_kernel_by_colon``, ``poly_kernel_by_colon``),
 the fiber by annihilator rows (``forms_with_partials_in_by_annihilator``),
-``modular_annihilator`` and the walk mod p by rescanning each row
+``modular_annihilator``, the walk mod p by rescanning each row
 (``ScanningEchelon``, ``relay_step_by_scan``, ``ci_walk_by_scan``,
-``ci_walk_by_scan_cut``)
+``ci_walk_by_scan_cut``) and the former library helpers moved here when
+no library path ran them any more (``QuotientMap``, ``rref``,
+``orthogonal_complement``, ``subspace_sum``, ``subspace_intersect``,
+``map_image``, ``catalecticant_matrix``, ``apolar_inner``,
+``euler_check``, ``euler_recover``, ``evaluate``, ``random_unimodular``,
+``TupleTangentVector`` and ``colon_piece``)
 deliberately avoids the package's
 own linear algebra and polynomial machinery: enumeration by itertools,
 determinants by permutation expansion, symbolic differentiation and
 matrix work by sympy. Expected values frozen into tests were computed by
 these routes. Those exceptions are routes the library took before it
-found a cheaper one; they share its elimination, which is itself
-checked against sympy in test_linalg.
+found a cheaper one, or helpers it no longer needs; they share its
+elimination, which is itself checked against sympy in test_linalg.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+import math
+import random
 from typing import Iterable
 
 import sympy
@@ -36,32 +43,33 @@ from milnoralg import (
     Subspace,
     apolar_piece,
     associated_form,
-    catalecticant_matrix,
-    colon_piece,
     dim_graded,
     full_subspace,
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
-    lift_piece,
     map_kernel,
-    orthogonal_complement,
-    rref,
+    multiply,
+    partial,
     socle_degree,
     span_polys,
+    span_vectors,
     zero_subspace,
 )
 import milnoralg.linalg as linalg
-from milnoralg.deformation import (
-    KernelReport,
-    PolyTangentVector,
-    TupleTangentVector,
-    _check_degree,
-    _check_tuple_pre,
+from milnoralg.deformation import KernelReport, PolyTangentVector, _check_tuple_pre
+from milnoralg.ideals import check_degree, generated_piece
+from milnoralg.linalg import SpanBuilder, _check_same_ambient, annihilator, kernel_builder
+from milnoralg.monomials import (
+    derivative_table,
+    factorial_weights,
+    mono_basis,
+    mono_index,
+    product_index_table,
 )
-from milnoralg.linalg import QuotientMap, SpanBuilder, annihilator, nullspace
-from milnoralg.monomials import derivative_table, mono_basis, mono_index, product_index_table
 from milnoralg.rationals import Q, ZERO
+from milnoralg.reconstruction import colon_rows
+from milnoralg.st_analysis import check_seed
 
 
 def product_index_table_by_lookup(n: int, ka: int, kb: int) -> tuple:
@@ -236,9 +244,9 @@ def recover_generators_by_lift(e, k: int, n: int, d: int):
     if e.dim != hilbert_profile(n, d).b(k):
         raise PreconditionError("dimension does not match the expected piece dimension")
     top = socle_degree(n, d)
-    if not lift_piece(e, top + 1).is_full():
+    if not generated_piece(e, top + 1).is_full():
         raise PreconditionError("lift does not fill degree T+1")
-    comp = orthogonal_complement(lift_piece(e, top))
+    comp = orthogonal_complement(generated_piece(e, top))
     if comp.dim != 1:
         raise PreconditionError("socle complement is not a line")
     generators = apolar_piece(HomogeneousPolynomial.from_coords(n, top, comp.rows[0]), d - 1)
@@ -475,7 +483,7 @@ def forms_with_partials_in_by_annihilator(e: Subspace) -> tuple:
     ``partials_rows_by_annihilator``.
     """
     n, d = e.n, e.k + 1
-    solutions = nullspace(partials_rows_by_annihilator(e), dim_graded(n, d))
+    solutions = kernel_builder(partials_rows_by_annihilator(e), dim_graded(n, d)).rows
     return tuple(HomogeneousPolynomial.from_coords(n, d, v) for v in solutions)
 
 
@@ -512,21 +520,16 @@ def _exact_ci(w: GeneratorTuple) -> bool:
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 
 
-def _from_nonpivots(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:
-    monos = mono_basis(n, degree)
-    return HomogeneousPolynomial(n, degree, {monos[j]: c for j, c in zip(qm.nonpivots, vec) if c})
-
-
 def tuple_kernel_by_colon(w: GeneratorTuple, k: int) -> KernelReport:
     """Kernel of the tangent map of W |-> (I_W)_k: n+1 copies of C / W, C = ``colon_piece(w, k)``."""
-    _check_degree(w.n, w.d, k)
+    check_degree(w.n, w.d, k)
     if not _exact_ci(w):
         raise PreconditionError("generator tuple is not a complete intersection")
     n = w.n
     gq = QuotientMap(w.span)
     block, _ = rref([gq.coords(row) for row in colon_piece(w, k).rows])
     zero = HomogeneousPolynomial.zero(n, w.d - 1)
-    forms = [_from_nonpivots(gq, n, w.d - 1, v) for v in block]
+    forms = [_from_quotient_coords(gq, n, w.d - 1, v) for v in block]
     basis = tuple(
         TupleTangentVector(w, [form if i == slot else zero for i in range(n + 1)])
         for slot in range(n + 1)
@@ -538,7 +541,7 @@ def tuple_kernel_by_colon(w: GeneratorTuple, k: int) -> KernelReport:
 def poly_kernel_by_colon(f: HomogeneousPolynomial, k: int) -> KernelReport:
     """Kernel of the tangent map of f |-> (J(f))_k: the fiber over ``colon_piece`` modulo f."""
     n, d = f.n, f.degree
-    _check_degree(n, d, k)
+    check_degree(n, d, k)
     try:
         w = jacobian_gens(f)
     except PreconditionError:
@@ -548,7 +551,9 @@ def poly_kernel_by_colon(f: HomogeneousPolynomial, k: int) -> KernelReport:
     fq = QuotientMap(span_polys([f]))
     preimage = forms_with_partials_in_by_annihilator(colon_piece(w, k))
     kernel_vectors, _ = rref([fq.coords(h.coords()) for h in preimage])
-    basis = tuple(PolyTangentVector(f, _from_nonpivots(fq, n, d, vec)) for vec in kernel_vectors)
+    basis = tuple(
+        PolyTangentVector(f, _from_quotient_coords(fq, n, d, vec)) for vec in kernel_vectors
+    )
     return KernelReport(k, fq.dim, len(basis), basis)
 
 
@@ -659,3 +664,266 @@ def ci_walk_by_scan_cut(span: Subspace) -> tuple:
     if short:
         kept = {k: rows for k, rows in kept.items() if k <= min(short)} if min(short) >= d else {}
     return verdict, kept
+
+
+# -- former library helpers ------------------------------------------------------------------
+# Public helpers that no library path ran any more, moved here as they were, as references
+# and tools for the tests. ``nullspace`` and ``lift_piece`` did not move: read
+# ``kernel_builder(rows, ncols).rows`` and ``generated_piece(e, m)`` instead.
+
+
+def rref(rows: Iterable) -> tuple:
+    """Reduced row-echelon form of a matrix given as a list of rows.
+
+    Returns (reduced rows, pivot columns); zero rows are dropped. The
+    result depends only on the row space, hence is deterministic.
+    """
+    rows = list(rows)
+    if not rows:
+        return [], []
+    builder = SpanBuilder(len(rows[0]))
+    for r in rows:
+        builder.insert(r)
+    return builder.rows, list(builder.pivots)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    _check_same_ambient(a, b)
+    return span_vectors(a.n, a.k, [*a.int_rows.values(), *b.int_rows.values()])
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection via the Zassenhaus double-block reduction."""
+    _check_same_ambient(a, b)
+    amb = a.ambient_dim
+    builder = SpanBuilder(2 * amb)
+    for row in a.int_rows.values():
+        builder.insert({**row, **{j + amb: x for j, x in row.items()}})
+    for row in b.int_rows.values():
+        builder.insert(row)
+    rows = builder.int_rows
+    shifted = ({j - amb: x for j, x in rows[p].items()} for p in builder.pivots if p >= amb)
+    return span_vectors(a.n, a.k, shifted)
+
+
+def orthogonal_complement(e: Subspace) -> Subspace:
+    """Complement under the apolar inner product on S_k.
+
+    The pairing is diagonal on monomials with weights alpha!, so the
+    complement is the kernel of the weighted basis matrix. Involutive:
+    the complement of the complement is the original subspace.
+    """
+    weights = factorial_weights(e.n, e.k)
+    rows = [{j: x * weights[j] for j, x in row.items()} for row in e.int_rows.values()]
+    return map_kernel(rows, e.n, e.k)
+
+
+def map_image(matrix_rows, n: int, m: int) -> Subspace:
+    """Image in S_m of a map given by a matrix with dim(S_m) rows."""
+    if not matrix_rows:
+        return zero_subspace(n, m)
+    ncols = len(matrix_rows[0])
+    cols = ([row[j] for row in matrix_rows] for j in range(ncols))
+    return span_vectors(n, m, cols)
+
+
+class QuotientMap:
+    """Canonical coordinates on S_k / E for a subspace E in RREF.
+
+    The coordinates of a vector are the non-pivot positions of its
+    residual modulo E; they vanish exactly on E, and there are
+    dim(S_k) - dim(E) of them.
+    """
+
+    __slots__ = ("subspace", "pivots", "nonpivots")
+
+    def __init__(self, subspace: Subspace):
+        self.subspace = subspace
+        self.pivots = subspace.pivots
+        self.nonpivots = tuple(sorted(set(range(subspace.ambient_dim)) - set(subspace.pivots)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.nonpivots)
+
+    def coords(self, vec) -> list:
+        """Quotient coordinates of an ambient coordinate vector, entries of type Q."""
+        residual = self.subspace.reduce(vec)
+        return [residual[j] for j in self.nonpivots]
+
+
+def catalecticant_matrix(b: HomogeneousPolynomial, k: int) -> list:
+    """Matrix of g |-> (g applied as differential operator to b), on S_k.
+
+    Column convention: dim(S_{m-k}) rows and dim(S_k) columns for
+    m = deg(b); entry (t, s) is the target-monomial-t coefficient of the
+    s-th source monomial acting on b.
+    """
+    m, n = b.degree, b.n
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= {m}, got {k}")
+    src = mono_basis(n, k)
+    tgt = mono_basis(n, m - k)
+    idx = mono_index(n, m)
+    coeffs = {}
+    for alpha, c in b.terms.items():
+        coeffs[idx[alpha]] = c
+    table = product_index_table(n, m - k, k)
+    rows = []
+    for t, beta in enumerate(tgt):
+        row = []
+        for s, alpha in enumerate(src):
+            c = coeffs.get(table[t][s])
+            if c is None:
+                row.append(0)
+            else:
+                factor = math.prod(math.perm(bt + at, at) for bt, at in zip(beta, alpha))
+                row.append(c * factor)
+        rows.append(row)
+    return rows
+
+
+def apolar_inner(f: HomogeneousPolynomial, q: HomogeneousPolynomial):
+    """The inner product sum(alpha! * a_alpha * b_alpha) over shared monomials.
+
+    Symmetric, bilinear, and positive definite on rational coefficients;
+    agrees with ``polar_apply`` in equal degrees.
+    """
+    if f.n != q.n:
+        raise ValueError(f"variable count mismatch: n={f.n} vs n={q.n}")
+    if f.degree != q.degree:
+        raise ValueError(f"degree mismatch: {f.degree} vs {q.degree}")
+    small, large = (f.terms, q.terms) if len(f.terms) <= len(q.terms) else (q.terms, f.terms)
+    total = ZERO
+    for alpha, c in small.items():
+        other = large.get(alpha)
+        if other is not None:
+            total += c * other * math.prod(math.factorial(e) for e in alpha)
+    return total
+
+
+def euler_check(f: HomogeneousPolynomial) -> bool:
+    """Verify the Euler identity sum_i x_i * df/dx_i = deg(f) * f exactly."""
+    if f.degree < 1:
+        raise ValueError("Euler identity needs degree >= 1")
+    acc = HomogeneousPolynomial.zero(f.n, f.degree)
+    for i in range(f.n + 1):
+        acc = acc + multiply(HomogeneousPolynomial.variable(f.n, i), partial(f, i))
+    return acc == f * f.degree
+
+
+def euler_recover(gens) -> HomogeneousPolynomial:
+    """Rebuild (1/d) * sum_i x_i * g_i from an (n+1)-tuple of degree d-1 forms.
+
+    When the g_i are the partial derivatives of a form f this returns f
+    exactly, by the Euler identity.
+    """
+    gens = list(gens)
+    if not gens:
+        raise ValueError("empty generator sequence")
+    n = gens[0].n
+    e = gens[0].degree
+    if len(gens) != n + 1:
+        raise ValueError(f"expected {n + 1} forms, got {len(gens)}")
+    acc = HomogeneousPolynomial.zero(n, e + 1)
+    for i, g in enumerate(gens):
+        if g.n != n or g.degree != e:
+            raise ValueError("generator sequence is not homogeneous of one degree")
+        acc = acc + multiply(HomogeneousPolynomial.variable(n, i), g)
+    return acc / (e + 1)
+
+
+def evaluate(f: HomogeneousPolynomial, point):
+    """Evaluate f at a rational point given as a sequence of n+1 scalars."""
+    point = [Q(p) for p in point]
+    if len(point) != f.n + 1:
+        raise ValueError(f"point has length {len(point)}, expected {f.n + 1}")
+    total = ZERO
+    for alpha, c in f.terms.items():
+        val = c
+        for p, e in zip(point, alpha):
+            if e:
+                val *= p ** e
+        total += val
+    return total
+
+
+def random_unimodular(n: int, seed: int, steps: int = 12) -> list:
+    """Random integer matrix of determinant +-1 on the n+1 variables.
+
+    Built from elementary row operations, so it is always invertible;
+    used to exercise invariance of the summand count under coordinate
+    changes.
+    """
+    check_seed(seed)
+    rng = random.Random(seed)
+    size = n + 1
+    mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(steps):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([-1, 1])
+        for col in range(size):
+            mat[i][col] += c * mat[j][col]
+    return mat
+
+
+class TupleTangentVector:
+    """A tangent direction at a generator tuple: n+1 forms modulo span(W).
+
+    The stored parts are the canonical representatives, each reduced
+    against the echelon basis of span(W), so a direction is zero exactly
+    when every stored part is the zero form.
+    """
+
+    __slots__ = ("w", "parts")
+
+    def __init__(self, w: GeneratorTuple, parts):
+        parts = tuple(parts)
+        if len(parts) != w.n + 1:
+            raise ValueError(f"expected {w.n + 1} parts, got {len(parts)}")
+        span = w.span
+        reduced = []
+        for p in parts:
+            if p.n != w.n or p.degree != w.d - 1:
+                raise ValueError("tangent parts must be forms of the generator degree")
+            reduced.append(
+                HomogeneousPolynomial.from_coords(w.n, w.d - 1, span.reduce(p.coords()))
+            )
+        self.w = w
+        self.parts = tuple(reduced)
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.parts)
+
+    def __repr__(self):
+        return f"TupleTangentVector({', '.join(str(p) for p in self.parts)})"
+
+
+def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
+    """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
+
+    Returns (that quotient map, canonical basis): the kernel of
+    ``colon_rows`` on the nonpivot monomials of span(W). C contains W, so
+    these columns see all of C / W, and rows stop being read once they
+    have full rank, which leaves no kernel to miss.
+    """
+    gq = QuotientMap(w.span)
+    rows = colon_rows(annihilator(ideal_piece(w, k)), w.n, k, w.d - 1, gq.nonpivots)
+    return gq, kernel_builder(rows, gq.dim, gq.dim).rows
+
+
+def _from_quotient_coords(qm: QuotientMap, n: int, degree: int, vec) -> HomogeneousPolynomial:
+    monos = mono_basis(n, degree)
+    return HomogeneousPolynomial(n, degree, {monos[j]: c for j, c in zip(qm.nonpivots, vec) if c})
+
+
+def colon_piece(w: GeneratorTuple, k: int) -> Subspace:
+    """C = ((I_W)_k : S_{k-(d-1)})_{d-1}, canonical basis, for k >= d-1.
+
+    The forms c of the generator degree with c * u in (I_W)_k for every
+    monomial u of degree k-(d-1). Contains span(W); equal to it at a
+    complete intersection for d-1 <= k <= T.
+    """
+    gq, extra = _colon_mod_span(w, k)
+    lifted = [_from_quotient_coords(gq, w.n, w.d - 1, v).coords() for v in extra]
+    return span_vectors(w.n, w.d - 1, [*w.span.int_rows.values(), *lifted])

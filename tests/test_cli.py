@@ -251,6 +251,30 @@ def test_negative_seed_exit_2(capsys, argv):
     assert err == f"error: need seed >= 0, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["random", "--n", "1", "--d", "3", "--seed", "0", "--coeff-bound", "-1"],
+            "need coeff_bound >= 0, got -1",
+        ),
+        (
+            ["suite", "--n", "1", "--d", "3", "--polys", "0", "--tuples", "-2"],
+            "need polys >= 0 and tuples >= 0, got polys=0, tuples=-2",
+        ),
+        (
+            ["suite", "--n", "1", "--d", "3", "--polys", "-1", "--tuples", "0"],
+            "need polys >= 0 and tuples >= 0, got polys=-1, tuples=0",
+        ),
+    ],
+    ids=["random --coeff-bound", "suite --tuples", "suite --polys"],
+)
+def test_negative_sizes_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # -- output handling --------------------------------------------------------------------
 
 

@@ -11,9 +11,6 @@ from milnoralg import (
     HomogeneousPolynomial,
     PolyTangentVector,
     PreconditionError,
-    QuotientMap,
-    TupleTangentVector,
-    colon_piece,
     contains,
     dim_graded,
     fermat,
@@ -26,12 +23,10 @@ from milnoralg import (
     linear_change,
     mono_basis,
     multiply,
-    nullspace,
     parse_poly,
     partial,
     random_ci_tuple,
     random_smooth,
-    random_unimodular,
     run_suite,
     socle_degree,
     span_polys,
@@ -44,14 +39,20 @@ import milnoralg.linalg as linalg
 import milnoralg.reconstruction as reconstruction
 import milnoralg.suite as suite
 from milnoralg.ideals import _relay, ci_walk_mod_p
+from milnoralg.linalg import kernel_builder
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
 from conftest import clear_prime_caches
+import oracles
 from oracles import (
+    QuotientMap,
+    TupleTangentVector,
+    colon_piece,
     membership_solutions,
     multiplication_matrix,
     poly_kernel_by_colon,
+    random_unimodular,
     tangent_image,
     tuple_kernel_by_colon,
 )
@@ -201,7 +202,7 @@ def test_representation_ambiguity_lands_in_the_piece():
     piece, sols = membership_solutions(w, k)
     mat = multiplication_matrix(w, k)
     dim_u = dim_graded(2, k - 3)
-    syzygies = nullspace(mat, 3 * dim_u)
+    syzygies = kernel_builder(mat, 3 * dim_u).rows
     assert len(syzygies) == 3  # the three Koszul relations g_i g_j - g_j g_i
     monos = mono_basis(2, 3)
     for trial in range(6):
@@ -408,7 +409,7 @@ def assembled_kernel(w, k, directions):
         [x for row in tangent_image(w, parts, k) for x in row] for parts in directions
     ]
     rows = [list(r) for r in zip(*columns)]
-    return nullspace(rows, len(columns))
+    return kernel_builder(rows, len(columns)).rows
 
 
 def oracle_tuple_kernel(w, k):
@@ -521,13 +522,13 @@ def report_text(report):
 def count_exact_colons(monkeypatch) -> list:
     """Record every exact colon elimination of the library."""
     calls = []
-    real = deformation._colon_mod_span
+    real = oracles._colon_mod_span
 
     def counted(w, k):
         calls.append(k)
         return real(w, k)
 
-    monkeypatch.setattr(deformation, "_colon_mod_span", counted)
+    monkeypatch.setattr(oracles, "_colon_mod_span", counted)
     return calls
 
 

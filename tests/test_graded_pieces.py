@@ -18,7 +18,6 @@ from milnoralg import (
     hilbert_profile,
     ideal_piece,
     is_complete_intersection,
-    lift_piece,
     mono_basis,
     parse_poly,
     partial,
@@ -122,7 +121,7 @@ def test_relay_order_does_not_change_the_rows(n, d):
 )
 def test_lift_of_any_subspace_matches_direct_products(e):
     for m in range(e.k, e.k + 5):
-        assert_same_bytes(lift_piece(e, m), direct_product_piece(e.n, e.k, m, e.rows))
+        assert_same_bytes(generated_piece(e, m), direct_product_piece(e.n, e.k, m, e.rows))
 
 
 @pytest.mark.parametrize(
@@ -155,7 +154,7 @@ def test_far_degrees_need_no_deep_recursion():
     # 100 frames of headroom: far fewer than the 500 degrees a recursion would nest
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        piece, lifted = ideal_piece(w, far), lift_piece(e, e.k + 500)
+        piece, lifted = ideal_piece(w, far), generated_piece(e, e.k + 500)
     finally:
         sys.setrecursionlimit(limit)
     assert piece == full_subspace(1, far)
@@ -165,7 +164,7 @@ def test_far_degrees_need_no_deep_recursion():
 def test_walk_longer_than_the_cache_holds():
     e = span_vectors(1, 2, [[1, 0, 0]])  # x0^2: its ideal never fills a degree
     for _ in range(2):  # the second walk finds its low degrees evicted
-        assert_same_bytes(lift_piece(e, 42), direct_product_piece(1, 2, 42, e.rows))
+        assert_same_bytes(generated_piece(e, 42), direct_product_piece(1, 2, 42, e.rows))
 
 
 @pytest.mark.parametrize("n,d", PAIRS)

@@ -7,6 +7,7 @@ from milnoralg import (
     PreconditionError,
     associated_form,
     check_size,
+    containment_implies_equal,
     dim_graded,
     hilbert_profile,
     ideal_piece,
@@ -14,25 +15,25 @@ from milnoralg import (
     is_smooth,
     jacobian_gens,
     jacobian_piece,
-    lift_piece,
     parse_poly,
     partial,
     partials_piece,
-    evaluate,
     fermat,
     random_smooth,
     recover_generators,
     socle_degree,
     st_report,
+    tangent_kernel_at_poly,
     tangent_kernel_at_tuple,
+    zero_subspace,
 )
 import milnoralg.ideals as ideals
-from milnoralg.ideals import _relay, ci_walk_mod_p
+from milnoralg.ideals import _relay, check_degree, ci_walk_mod_p, generated_piece
 from milnoralg.linalg import ModularEchelon
 from milnoralg.polynomials import HomogeneousPolynomial
 
 from conftest import recorded_walk
-from oracles import ci_walk_by_scan, ci_walk_by_scan_cut
+from oracles import ci_walk_by_scan, ci_walk_by_scan_cut, evaluate
 
 
 def monomial_tuple(*texts):
@@ -112,6 +113,28 @@ def test_one_size_check_at_every_entry_point():
             call()
 
 
+@pytest.mark.parametrize(
+    "n,d,k,message",
+    [
+        (0, 3, 2, "need n >= 1 and d >= 2, got n=0, d=3"),
+        (2, 1, 0, "need n >= 1 and d >= 2, got n=2, d=1"),
+        (2, 3, 1, "need d-1 <= k <= 3, got k=1"),
+        (2, 3, 4, "need d-1 <= k <= 3, got k=4"),
+    ],
+)
+def test_one_degree_check_at_every_entry_point(n, d, k, message):
+    f = fermat(n, d)
+    for call in (
+        lambda: check_degree(n, d, k),
+        lambda: tangent_kernel_at_poly(f, k),
+        lambda: recover_generators(zero_subspace(n, k), k, n, d),
+        lambda: containment_implies_equal(f, f, k),
+    ):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert refused.type is ValueError and str(refused.value) == message
+
+
 def test_hilbert_agrees_with_fermat_jacobian_dimensions():
     # independent route: actual kernels/spans of the Fermat Jacobian ideal
     for n, d in [(1, 3), (2, 3), (2, 4)]:
@@ -174,7 +197,7 @@ def test_ideal_piece_generated_in_one_degree():
     w = SQUARES
     for k in (2, 3):
         for m in range(k, 5):
-            assert lift_piece(ideal_piece(w, k), m) == ideal_piece(w, m)
+            assert generated_piece(ideal_piece(w, k), m) == ideal_piece(w, m)
 
 
 # -- Jacobian pieces ---------------------------------------------------------------
@@ -293,6 +316,21 @@ def test_ci_walk_decides_what_the_exact_fill_decides():
     assert ideal_piece(w, top).dim == hilbert_profile(2, 4).b(top)
     assert ideal_piece(w, top + 1).is_full()
     assert not ideal_piece(bad, socle_degree(2, 3) + 1).is_full()
+
+
+def test_ci_walk_decides_quadrics(patched_prime):
+    # at d = 2, T = 0: the walk takes no step, and the span itself must fill S_1
+    f = parse_poly("x0^2 + x1^2 + x2^2")
+    _relay.cache_clear()
+    assert ci_walk_mod_p(jacobian_gens(f).span) and is_smooth(f)
+    assert _relay.cache_info().misses == 0
+    # x0 + x1, x0 - 2 x1 has determinant -3, dependent mod 3; but the walk reads the
+    # RREF basis of the span, all of S_1, which stays independent at every prime
+    w = GeneratorTuple(1, 2, [parse_poly("x0 + x1", n=1), parse_poly("x0 - 2*x1", n=1)])
+    patched_prime(3)
+    assert w.span.int_rows == {0: {0: 1}, 1: {1: 1}}
+    assert ci_walk_mod_p(w.span) and is_complete_intersection(w)
+    assert _relay.cache_info().misses == 0
 
 
 def test_non_ci_input_keeps_its_refusals():

@@ -8,17 +8,14 @@ from milnoralg import (
     PreconditionError,
     apolar_piece,
     associated_form,
-    catalecticant_matrix,
     dim_graded,
     fermat,
     full_subspace,
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
-    lift_piece,
     map_kernel,
     mono_basis,
-    orthogonal_complement,
     parse_poly,
     polar_apply,
     random_ci_tuple,
@@ -27,10 +24,16 @@ from milnoralg import (
     span_polys,
     verify_inverse_system,
 )
+from milnoralg.ideals import generated_piece
 from milnoralg.polynomials import HomogeneousPolynomial
 from milnoralg.rationals import Q
 
-from oracles import sympy_rank, verify_inverse_system_by_pieces
+from oracles import (
+    catalecticant_matrix,
+    orthogonal_complement,
+    sympy_rank,
+    verify_inverse_system_by_pieces,
+)
 
 
 def tuple_of(*texts, n=None):
@@ -170,7 +173,7 @@ def test_apolar_pieces_form_an_ideal():
     b = associated_form(w)
     for k in range(0, socle_degree(2, 3) + 1):
         piece = apolar_piece(b, k)
-        lifted = lift_piece(piece, k + 1)
+        lifted = generated_piece(piece, k + 1)
         bigger = apolar_piece(b, k + 1)
         for row in lifted.rows:
             assert bigger.contains_vector(row)

@@ -6,41 +6,40 @@ import pytest
 import sympy
 
 from milnoralg import (
-    QuotientMap,
     Subspace,
     contains,
     dim_graded,
     full_subspace,
     ideal_piece,
-    map_image,
     map_kernel,
     multiply,
-    nullspace,
-    orthogonal_complement,
     parse_poly,
     random_ci_tuple,
-    rref,
     socle_degree,
     span_polys,
     span_vectors,
-    subspace_intersect,
-    subspace_sum,
     zero_subspace,
 )
 import milnoralg.linalg as linalg
-from milnoralg.linalg import ModularEchelon, SpanBuilder, certify_rank
+from milnoralg.linalg import ModularEchelon, SpanBuilder, certify_rank, kernel_builder
 from milnoralg.rationals import Q
 from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
 from conftest import PAIRS
 from oracles import (
+    QuotientMap,
     ScanningEchelon,
+    map_image,
     modular_annihilator,
+    orthogonal_complement,
     perm_determinant,
     quotient_coords_by_rational_rows,
     reduce_by_rational_rows,
+    rref,
     solve_columns,
     spans_equal,
+    subspace_intersect,
+    subspace_sum,
     sympy_matrix,
     sympy_nullspace_dim,
     sympy_rank,
@@ -122,7 +121,7 @@ def test_rank_nullity_exact():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         mat = rand_matrix(rng, nrows, ncols)
         rows, _ = rref(mat)
-        null = nullspace(mat, ncols)
+        null = kernel_builder(mat, ncols).rows
         assert len(rows) + len(null) == ncols
         assert len(null) == sympy_nullspace_dim(mat, ncols)
         for vec in null:
@@ -471,7 +470,7 @@ def test_span_builder_any_insertion_order_matches_sympy():
 
 def test_nullspace_matches_sympy_rref_of_kernel():
     for _, mat, ncols in matrix_cases(107):
-        null = nullspace(mat, ncols)
+        null = kernel_builder(mat, ncols).rows
         if mat:
             kernel = sympy_matrix(mat).nullspace()
         else:
@@ -494,8 +493,8 @@ def test_nullspace_rank_stop_reads_no_row_past_the_rank():
         rank = sympy_rank(mat)
         # the number of rows it takes to reach the rank, in order
         needed = next((i for i in range(len(mat) + 1) if sympy_rank(mat[:i]) == rank), 0)
-        null = nullspace(guarded_rows(mat, needed), ncols, rank)
-        assert null == nullspace(mat, ncols)
+        null = kernel_builder(guarded_rows(mat, needed), ncols, rank).rows
+        assert null == kernel_builder(mat, ncols).rows
         if mat:
             kernel = sympy_matrix(mat).nullspace()
         else:
@@ -510,14 +509,15 @@ def test_nullspace_rank_stop_below_the_rank_gives_a_larger_kernel():
         if rank < 2:
             continue
         needed = next(i for i in range(len(mat) + 1) if sympy_rank(mat[:i]) == rank - 1)
-        partial = nullspace(guarded_rows(mat, needed), ncols, rank - 1)
-        assert partial == nullspace(mat[:needed], ncols)
+        partial = kernel_builder(guarded_rows(mat, needed), ncols, rank - 1).rows
+        assert partial == kernel_builder(mat[:needed], ncols).rows
         assert len(partial) == ncols - rank + 1
-        assert sympy_rank(partial + nullspace(mat, ncols)) == len(partial)  # it contains the kernel
+        # it contains the kernel
+        assert sympy_rank(partial + kernel_builder(mat, ncols).rows) == len(partial)
 
 
 def test_nullspace_rank_zero_reads_nothing():
-    assert nullspace(guarded_rows([[1, 2]], 0), 2, 0) == [[1, 0], [0, 1]]
+    assert kernel_builder(guarded_rows([[1, 2]], 0), 2, 0).rows == [[1, 0], [0, 1]]
 
 
 def test_builder_accepts_what_q_accepts():

@@ -1,38 +1,39 @@
-"""The package's public names and what each CLI process imports.
+"""The package's public names, its reach, and what each CLI process imports.
 
 ``milnoralg`` resolves its exports lazily (see its docstring); these
 tests pin the exported names, check that every name is the defining
-module's own object, and check in fresh interpreters that a command
-loads only the modules it runs.
+module's own object, check that every definition in the package is
+reached from the library, a demo or the benchmark, and check in fresh
+interpreters that a command loads only the modules it runs.
 """
 
+import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import milnoralg
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Every name the package exports.
 EXPORTED = [
     "AssociatedForm", "ContainmentCheck", "FiberResult", "GeneratorTuple", "HilbertProfile",
     "HomogeneousPolynomial", "KernelReport", "PolyTangentVector", "PreconditionError", "Q",
-    "QuotientMap", "STReport", "Subspace", "SuiteCheck", "TupleTangentVector", "apolar_inner",
-    "apolar_piece", "associated_form", "catalecticant_matrix", "check_size", "colon_piece",
-    "containment_implies_equal", "contains", "coordinate_split", "dim_graded", "euler_check",
-    "euler_recover", "evaluate", "factorial_weights", "fermat", "fiber", "format_poly",
-    "full_subspace", "grlex_key", "hilbert_profile", "ideal_piece", "is_complete_intersection",
-    "is_smooth", "jacobian_gens", "jacobian_piece", "lift_piece", "linear_change", "map_image",
-    "map_kernel", "mono_basis", "mono_index", "multiply", "nullspace", "orthogonal_complement",
-    "parse_poly", "partial", "partials_piece", "polar_apply", "random_ci_tuple", "random_smooth",
-    "random_unimodular", "reconstruct_poly", "recover_generators", "rref", "run_suite",
-    "socle_degree", "span_polys", "span_vectors", "st_report", "subspace_intersect",
-    "subspace_sum", "tangent_kernel_at_poly", "tangent_kernel_at_tuple", "verify_inverse_system",
-    "zero_subspace",
+    "STReport", "Subspace", "SuiteCheck", "apolar_piece", "associated_form", "check_size",
+    "containment_implies_equal", "contains", "coordinate_split", "dim_graded",
+    "factorial_weights", "fermat", "fiber", "format_poly", "full_subspace", "grlex_key",
+    "hilbert_profile", "ideal_piece", "is_complete_intersection", "is_smooth", "jacobian_gens",
+    "jacobian_piece", "linear_change", "map_kernel", "mono_basis", "mono_index", "multiply",
+    "parse_poly", "partial", "partials_piece", "polar_apply", "random_ci_tuple",
+    "random_smooth", "reconstruct_poly", "recover_generators", "run_suite", "socle_degree",
+    "span_polys", "span_vectors", "st_report", "tangent_kernel_at_poly",
+    "tangent_kernel_at_tuple", "verify_inverse_system", "zero_subspace",
 ]
 
 PIPELINES = [
@@ -131,6 +132,44 @@ def test_submodules_resolve_without_an_import():
         [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120
     )
     assert proc.stdout.split() == ["3", "False"], proc.stderr
+
+
+# -- no dead definitions ---------------------------------------------------------------
+
+# Definitions that nothing in the library, the demos or the benchmark reaches, kept:
+# they read documented JSON schemas, the inverses of the emitters the CLI uses.
+UNREACHED = ["serialize.associated_form_from_dict", "serialize.fiber_from_dict"]
+
+
+def references(tree) -> Counter:
+    """What a syntax tree reads: names, attributes, imported names and "module.name" strings."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
+            out[node.value] += 1  # the benchmark calls the library as lib("module.name")
+    return out
+
+
+def test_every_definition_is_reached_from_the_library_demos_or_benchmark():
+    library = sorted((ROOT / "src" / "milnoralg").glob("*.py"))
+    readers = [*library, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for path in library:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                name, qualified = node.name, f"{path.stem}.{node.name}"
+                own = references(node)  # a recursive call does not count
+                if total[name] + total[qualified] == own[name] + own[qualified]:
+                    unreached.append(qualified)
+    assert sorted(unreached) == UNREACHED
 
 
 # -- what each command imports ---------------------------------------------------------

@@ -5,10 +5,6 @@ import pytest
 
 from milnoralg import (
     HomogeneousPolynomial,
-    apolar_inner,
-    euler_check,
-    euler_recover,
-    evaluate,
     fermat,
     format_poly,
     linear_change,
@@ -20,7 +16,14 @@ from milnoralg import (
 )
 from milnoralg.rationals import Q
 
-from oracles import sympy_polar_apply, poly_to_sympy
+from oracles import (
+    apolar_inner,
+    euler_check,
+    euler_recover,
+    evaluate,
+    poly_to_sympy,
+    sympy_polar_apply,
+)
 import sympy
 
 

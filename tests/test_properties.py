@@ -7,14 +7,18 @@ of the walk by rescanning each row (``oracles.ci_walk_by_scan``) and give
 its verdict, at ``linalg.PRIME`` and at small primes that make it fall
 short; ``is_complete_intersection`` must give the exact fill's answer
 either way; ``certify_rank`` must reach a bound exactly when sympy's rank
-mod p does, and never past the rank over Q. Runs are derandomized, with
+mod p does, and never past the rank over Q. On direct sums of two seeded
+non-direct-sum blocks, some moved by a unimodular change of coordinates,
+the tangent kernels at every k must be those read off the exact colon
+piece (``oracles.poly_kernel_by_colon``), and ``fiber_is_line`` must
+agree with the exact fiber at every prime. Runs are derandomized, with
 a fixed number of examples, so every run draws the same inputs.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import Phase, assume, event, given, settings, strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -24,15 +28,21 @@ from milnoralg import (
     GeneratorTuple,
     HomogeneousPolynomial,
     PreconditionError,
+    format_poly,
     ideal_piece,
     is_complete_intersection,
+    jacobian_gens,
+    linear_change,
+    random_smooth,
     socle_degree,
+    tangent_kernel_at_poly,
 )
 from milnoralg.linalg import certify_rank
 from milnoralg.monomials import mono_basis
+from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
 
 from conftest import clear_prime_caches, recorded_walk
-from oracles import ci_walk_by_scan_cut
+from oracles import ci_walk_by_scan_cut, poly_kernel_by_colon, random_unimodular
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -122,3 +132,60 @@ def test_certify_rank_reaches_a_bound_exactly_when_the_rank_mod_p_does(drawn, p)
             certified = certify_rank(iter(rows), bound)
             assert certified == (mod_p >= bound)
             assert not certified or over_q >= bound
+
+
+# -- direct sums: the tangent kernels and the fiber certificate ------------------------------
+
+
+def in_variables(f: HomogeneousPolynomial, n: int, first: int) -> HomogeneousPolynomial:
+    """f in the variables x_first, x_first+1, ... of n+1 variables."""
+    pad = (0,) * (n - f.n - first)
+    return HomogeneousPolynomial(n, f.degree, {(0,) * first + a + pad: c for a, c in f.terms.items()})
+
+
+@st.composite
+def direct_sums(draw):
+    """(f, blocks): two seeded non-direct-sum blocks in disjoint variables, f their sum.
+
+    The blocks are binary forms, or a ternary and a binary quartic; half of
+    the sums are moved by a unimodular change of coordinates.
+    """
+    d, sizes = draw(st.sampled_from([(4, (1, 1)), (5, (1, 1)), (4, (2, 1))]))
+    seeds = st.integers(0, 10**6)
+    blocks = [random_smooth(m, d, draw(seeds), require_non_st=True) for m in sizes]
+    n = sum(sizes) + 1
+    f = in_variables(blocks[0], n, 0) + in_variables(blocks[1], n, sizes[0] + 1)
+    if draw(st.booleans()):
+        f = linear_change(f, random_unimodular(n, draw(seeds), steps=draw(st.integers(1, 4))))
+    return f, blocks
+
+
+def kernels_text(f: HomogeneousPolynomial, kernel) -> list:
+    """The kernel reports of f at every k, as text."""
+    return [
+        (r.k, r.tangent_dim, r.kernel_dim, [format_poly(v.h) for v in r.basis])
+        for r in (kernel(f, k) for k in range(f.degree - 1, socle_degree(f.n, f.degree) + 1))
+    ]
+
+
+# No shrinking: the draws are seeds, so a shrunk example reads no easier, and on a
+# failure shrinking reran the exact colon for minutes.
+@settings(
+    derandomize=True,
+    max_examples=12,
+    deadline=None,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(drawn=direct_sums(), p=st.sampled_from([3, 5, 7]))
+def test_direct_sum_kernels_and_fiber_certificate_match_the_exact_routes(drawn, p):
+    f, blocks = drawn
+    exact = kernels_text(f, poly_kernel_by_colon)
+    assert {kernel_dim for _, _, kernel_dim, _ in exact} == {1}  # two summands
+    for q in (linalg.PRIME, p):
+        with prime(q):
+            assert kernels_text(f, tangent_kernel_at_poly) == exact
+            for g in (f, *blocks):
+                span = jacobian_gens(g).span
+                assert fiber_is_line(span) == (len(forms_with_partials_in(span)) <= 1)
+

@@ -7,7 +7,6 @@ from milnoralg import (
     PreconditionError,
     containment_implies_equal,
     dim_graded,
-    euler_recover,
     fermat,
     fiber,
     format_poly,
@@ -17,7 +16,6 @@ from milnoralg import (
     is_smooth,
     jacobian_gens,
     jacobian_piece,
-    lift_piece,
     parse_poly,
     random_ci_tuple,
     random_smooth,
@@ -29,11 +27,13 @@ from milnoralg import (
     tangent_kernel_at_poly,
     zero_subspace,
 )
+from milnoralg.ideals import generated_piece
 from milnoralg.linalg import annihilator
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
 from oracles import (
+    euler_recover,
     fiber_dimension_oracle,
     forms_with_partials_in_by_annihilator,
     recover_generators_by_lift,
@@ -49,24 +49,19 @@ W3 = jacobian_gens(FERMAT3)
 
 def test_lift_matches_ideal_piece():
     e2 = ideal_piece(W3, 2)
-    assert lift_piece(e2, 3) == ideal_piece(W3, 3)
-    assert lift_piece(e2, 3).dim == 9
+    assert generated_piece(e2, 3) == ideal_piece(W3, 3)
+    assert generated_piece(e2, 3).dim == 9
 
 
 def test_lift_identity_and_zero():
     e2 = ideal_piece(W3, 2)
-    assert lift_piece(e2, 2) == e2
-    assert lift_piece(zero_subspace(2, 2), 5) == zero_subspace(2, 5)
+    assert generated_piece(e2, 2) == e2
+    assert generated_piece(zero_subspace(2, 2), 5) == zero_subspace(2, 5)
 
 
 def test_lift_is_idempotent_under_composition():
     e2 = ideal_piece(W3, 2)
-    assert lift_piece(lift_piece(e2, 3), 4) == lift_piece(e2, 4)
-
-
-def test_lift_rejects_downward():
-    with pytest.raises(ValueError):
-        lift_piece(ideal_piece(W3, 3), 2)
+    assert generated_piece(generated_piece(e2, 3), 4) == generated_piece(e2, 4)
 
 
 # -- recovering the generator tuple ----------------------------------------------

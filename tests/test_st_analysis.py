@@ -13,12 +13,11 @@ from milnoralg import (
     parse_poly,
     random_ci_tuple,
     random_smooth,
-    random_unimodular,
     span_polys,
     st_report,
 )
 
-from oracles import fiber_dimension_oracle
+from oracles import fiber_dimension_oracle, random_unimodular
 
 
 def embed(f, n_target, positions):
@@ -170,6 +169,21 @@ def test_generators_reject_negative_seeds(draw):
     for seed in (-1, -7):
         with pytest.raises(ValueError, match="seed >= 0"):
             draw(seed)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda bound: random_smooth(2, 3, 0, coeff_bound=bound),
+        lambda bound: random_ci_tuple(2, 3, 0, coeff_bound=bound),
+    ],
+    ids=["random_smooth", "random_ci_tuple"],
+)
+def test_generators_reject_negative_coefficient_bounds(draw):
+    # randint(-b, b) with b < 0 would raise Python's own "empty range" error
+    for bound in (-1, -4):
+        with pytest.raises(ValueError, match=f"^need coeff_bound >= 0, got {bound}$"):
+            draw(bound)
 
 
 def test_nonnegative_seeds_draw_what_they_always_drew():
