@@ -158,7 +158,7 @@ class GeneratorTuple:
     independence; dependent tuples are rejected with PreconditionError.
     """
 
-    __slots__ = ("n", "d", "gens", "_span")
+    __slots__ = ("n", "d", "_gens", "_span")
 
     def __init__(self, n: int, d: int, gens):
         gens = tuple(gens)
@@ -175,8 +175,27 @@ class GeneratorTuple:
             raise PreconditionError("generators are linearly dependent")
         self.n = n
         self.d = d
-        self.gens = gens
+        self._gens = gens
         self._span = span
+
+    @classmethod
+    def _from_span(cls, span: Subspace) -> "GeneratorTuple":
+        """The tuple of the RREF basis of an (n+1)-dimensional span of S_{d-1}, no elimination.
+
+        The generators are the basis rows, so ``span`` is their span as it
+        is; they are formed on first read of ``gens``.
+        """
+        if span.dim != span.n + 1:
+            raise ValueError(f"expected a span of dimension {span.n + 1}, got {span.dim}")
+        w = cls.__new__(cls)
+        w.n, w.d, w._gens, w._span = span.n, span.k + 1, None, span
+        return w
+
+    @property
+    def gens(self) -> tuple:
+        if self._gens is None:
+            self._gens = self._span.basis_polynomials()
+        return self._gens
 
     @property
     def span(self) -> Subspace:

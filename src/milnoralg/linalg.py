@@ -24,18 +24,22 @@ membership both go through it.
 Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
 basis of integer rows reduced modulo the prime ``PRIME``. Every minor of
 an integer matrix that is nonzero mod p is nonzero over Q, so the rank mod
-p is at most the rank over Q. It has two users. ``certify_rank`` decides
+p is at most the rank over Q. It has three users. ``certify_rank`` decides
 a rank claim: a caller that already knows an exact upper bound on the
 rank over Q learns the rank exactly when the rank mod p reaches that
 bound, and runs the exact code whenever it falls short. ``ideals`` walks
 its relay mod p through it, once per tuple, to decide that the tuple is a
 complete intersection; where the walk falls short, the exact relay
-decides. Modular arithmetic only ever decides a boolean; no output is
-computed mod p.
+decides. ``kernel_mod_p`` finds a kernel basis mod p, bounds the kernel's
+dimension over Q by the rank mod p, and lifts the basis to Q by rational
+reconstruction (``rational_lift``). A basis found mod p is returned to
+the user only after an exact proof: its caller checks each lifted row
+against the rows over Q, and runs the exact elimination where the check
+fails.
 
-Its rows are kept in stored form: 1 at the lead, every entry in [1, p).
-A product of a stored row by a variable keeps that form, so the relay
-hands each product over with the lead it already knows
+The echelon's rows are kept in stored form: 1 at the lead, every entry
+in [1, p). A product of a stored row by a variable keeps that form, so
+the relay hands each product over with the lead it already knows
 (``insert_product``), and one leading where no stored row does is stored
 as it is, with no arithmetic. Every other row, a product repeating a
 lead, a row of a span, a row of ``certify_rank``, is reduced in one dense
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .monomials import dim_graded
@@ -179,6 +183,69 @@ class ModularEchelon:
                 acc[i] += c * y
             acc[j] = 0
         return False
+
+
+def rational_lift(x: int, bound: int) -> Optional[tuple]:
+    """(a, b), b > 0, with |a|, b <= ``bound`` and a = b x mod PRIME; None if there is none.
+
+    Rational reconstruction (Wang 1981): the extended Euclidean algorithm on
+    (PRIME, x) keeps every remainder r = t x mod p, and the first r <= bound
+    gives the candidate r / t. With 2 bound^2 < p the fraction is unique
+    when it exists. 0 lifts to 0 / 1 and 1 to 1 / 1.
+    """
+    r0, r1, t0, t1 = PRIME, x % PRIME, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def kernel_mod_p(rows: Iterable, n: int, k: int, rank: int) -> Optional[Subspace]:
+    """A candidate for the kernel in S_k of integer rows of rank ``rank``, found mod PRIME.
+
+    The rows, sparse {column: int} dicts, go into a ``ModularEchelon`` with
+    the columns reversed until its rank reaches ``rank``: no row is read
+    after that, and None is returned if the rows run out first. Rank mod p
+    is at most rank over Q, so reaching it proves that the kernel over Q
+    has at most dim S_k - rank dimensions. Back-substitution mod p then
+    gives the kernel vector of each free column q: 1 at q, 0 at every other
+    free column, and, the columns being reversed, 0 left of q. In the
+    normal column order that is a row of the RREF basis of the kernel mod
+    p. Each entry is lifted by ``rational_lift`` with bound
+    floor(sqrt(p / 2)); None if one does not lift.
+
+    The result is the span of the lifted rows, which are in RREF, so it is
+    canonical; but nothing proves it is the kernel over Q. The caller must
+    prove that each row lies in the kernel: with the rank reached here, the
+    span is then the kernel exactly.
+    """
+    p, width = PRIME, dim_graded(n, k)
+    last = width - 1
+    echelon, rows = ModularEchelon(width), iter(rows)
+    while echelon.dim < rank:
+        if (row := next(rows, None)) is None:
+            return None
+        echelon.insert({last - j: x % p for j, x in row.items()})
+    stored, bound = echelon.int_rows, isqrt(p // 2)
+    leads = sorted(stored, reverse=True)
+    int_rows = {}
+    for q in range(width):
+        if q in stored:
+            continue
+        v = {q: 1}
+        for lead in leads:
+            if lead < q and (c := sum(x * v.get(j, 0) for j, x in stored[lead].items()) % p):
+                v[lead] = p - c
+        lifted = {}
+        for j, x in v.items():
+            if (frac := rational_lift(x, bound)) is None:
+                return None
+            lifted[last - j] = frac
+        den = lcm(*(b for _, b in lifted.values()))
+        int_rows[last - q] = {j: a * (den // b) for j, (a, b) in lifted.items()}
+    return Subspace._canonical(n, k, int_rows, sorted(int_rows))
 
 
 def certify_rank(rows: Iterable, bound: int) -> bool:
@@ -318,8 +385,19 @@ class Subspace:
         """The subspace spanned by a builder, sharing its current rows."""
         if builder.length != dim_graded(n, k):
             raise ValueError("builder length does not match ambient dimension")
-        sub = cls(n, k, (), ())
-        sub.int_rows, sub.pivots = dict(builder.int_rows), tuple(builder.pivots)
+        return cls._canonical(n, k, dict(builder.int_rows), builder.pivots)
+
+    @classmethod
+    def _canonical(cls, n: int, k: int, int_rows: dict, pivots) -> "Subspace":
+        """The subspace whose canonical integer rows {pivot: row} are ``int_rows``, unchecked.
+
+        Each row must be the primitive integer multiple, positive at its
+        pivot, of a row of an RREF basis, and ``pivots`` their pivots in
+        increasing order; the dict is kept, not copied.
+        """
+        sub = cls.__new__(cls)
+        sub.n, sub.k, sub.int_rows, sub.pivots = n, k, int_rows, tuple(pivots)
+        sub._rows = sub._hash = None
         return sub
 
     @property
@@ -394,10 +472,8 @@ def zero_subspace(n: int, k: int) -> Subspace:
 @lru_cache(maxsize=None)
 def full_subspace(n: int, k: int) -> Subspace:
     """All of S_k: the unit rows, each its own pivot, built without elimination."""
-    sub = zero_subspace(n, k)
     size = dim_graded(n, k)
-    sub.int_rows, sub.pivots = {i: {i: 1} for i in range(size)}, tuple(range(size))
-    return sub
+    return Subspace._canonical(n, k, {i: {i: 1} for i in range(size)}, range(size))
 
 
 def span_vectors(n: int, k: int, vectors: Iterable) -> Subspace:

@@ -5,7 +5,13 @@ d-1 <= k <= T, gives back W as the colon piece
 (E : S_{k-d+1})_{d-1} = {c in S_{d-1} : c * S_{k-d+1} in E}. It contains
 W, and by Gorenstein duality nothing more: the quotient algebra A pairs
 A_{d-1} perfectly with A_{T-d+1} = A_{T-k} * A_{k-d+1}. So W comes from
-one small linear system, with no lift of E to higher degrees. The fiber
+one small linear system, with no lift of E to higher degrees. That system
+is solved mod p and proved exactly: the rank mod p bounds the colon's
+dimension by n+1, its kernel mod p is lifted to Q by rational
+reconstruction, which fits because the canonical basis of W has small
+entries, and one exact product check per basis row and monomial puts the
+lift in the colon. Only where that falls short is the system eliminated
+exactly. The fiber
 step solves {g in S_d : all partials of g lie in W}: the line through f
 for a smooth form that is not a direct sum, and the span of the summands,
 whose dimension counts them, for a direct sum. It is solved on the
@@ -46,6 +52,7 @@ from .linalg import (
     certify_rank,
     contains,
     kernel_builder,
+    kernel_mod_p,
     span_vectors,
 )
 from .monomials import derivative_table, dim_graded, product_index_table
@@ -99,19 +106,51 @@ def colon_rows(duals, n: int, k: int, degree: int, columns):
             yield {i: nu[t] for i, t in enumerate(targets) if t in nu}
 
 
+def in_colon(duals, n: int, k: int, degree: int, span: Subspace) -> bool:
+    """Whether span lies in the colon (E : S_{k-degree}), E in S_k cut out by ``duals``.
+
+    The exact check that every functional nu_i of ``duals`` vanishes on
+    c * u for each integer basis row c of span and each monomial u of
+    S_{k-degree}. The functionals are packed into one integer per monomial
+    t of S_k, P_t = sum_i nu_i[t] 2^(s i) (Kronecker substitution), so that
+    sum_j c_j P_{t_j} = sum_i nu_i(c * u) 2^(s i) for the monomials t_j of
+    c * u. Each |nu_i(c * u)| is below 2^(s-1), so that sum is zero exactly
+    when every nu_i(c * u) is: one integer per product instead of one per
+    functional. Stops at the first product outside E.
+    """
+    basis = span.int_rows.values()
+    top = max((abs(x) for nu in duals for x in nu.values()), default=0)
+    s = (top * max(sum(map(abs, c.values())) for c in basis)).bit_length() + 1
+    packed = [0] * dim_graded(n, k)
+    for i, nu in enumerate(duals):
+        for t, x in nu.items():
+            packed[t] += x << (s * i)
+    for tu in product_index_table(n, k - degree, degree):
+        for c in basis:
+            if sum(x * packed[tu[j]] for j, x in c.items()):
+                return False
+    return True
+
+
 def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     """Invert the piece map: from E = (I_W)_k back to the subspace W.
 
     W is the colon C = (E : S_{k-d+1})_{d-1}, the kernel of ``colon_rows``
-    on S_{d-1}. Elimination stops once the rank leaves n+1 dimensions: the
-    kernel K of the rows read contains C, and the rows not read are only
-    evaluated on K, so K = C exactly. Valid input E = (I_W')_k has C = W'
-    of dimension n+1, so it is never rejected. A colon of any other size
-    is refused before a piece is grown from it; then C must be a complete
-    intersection (``is_complete_intersection``, mod p where it can be).
-    That makes E the degree-k piece of C, with no piece grown: C * S_{k-d+1}
-    lies in E, so (I_C)_k does, and dim (I_C)_k = b(k) = dim E, checked on
-    entry. Failures raise PreconditionError.
+    on S_{d-1}, found mod p and proved exactly. ``kernel_mod_p`` reads rows
+    until their rank mod p leaves n+1 dimensions, which proves
+    dim C <= n+1, and lifts the canonical basis K of the kernel mod p to
+    Q. ``in_colon`` then proves K in C, so K = C, with no exact
+    elimination. Where the rank mod p falls short, a lift fails or the
+    check fails, the rows are eliminated exactly up to the same rank: the
+    kernel K of the rows read contains C, and ``in_colon`` proves K = C.
+
+    Valid input E = (I_W')_k has C = W' of dimension n+1, so it is never
+    rejected. A colon of any other size is refused before a piece is grown
+    from it; then C must be a complete intersection
+    (``is_complete_intersection``, mod p where it can be). That makes E the
+    degree-k piece of C, with no piece grown: C * S_{k-d+1} lies in E, so
+    (I_C)_k does, and dim (I_C)_k = b(k) = dim E, checked on entry.
+    Failures raise PreconditionError.
     """
     if (e.n, e.k) != (n, k):
         raise ValueError(f"subspace lives in {(e.n, e.k)}, not {(n, k)}")
@@ -122,16 +161,18 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
             f"dimension {e.dim} does not match the expected piece dimension {profile.b(k)}"
         )
 
+    duals = annihilator(e)
     width = dim_graded(n, d - 1)
-    rows = colon_rows(annihilator(e), n, k, d - 1, range(width))
-    kernel = kernel_builder(rows, width, width - (n + 1))
-    # ``rows`` resumes after the last row read: those left must vanish on the kernel
-    basis = kernel.int_rows.values()
-    if kernel.dim != n + 1 or any(
-        sum(x * c.get(j, 0) for j, x in row.items()) for row in rows for c in basis
-    ):
-        raise PreconditionError(f"colon piece in the generator degree is not of dimension {n + 1}")
-    w = GeneratorTuple(n, d, [HomogeneousPolynomial.from_coords(n, d - 1, r) for r in kernel.rows])
+    rank = width - (n + 1)
+    span = kernel_mod_p(colon_rows(duals, n, k, d - 1, range(width)), n, d - 1, rank)
+    if span is None or not in_colon(duals, n, k, d - 1, span):
+        kernel = kernel_builder(colon_rows(duals, n, k, d - 1, range(width)), width, rank)
+        span = Subspace.from_builder(n, d - 1, kernel)
+        if span.dim != n + 1 or not in_colon(duals, n, k, d - 1, span):
+            raise PreconditionError(
+                f"colon piece in the generator degree is not of dimension {n + 1}"
+            )
+    w = GeneratorTuple._from_span(span)
     if not is_complete_intersection(w):
         raise PreconditionError("recovered generators are not a complete intersection")
     return w

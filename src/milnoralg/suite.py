@@ -138,6 +138,8 @@ def run_suite(
     check_seed(seed)
     if polys < 0 or tuples < 0:
         raise ValueError(f"need polys >= 0 and tuples >= 0, got polys={polys}, tuples={tuples}")
+    if budget is not None and not budget >= 0:  # also refuses NaN
+        raise ValueError(f"need budget >= 0, got {budget}")
     started = time.monotonic()
     results: list = []
     profile = hilbert_profile(n, d)

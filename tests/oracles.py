@@ -3,6 +3,7 @@
 Everything here except ``product_index_table_by_lookup``,
 ``direct_product_piece``,
 ``recover_generators_by_lift``, ``verify_inverse_system_by_pieces``,
+the Koszul rank by sympy on the package's products (``koszul_rank_by_sympy``),
 the assembled tangent map
 (``solve_columns``, ``multiplication_matrix``, ``membership_solutions``,
 ``tangent_image``), the rational reduction loops
@@ -275,6 +276,25 @@ def verify_inverse_system_by_pieces(w: GeneratorTuple) -> bool:
         if ann != ideal_piece(w, k):
             return False
     return True
+
+
+def koszul_rank_by_sympy(w: GeneratorTuple, k: int) -> int:
+    """Rank over Q of the degree-k Koszul syzygies m (g_j e_i - g_i e_j) of W.
+
+    One vector per monomial m of degree k - 2(d-1) and pair i < j: n+1
+    slots of forms of degree k-d+1, m g_j in slot i and -m g_i in slot j,
+    read slot after slot in mono_basis coordinates. The rank is sympy's.
+    """
+    n, d = w.n, w.d
+    degree, slot = k - 2 * (d - 1), k - d + 1
+    rows = []
+    for alpha in enum_monomials(n + 1, degree) if degree >= 0 else ():
+        m = HomogeneousPolynomial.monomial(n, alpha)
+        for i, j in itertools.combinations(range(n + 1), 2):
+            slots = [HomogeneousPolynomial.zero(n, slot)] * (n + 1)
+            slots[i], slots[j] = multiply(m, w.gens[j]), -multiply(m, w.gens[i])
+            rows.append([c for f in slots for c in f.coords()])
+    return sympy_rank(rows)
 
 
 # -- the assembled tangent map --------------------------------------------------------

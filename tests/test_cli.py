@@ -275,6 +275,13 @@ def test_negative_sizes_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_negative_or_nan_budget_exit_2(capsys, budget):
+    code, out, err = run(capsys, "suite", "--n", "1", "--d", "3", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == f"error: need budget >= 0, got {float(budget)}\n"
+
+
 # -- output handling --------------------------------------------------------------------
 
 

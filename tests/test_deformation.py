@@ -44,7 +44,6 @@ from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
 from conftest import clear_prime_caches
-import oracles
 from oracles import (
     QuotientMap,
     TupleTangentVector,
@@ -519,16 +518,21 @@ def report_text(report):
     return report.k, report.tangent_dim, report.kernel_dim, basis
 
 
-def count_exact_colons(monkeypatch) -> list:
-    """Record every exact colon elimination of the library."""
+def count_exact_kernels(monkeypatch) -> list:
+    """Record the width of every exact kernel ``reconstruction`` eliminates.
+
+    These are the exact fiber of ``forms_with_partials_in``, on (n+1)^2
+    columns at a Jacobian span, and the exact colon that
+    ``recover_generators`` falls back to, on dim S_{d-1} columns.
+    """
     calls = []
-    real = oracles._colon_mod_span
+    real = reconstruction.kernel_builder
 
-    def counted(w, k):
-        calls.append(k)
-        return real(w, k)
+    def counted(rows, ncols, rank=None):
+        calls.append(ncols)
+        return real(rows, ncols, rank)
 
-    monkeypatch.setattr(oracles, "_colon_mod_span", counted)
+    monkeypatch.setattr(reconstruction, "kernel_builder", counted)
     return calls
 
 
@@ -548,11 +552,12 @@ def colon_reports(w, f):
 
 
 def kernel_path_work(monkeypatch):
-    """Empty the walk and relay caches; return a probe of (exact colons, relay degrees grown)."""
+    """Empty the walk, fiber and relay caches; return a probe of (exact kernels, relay grown)."""
     clear_prime_caches()
+    reconstruction.forms_with_partials_in.cache_clear()
     _relay.cache_clear()
-    colons = count_exact_colons(monkeypatch)
-    return lambda: (list(colons), _relay.cache_info().misses)
+    kernels = count_exact_kernels(monkeypatch)
+    return lambda: (list(kernels), _relay.cache_info().misses)
 
 
 @pytest.fixture
@@ -585,14 +590,16 @@ PARITY_IDS = [*(f"seeded{size}" for size in PARITY_SIZES), "fermat(2,4)", "squar
 
 @pytest.mark.parametrize("w,f", PARITY_INPUTS, ids=PARITY_IDS)
 def test_certified_kernels_match_the_exact_path_at_every_k(w, f, monkeypatch, walk_fails):
+    n, d = (w.n, w.d) if w is not None else (f.n, f.degree)
+    # only a direct sum, fermat(2, 4), needs its fiber solved exactly, once for every k
+    fibers = [(n + 1) ** 2] if f is not None and fiber(jacobian_gens(f), d).s > 1 else []
     work = kernel_path_work(monkeypatch)
     certified = all_reports(w, f)
-    assert work() == ([], 0)  # no colon, no exact piece: the walk and the fiber decide
+    assert work() == (fibers, 0)  # no colon, no exact piece: the walk and the fiber decide
     walk_fails()
     assert all_reports(w, f) == certified
     # each complete-intersection test fell back to the exact relay d-1..T+1, once per span
-    n, d = (w.n, w.d) if w is not None else (f.n, f.degree)
-    assert work() == ([], (socle_degree(n, d) - d + 3) * ((w is not None) + (f is not None)))
+    assert work() == (fibers, (socle_degree(n, d) - d + 3) * ((w is not None) + (f is not None)))
     assert certified == colon_reports(w, f)
     if f is not None and w is None:  # fermat(2, 4): s = 3 summands, kernel dimension n
         assert {kernel_dim for _, _, kernel_dim, _ in certified} == {2}
@@ -624,8 +631,9 @@ def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(monkeypatch, 
     assert not ci_walk_mod_p(w.span)
     work = kernel_path_work(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
-    # the exact fill decided both preconditions: the relay at d-1 = 2 and T+1 = 3, once
-    assert work() == ([], 2)
+    # the exact fill decided both preconditions: the relay at d-1 = 2 and T+1 = 3, once;
+    # f is a direct sum, so its fiber was solved exactly, on (n+1)^2 = 4 columns
+    assert work() == ([4], 2)
 
 
 def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(monkeypatch, patched_prime):

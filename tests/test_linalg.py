@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,14 @@ from milnoralg import (
     zero_subspace,
 )
 import milnoralg.linalg as linalg
-from milnoralg.linalg import ModularEchelon, SpanBuilder, certify_rank, kernel_builder
+from milnoralg.linalg import (
+    ModularEchelon,
+    SpanBuilder,
+    certify_rank,
+    kernel_builder,
+    kernel_mod_p,
+    rational_lift,
+)
 from milnoralg.rationals import Q
 from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
@@ -621,6 +629,44 @@ def test_certify_rank_reads_no_row_past_the_bound():
     assert certify_rank(rows(), 2)
     assert certify_rank([], 0)
     assert not certify_rank([], 1)
+
+
+def test_rational_lift_finds_the_one_small_fraction_mod_101(patched_prime):
+    # every residue mod 101 against a search of all a / b with |a|, b <= 7:
+    # 2 * 7^2 < 101, so there is at most one, and the lift finds it
+    patched_prime(101)
+    for x in range(101):
+        small = [(a, b) for b in range(1, 8) for a in range(-7, 8) if (a - b * x) % 101 == 0]
+        small = [(a, b) for a, b in small if math.gcd(a, b) == 1]
+        assert len(small) <= 1
+        assert rational_lift(x, 7) == (small[0] if small else None)
+
+
+def test_rational_lift_inverts_fractions_up_to_the_bound():
+    p, bound = linalg.PRIME, math.isqrt(linalg.PRIME // 2)
+    for a, b in [(0, 1), (1, 1), (-1, 1), (3, 7), (-bound, bound - 1), (bound, 2), (-12, 35)]:
+        assert rational_lift(a * pow(b, -1, p) % p, bound) == (a, b)
+
+
+def test_kernel_mod_p_is_the_canonical_kernel_when_its_entries_lift():
+    # products of small integer matrices; where the RREF of the kernel has
+    # numerators and denominators within the bound, the lift at PRIME is it
+    rng, bound, lifted = random.Random(47), math.isqrt(linalg.PRIME // 2), 0
+    for n, k in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        width = dim_graded(n, k)
+        for _ in range(10):
+            inner = rng.randint(1, width)
+            a, b = rand_matrix(rng, rng.randint(1, width), inner), rand_matrix(rng, inner, width)
+            mat = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            exact = map_kernel(mat, n, k)
+            rank = width - exact.dim
+            # too few rows for a rank: no candidate
+            assert kernel_mod_p(sparse_rows(mat), n, k, rank + 1) is None
+            entries = [x for row in exact.rows for x in row]
+            if all(abs(x.numerator) <= bound and x.denominator <= bound for x in entries):
+                assert kernel_mod_p(sparse_rows(mat), n, k, rank) == exact
+                lifted += 1
+    assert lifted >= 25
 
 
 def test_modular_echelon_leads_match_the_exact_pivots():

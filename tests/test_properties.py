@@ -11,11 +11,20 @@ mod p does, and never past the rank over Q. On direct sums of two seeded
 non-direct-sum blocks, some moved by a unimodular change of coordinates,
 the tangent kernels at every k must be those read off the exact colon
 piece (``oracles.poly_kernel_by_colon``), and ``fiber_is_line`` must
-agree with the exact fiber at every prime. Runs are derandomized, with
-a fixed number of examples, so every run draws the same inputs.
+agree with the exact fiber at every prime. ``recover_generators``, which
+finds the colon kernel mod p and proves it exactly, must give the outcome
+of the lift oracle (``oracles.recover_generators_by_lift``) on valid
+pieces of seeded tuples and Jacobian spans, on those pieces with one row
+replaced, and on pieces holding x_0 S_{k-1}, whose colon is too large.
+On generated complete intersections, ``verify_inverse_system`` must agree
+with the piece-by-piece oracle and ``koszul_check`` with sympy's exact
+Koszul rank. Each is run at ``linalg.PRIME`` and at a small prime. Runs
+are derandomized, with a fixed number of examples, so every run draws the
+same inputs.
 """
 
 from contextlib import contextmanager
+from math import comb
 from unittest import mock
 
 from hypothesis import Phase, assume, event, given, settings, strategies as st
@@ -28,21 +37,35 @@ from milnoralg import (
     GeneratorTuple,
     HomogeneousPolynomial,
     PreconditionError,
+    dim_graded,
     format_poly,
+    hilbert_profile,
     ideal_piece,
     is_complete_intersection,
     jacobian_gens,
     linear_change,
+    random_ci_tuple,
     random_smooth,
+    recover_generators,
     socle_degree,
+    span_vectors,
     tangent_kernel_at_poly,
+    verify_inverse_system,
 )
 from milnoralg.linalg import certify_rank
 from milnoralg.monomials import mono_basis
 from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
+from milnoralg.suite import koszul_check
 
 from conftest import clear_prime_caches, recorded_walk
-from oracles import ci_walk_by_scan_cut, poly_kernel_by_colon, random_unimodular
+from oracles import (
+    ci_walk_by_scan_cut,
+    koszul_rank_by_sympy,
+    poly_kernel_by_colon,
+    random_unimodular,
+    recover_generators_by_lift,
+    verify_inverse_system_by_pieces,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -189,3 +212,104 @@ def test_direct_sum_kernels_and_fiber_certificate_match_the_exact_routes(drawn, 
                 span = jacobian_gens(g).span
                 assert fiber_is_line(span) == (len(forms_with_partials_in(span)) <= 1)
 
+
+# -- recovery from one piece: the colon kernel found mod p and proved -------------------------
+
+RECOVERY_SIZES = [(2, 4), (3, 3), (2, 5)]
+# (n, d, k) with dim S_{k-1} <= b(k): a piece may hold x_0 S_{k-1}, and then its
+# colon holds x_0 S_{d-2}, of dimension above n+1 at d >= 4
+WIDE_COLONS = [(2, 4, 5), (2, 4, 6), (2, 5, 7), (2, 5, 8), (2, 5, 9)]
+
+
+@st.composite
+def recovery_inputs(draw):
+    """(E, k, n, d, kind): a subspace of S_k of the dimension b(k) of a piece.
+
+    ``valid`` is the piece (I_W)_k of a seeded tuple or Jacobian span,
+    ``perturbed`` that piece with one basis row replaced by a drawn vector,
+    and ``wide colon`` x_0 S_{k-1} filled up with drawn vectors.
+    """
+    kind = draw(st.sampled_from(["valid", "perturbed", "wide colon"]))
+    coeffs = st.integers(-3, 3)
+    if kind == "wide colon":
+        n, d, k = draw(st.sampled_from(WIDE_COLONS))
+        rows = [
+            HomogeneousPolynomial.monomial(n, (a[0] + 1, *a[1:])).coords()
+            for a in mono_basis(n, k - 1)
+        ]
+        fill = hilbert_profile(n, d).b(k) - len(rows)
+        rows += [[draw(coeffs) for _ in range(dim_graded(n, k))] for _ in range(fill)]
+        e = span_vectors(n, k, rows)
+    else:
+        n, d = draw(st.sampled_from(RECOVERY_SIZES))
+        k = draw(st.integers(d - 1, socle_degree(n, d)))
+        seed = draw(st.integers(0, 10**6))
+        source = draw(st.sampled_from(["tuple", "Jacobian span"]))
+        if source == "tuple":
+            w = random_ci_tuple(n, d, seed)
+        else:
+            w = jacobian_gens(random_smooth(n, d, seed))
+        e = ideal_piece(w, k)
+        kind = f"{kind} {source}"
+        if kind.startswith("perturbed"):
+            drop = draw(st.integers(0, e.dim - 1))
+            rows = [row for i, row in enumerate(e.rows) if i != drop]
+            e = span_vectors(n, k, rows + [[draw(coeffs) for _ in range(e.ambient_dim)]])
+    assume(e.dim == hilbert_profile(n, d).b(k))
+    return e, k, n, d, kind
+
+
+def recovery_outcome(recover, e, k, n, d):
+    """The recovered span's RREF rows as text, or None where the piece is refused."""
+    try:
+        return repr(recover(e, k, n, d).span.rows)
+    except PreconditionError:
+        return None
+
+
+@SETTINGS
+@given(drawn=recovery_inputs(), p=st.sampled_from([3, 5, 7]))
+def test_recovery_gives_the_outcome_of_the_lift_oracle_at_every_prime(drawn, p):
+    e, k, n, d, kind = drawn
+    want = recovery_outcome(recover_generators_by_lift, e, k, n, d)
+    event(f"{kind}: {'refused' if want is None else 'recovered'}")
+    for q in (linalg.PRIME, p):
+        with prime(q):
+            assert recovery_outcome(recover_generators, e, k, n, d) == want
+
+
+# -- inverse systems and Koszul ranks: the rank certificates against exact ranks --------------
+
+
+@st.composite
+def ci_tuples(draw):
+    """A drawn generator tuple that the exact fill at T+1 proves a complete intersection."""
+    w = draw(generator_tuples())
+    assume(ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full())
+    return w
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(w=ci_tuples(), data=st.data(), p=st.sampled_from([3, 5, 7]))
+def test_inverse_system_and_koszul_certificates_match_exact_ranks(w, data, p):
+    n, d = w.n, w.d
+    # the degrees with Koszul syzygies, 2(d-1)..T+1, where there are any
+    ks = range(2 * (d - 1), socle_degree(n, d) + 2) or range(d - 1, socle_degree(n, d) + 2)
+    k = data.draw(st.sampled_from(ks), label="k")
+    monos = mono_basis(n, d - 1)
+    parts = [
+        HomogeneousPolynomial(n, d - 1, {m: data.draw(st.integers(-2, 2)) for m in monos})
+        for _ in range(n + 1)
+    ]
+    # generators scaled by p have Koszul vectors vanishing mod p, so the exact rank decides
+    w = GeneratorTuple(n, d, [g * data.draw(st.sampled_from([1, p])) for g in w.gens])
+    # a complete intersection has only Koszul syzygies, each sending h into the piece
+    assert koszul_rank_by_sympy(w, k) == (n + 1) * dim_graded(n, k - d + 1) - ideal_piece(w, k).dim
+    vectors = comb(n + 1, 2) * dim_graded(n, k - 2 * (d - 1)) if k >= 2 * (d - 1) else 0
+    inverse = verify_inverse_system_by_pieces(w)
+    assert inverse
+    event(f"(n, d) = {(n, d)}, {vectors} Koszul vectors")
+    for q in (linalg.PRIME, p):
+        with prime(q):
+            assert verify_inverse_system(w) == inverse
+            assert koszul_check(w, k, parts) == vectors

@@ -27,8 +27,10 @@ from milnoralg import (
     tangent_kernel_at_poly,
     zero_subspace,
 )
+import milnoralg.reconstruction as reconstruction
 from milnoralg.ideals import generated_piece
 from milnoralg.linalg import annihilator
+from milnoralg.reconstruction import colon_rows
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
@@ -201,28 +203,48 @@ def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
         assert ci_walk_mod_p.cache_info().misses == 1
 
 
-def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch):
-    import milnoralg.reconstruction as reconstruction
+def count_rows(monkeypatch, name: str) -> list:
+    """Record every colon row that ``reconstruction.<name>`` pulls from its row iterator."""
+    real, pulled = getattr(reconstruction, name), []
 
-    real_kernel_builder = reconstruction.kernel_builder
-    pulled = []
-
-    def counted_kernel_builder(rows, ncols, rank=None):
-        def counted():
+    def counted(rows, *args):
+        def read():
             for row in rows:
                 pulled.append(row)
                 yield row
 
-        return real_kernel_builder(counted(), ncols, rank)
+        return real(read(), *args)
 
-    monkeypatch.setattr(reconstruction, "kernel_builder", counted_kernel_builder)
+    monkeypatch.setattr(reconstruction, name, counted)
+    return pulled
+
+
+def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch, patched_prime):
     n, d, k = 2, 4, 4
     w = random_ci_tuple(n, d, seed=3)
     e = ideal_piece(w, k)
+    all_rows = list(colon_rows(annihilator(e), n, k, d - 1, range(dim_graded(n, d - 1))))
+    modular = count_rows(monkeypatch, "kernel_mod_p")
+    exact = count_rows(monkeypatch, "kernel_builder")
+    # the kernel found mod p is proved exactly: no exact elimination at all
     assert recover_generators(e, k, n, d).span == w.span
-    duals = annihilator(e)
-    all_rows = list(reconstruction.colon_rows(duals, n, k, d - 1, range(dim_graded(n, d - 1))))
-    assert 0 < len(pulled) < len(all_rows)
+    assert 0 < len(modular) < len(all_rows) and exact == []
+    # mod 3 the lifted kernel fails the product check, and the exact elimination
+    # stops at the same rank
+    patched_prime(3)
+    assert recover_generators(e, k, n, d).span == w.span
+    assert 0 < len(exact) < len(all_rows)
+
+
+def test_recovery_needs_no_exact_elimination_on_seeded_pools(ci_pools, nonst_pools, monkeypatch):
+    exact = count_rows(monkeypatch, "kernel_builder")
+    recovered = 0
+    for (n, d), pool in ci_pools.items():
+        for w in pool[:5] + [jacobian_gens(f) for f in nonst_pools[(n, d)][:5]]:
+            for k in range(d - 1, socle_degree(n, d) + 1):
+                assert recover_generators(ideal_piece(w, k), k, n, d).span == w.span
+                recovered += 1
+    assert recovered > 0 and exact == []
 
 
 def test_wrong_colon_is_refused_before_any_piece_is_grown():
