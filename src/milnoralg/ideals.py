@@ -118,22 +118,14 @@ def hilbert_profile(n: int, d: int) -> HilbertProfile:
 
     This is the Hilbert series of the quotient by any complete
     intersection of n+1 forms of degree d-1; its coefficient sum is
-    (d-1)^(n+1). Each of the n+1 factors is a sliding window sum of
-    d-1 coefficients, kept running, so the cost is O(n T), T the socle
-    degree, whatever d is. Cached per (n, d); the cache is read-safe and
-    idempotent under concurrent fills.
+    (d-1)^(n+1). Each a(k) is dim S_k - ``generic_piece_dim(n, d-1, n+1, k)``,
+    the piece a regular sequence of n+1 such forms reaches. Cached per
+    (n, d); the cache is read-safe and idempotent under concurrent fills.
     """
     check_size(n, d)
-    vals = [1]
-    for _ in range(n + 1):
-        out, window = [], 0
-        for i in range(len(vals) + d - 2):
-            window += vals[i] if i < len(vals) else 0
-            window -= vals[i - d + 1] if i >= d - 1 else 0
-            out.append(window)
-        vals = out
     top = socle_degree(n, d)
-    assert len(vals) == top + 1 and vals[0] == 1 and vals[top] == 1
+    vals = [dim_graded(n, k) - generic_piece_dim(n, d - 1, n + 1, k) for k in range(top + 1)]
+    assert vals[0] == 1 and vals[top] == 1
     return HilbertProfile(n, d, top, tuple(vals) + (0,))
 
 
@@ -144,7 +136,8 @@ def generic_piece_dim(n: int, j: int, r: int, k: int) -> int:
     regular sequence reaches, and dim S_k for r > n+1. The dimension is the
     rank of a matrix polynomial in the coefficients, so it is largest on a
     Zariski-open set, where r <= n+1 forms are a regular sequence (Froberg
-    1985). At r = n+1, j = d-1 this is ``hilbert_profile(n, d).b(k)``.
+    1985). At r = n+1, j = d-1 this is ``hilbert_profile(n, d).b(k)``, and
+    ``hilbert_profile`` reads its values off it.
     """
     if r > n + 1:
         return dim_graded(n, k)

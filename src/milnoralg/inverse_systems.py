@@ -12,15 +12,19 @@ of its RREF basis, no further elimination): the apolar pairing is
 diagonal on monomials with weights alpha!, so F_alpha = nu_alpha / alpha!.
 It never comes from a resultant formula.
 
-Polar differentiation is read off integer catalecticant rows: with c the
-coefficients of a form b of degree m and D the lcm of their denominators,
-G_gamma = D c_gamma gamma!, the x^beta coefficient of g applied to b is
-sum_alpha g_alpha G[alpha + beta] / (D beta!). ``apolar_piece`` is the
-kernel of these rows. ``verify_inverse_system`` checks the ideal against
-the annihilator by catalecticant ranks, the Hilbert function of the
-annihilator (Iarrobino and Kanev 1999): an exact check that W annihilates
-the form, then one rank per degree up to T/2, certified mod p where it
-can be and compared piece by piece where it cannot.
+An apolar piece is a colon piece, built by the rows that recover W in
+``reconstruction``. With c the coefficients of a form b of degree m and
+D the lcm of their denominators, G_gamma = D c_gamma gamma! is one
+functional on S_m, and the x^beta coefficient of g applied to b is
+G(g * x^beta) / (D beta!). So g in S_k annihilates b exactly when G
+vanishes on g * S_{m-k}: Ann(b)_k is the colon (G^perp : S_{m-k})_k, and
+the rows ``linalg.colon_rows`` builds for it are the catalecticant rows
+of b at k. ``apolar_piece`` is their kernel. ``verify_inverse_system``
+checks the ideal against the annihilator by catalecticant ranks, the
+Hilbert function of the annihilator (Iarrobino and Kanev 1999): an exact
+check (``in_colon``) that W annihilates the form, then one rank per
+degree up to T/2, certified mod p where it can be and compared piece by
+piece where it cannot.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from .linalg import (
     Subspace,
     annihilator,
     certify_rank,
+    colon_rows,
     full_subspace,
+    in_colon,
     integer_row,
     map_kernel,
 )
-from .monomials import factorial_weights, mono_basis, product_index_table
+from .monomials import dim_graded, factorial_weights, mono_basis
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q
 
@@ -129,25 +135,14 @@ def _weighted_coefficients(b: HomogeneousPolynomial) -> dict:
     return {j: x * weights[j] for j, x in coeffs.items()}
 
 
-def _catalecticant_rows(g: dict, n: int, m: int, k: int):
-    """Rows {alpha: G[alpha + beta]} over S_k, one per beta in S_{m-k}, empty ones left out.
-
-    Row beta is the x^beta coefficient of g applied to b, as a functional
-    of g in S_k, times D beta!: the catalecticant map S_k -> S_{m-k} with
-    each row scaled by a nonzero integer, so it has the same kernel.
-    """
-    for targets in product_index_table(n, m - k, k):
-        row = {a: g[t] for a, t in enumerate(targets) if t in g}
-        if row:
-            yield row
-
-
 def apolar_piece(b, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of b: forms annihilating b.
 
-    Computed as the kernel of the integer catalecticant rows at k, which
-    has the kernel of the catalecticant map S_k -> S_{m-k}. For k > deg(b)
-    every form annihilates, so the piece is all of S_k.
+    The kernel of ``colon_rows([G], n, m, k, ...)``, m = deg(b) and G the
+    functional of b's weighted coefficients: the colon (G^perp : S_{m-k})_k,
+    whose rows are the catalecticant rows of b at k, each scaled by a
+    nonzero integer. For k > deg(b) every form annihilates, so the piece
+    is all of S_k.
     """
     if isinstance(b, AssociatedForm):
         b = b.form
@@ -155,20 +150,20 @@ def apolar_piece(b, k: int) -> Subspace:
         raise ValueError("negative degree")
     if k > b.degree:
         return full_subspace(b.n, k)
-    rows = _catalecticant_rows(_weighted_coefficients(b), b.n, b.degree, k)
+    rows = colon_rows([_weighted_coefficients(b)], b.n, b.degree, k, range(dim_graded(b.n, k)))
     return map_kernel(rows, b.n, k)
 
 
 def verify_inverse_system(w: GeneratorTuple) -> bool:
     """Check (I_W)_k = Ann(F)_k for all k, F the associated form.
 
-    First, exactly, that W annihilates F: every integer row of ``w.span``
-    is in the kernel of the catalecticant rows at d-1. Ann(F) is an ideal,
-    so (I_W)_k lies in Ann(F)_k at every k. ``associated_form`` has proved W
-    a complete intersection, so dim (I_W)_k = b(k), and the catalecticant
-    at k, whose kernel is Ann(F)_k, has rank at most a(k) over Q; rank
-    a(k) makes the two pieces equal. ``certify_rank`` decides that mod p
-    for k = 1..T/2. The catalecticant at T-k is the transpose of the one
+    First, exactly, that W annihilates F: ``in_colon`` puts W in the colon
+    (G^perp : S_{T-d+1})_{d-1}, which is Ann(F)_{d-1}. Ann(F) is an ideal,
+    so (I_W)_k lies in Ann(F)_k at every k. ``associated_form`` has proved
+    W a complete intersection, so dim (I_W)_k = b(k), and the colon rows
+    at k, whose kernel is Ann(F)_k, have rank at most a(k) over Q; rank
+    a(k) makes the two pieces equal. ``certify_rank`` decides that mod p for k = 1..T/2.
+    The rows at T-k are the catalecticant at T-k, the transpose of the one
     at k, and a(T-k) = a(k), so this covers T-k as well. At k = 0 and T
     the rank is 1, as F is nonzero, and at T+1 both pieces are all of
     S_{T+1}. Where the modular rank falls short of a(k), the canonical
@@ -176,15 +171,12 @@ def verify_inverse_system(w: GeneratorTuple) -> bool:
     """
     form = associated_form(w).form
     n, top = w.n, form.degree
-    g = _weighted_coefficients(form)
-    if top >= w.d - 1:
-        rows = list(_catalecticant_rows(g, n, top, w.d - 1))
-        for u in w.span.int_rows.values():
-            if any(sum(x * r.get(a, 0) for a, x in u.items()) for r in rows):
-                return False
+    duals = [_weighted_coefficients(form)]
+    if top >= w.d - 1 and not in_colon(duals, n, top, w.d - 1, w.span):
+        return False
     profile = hilbert_profile(n, w.d)
     for k in range(1, top // 2 + 1):
-        if not certify_rank(_catalecticant_rows(g, n, top, k), profile.a(k)):
+        if not certify_rank(colon_rows(duals, n, top, k, range(dim_graded(n, k))), profile.a(k)):
             if any(apolar_piece(form, j) != ideal_piece(w, j) for j in (k, top - k)):
                 return False
     return True

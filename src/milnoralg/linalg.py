@@ -54,7 +54,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
-from .monomials import dim_graded
+from .monomials import dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q, ZERO
 
@@ -511,6 +511,56 @@ def annihilator(e: Subspace) -> list:
     matrix. A vector lies in E exactly when every one of them vanishes on it.
     """
     return list(_kernel_vectors(e.int_rows, e.ambient_dim))
+
+
+def colon_rows(duals, n: int, k: int, degree: int, columns):
+    """Integer rows of c |-> (c * u mod E) over u in S_{k-degree}, E in S_k, lazily.
+
+    ``duals`` are functionals on S_k, sparse {column: int} dicts, that cut
+    out E. One row per monomial u and functional nu, with entry
+    nu(u * m_j) at each column j of S_degree in ``columns``: the kernel on
+    ``columns`` is the part of the colon (E : S_{k-degree}) supported
+    there. Each u adds its rows only when they are read.
+
+    Three users: ``recover_generators`` reads W = (E : S_{k-d+1})_{d-1}
+    with E cut out by ``annihilator(E)``; ``apolar_piece`` and
+    ``verify_inverse_system`` read Ann(F)_k = (F^perp : S_{T-k})_k with
+    F^perp cut out by the one functional of F's weighted coefficients, and
+    the rows are then F's catalecticant at k.
+    """
+    for tu in product_index_table(n, k - degree, degree):
+        targets = [tu[j] for j in columns]
+        for nu in duals:
+            yield {i: nu[t] for i, t in enumerate(targets) if t in nu}
+
+
+def in_colon(duals, n: int, k: int, degree: int, span: Subspace) -> bool:
+    """Whether span lies in the colon (E : S_{k-degree}), E in S_k cut out by ``duals``.
+
+    The exact check that every functional nu_i of ``duals`` vanishes on
+    c * u for each integer basis row c of span and each monomial u of
+    S_{k-degree}. The functionals are packed into one integer per monomial
+    t of S_k, P_t = sum_i nu_i[t] 2^(s i) (Kronecker substitution), so that
+    sum_j c_j P_{t_j} = sum_i nu_i(c * u) 2^(s i) for the monomials t_j of
+    c * u. Each |nu_i(c * u)| is below 2^(s-1), so that sum is zero exactly
+    when every nu_i(c * u) is: one integer per product instead of one per
+    functional. Stops at the first product outside E.
+
+    ``recover_generators`` proves with it that a kernel found mod p is W,
+    and ``verify_inverse_system`` that W annihilates its associated form.
+    """
+    basis = span.int_rows.values()
+    top = max((abs(x) for nu in duals for x in nu.values()), default=0)
+    s = (top * max(sum(map(abs, c.values())) for c in basis)).bit_length() + 1
+    packed = [0] * dim_graded(n, k)
+    for i, nu in enumerate(duals):
+        for t, x in nu.items():
+            packed[t] += x << (s * i)
+    for tu in product_index_table(n, k - degree, degree):
+        for c in basis:
+            if sum(x * packed[tu[j]] for j, x in c.items()):
+                return False
+    return True
 
 
 def map_kernel(matrix_rows, n: int, k: int) -> Subspace:

@@ -1,24 +1,16 @@
 """Exact rational scalars.
 
-All arithmetic in this package is exact. gmpy2 is optional (the ``fast``
-extra: ``pip install milnoralg[fast]``); when it is installed its ``mpq``
-is used, and otherwise the standard library's ``fractions.Fraction``.
-Elimination itself runs on Python ints (see ``linalg``) and meets this
-type only where its rows enter and leave. Both types are hashable,
-reduce to lowest terms, and interoperate with Python ints, and nothing
-downstream depends on which one is active.
+All arithmetic in this package is exact, and its one rational type is
+the standard library's ``fractions.Fraction``. Elimination itself runs
+on Python ints (see ``linalg``) and meets this type only where its rows
+enter and leave, so rationals are a small share of any computation.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
+from fractions import Fraction as Q
 
-    BACKEND = "gmpy2.mpq"
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
-
-    BACKEND = "fractions.Fraction"
+BACKEND = "fractions.Fraction"
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -60,7 +60,13 @@ from milnoralg import (
 import milnoralg.linalg as linalg
 from milnoralg.deformation import KernelReport, PolyTangentVector, _check_tuple_pre
 from milnoralg.ideals import check_degree, generated_piece
-from milnoralg.linalg import SpanBuilder, _check_same_ambient, annihilator, kernel_builder
+from milnoralg.linalg import (
+    SpanBuilder,
+    _check_same_ambient,
+    annihilator,
+    colon_rows,
+    kernel_builder,
+)
 from milnoralg.monomials import (
     derivative_table,
     factorial_weights,
@@ -69,7 +75,6 @@ from milnoralg.monomials import (
     product_index_table,
 )
 from milnoralg.rationals import Q, ZERO
-from milnoralg.reconstruction import colon_rows
 from milnoralg.st_analysis import check_seed
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,13 +308,30 @@ def test_byte_identical_outputs(capsys):
 
 
 def test_version_reports_backend(capsys):
-    from milnoralg.rationals import Q
-
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    backend = {"Fraction": "fractions.Fraction", "mpq": "gmpy2.mpq"}[Q.__name__]
-    assert capsys.readouterr().out == f"milnoralg 0.1.0 ({backend})\n"
+    assert capsys.readouterr().out == "milnoralg 0.1.0 (fractions.Fraction)\n"
+
+
+def test_fraction_is_the_one_rational_type_even_beside_gmpy2(tmp_path):
+    # a stand-in gmpy2 whose mpq is another class, first on the path of a fresh interpreter
+    stub = "from fractions import Fraction\n\nclass mpq(Fraction):\n    pass\n"
+    (tmp_path / "gmpy2.py").write_text(stub)
+    child = (
+        "import fractions, gmpy2\n"
+        "import milnoralg.rationals as rationals\n"
+        "from milnoralg.cli import main\n"
+        "print(gmpy2.mpq is not fractions.Fraction, rationals.Q is fractions.Fraction)\n"
+        "main(['--version'])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\nmilnoralg 0.1.0 (fractions.Fraction)\n"
 
 
 # -- suite ---------------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import inspect
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
+import sympy
 
 from milnoralg import (
     GeneratorTuple,
@@ -34,6 +37,8 @@ from milnoralg.polynomials import HomogeneousPolynomial
 
 from conftest import PAIRS
 from oracles import direct_product_piece, relay_rows
+
+t = sympy.Symbol("t")
 
 
 def assert_same_bytes(got, want):
@@ -167,11 +172,24 @@ def test_walk_longer_than_the_cache_holds():
         assert_same_bytes(generated_piece(e, 42), direct_product_piece(1, 2, 42, e.rows))
 
 
-@pytest.mark.parametrize("n,d", PAIRS)
+@lru_cache(maxsize=None)
+def inverse_power_series(n: int, order: int) -> sympy.Poly:
+    """sympy's series of 1 / (1 - t)^(n+1) below t^order, as a polynomial in t."""
+    return sympy.Poly(sympy.series((1 - t) ** -(n + 1), t, 0, order).removeO(), t)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(2, 8)])
 def test_generic_bound_is_the_complete_intersection_profile(n, d):
+    """Both formulas against sympy's coefficients of (1 - t^j)^r / (1 - t)^(n+1), j = d-1."""
+    order = socle_degree(n, d) + 4
     profile = hilbert_profile(n, d)
-    for k in range(socle_degree(n, d) + 4):
-        assert generic_piece_dim(n, d - 1, n + 1, k) == profile.b(k), k
+    for r in range(1, n + 2):
+        series = sympy.Poly((1 - t ** (d - 1)) ** r, t) * inverse_power_series(n, order)
+        for k in range(order):
+            coefficient = int(series.coeff_monomial(t**k))
+            assert generic_piece_dim(n, d - 1, r, k) == comb(n + k, n) - coefficient, (r, k)
+            if r == n + 1:
+                assert profile.a(k) == coefficient, k
 
 
 @pytest.mark.parametrize("n,d", PAIRS)

@@ -82,7 +82,7 @@ def test_export_is_the_defining_modules_object(name):
     home = importlib.import_module(f"milnoralg.{milnoralg._HOME[name]}")
     value = getattr(milnoralg, name)
     assert value is getattr(home, name)
-    if name != "Q":  # Q is the backend's own class, re-exported by rationals
+    if name != "Q":  # Q is fractions.Fraction, re-exported by rationals
         assert value.__module__ == home.__name__
     assert name in dir(milnoralg)
     # resolved on every access, never stored in the package namespace

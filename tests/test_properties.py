@@ -18,17 +18,21 @@ pieces of seeded tuples and Jacobian spans, on those pieces with one row
 replaced, and on pieces holding x_0 S_{k-1}, whose colon is too large.
 On generated complete intersections, ``verify_inverse_system`` must agree
 with the piece-by-piece oracle and ``koszul_check`` with sympy's exact
-Koszul rank. Each is run at ``linalg.PRIME`` and at a small prime. Runs
+Koszul rank. Each is run at ``linalg.PRIME`` and at a small prime. On
+generated integer forms, powers of linear forms and monomials,
+``apolar_piece`` at every k must be sympy's kernel of the dense
+catalecticant (``oracles.catalecticant_matrix``). Runs
 are derandomized, with a fixed number of examples, so every run draws the
 same inputs.
 """
 
 from contextlib import contextmanager
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, prod
 from unittest import mock
 
 from hypothesis import Phase, assume, event, given, settings, strategies as st
-from sympy import GF, ZZ
+from sympy import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 import milnoralg.ideals as ideals
@@ -37,6 +41,7 @@ from milnoralg import (
     GeneratorTuple,
     HomogeneousPolynomial,
     PreconditionError,
+    apolar_piece,
     dim_graded,
     format_poly,
     hilbert_profile,
@@ -59,6 +64,7 @@ from milnoralg.suite import koszul_check
 
 from conftest import clear_prime_caches, recorded_walk
 from oracles import (
+    catalecticant_matrix,
     ci_walk_by_scan_cut,
     koszul_rank_by_sympy,
     poly_kernel_by_colon,
@@ -313,3 +319,60 @@ def test_inverse_system_and_koszul_certificates_match_exact_ranks(w, data, p):
         with prime(q):
             assert verify_inverse_system(w) == inverse
             assert koszul_check(w, k, parts) == vectors
+
+
+# -- apolar pieces: the colon rows of one functional against the dense catalecticant ---------
+
+
+@st.composite
+def apolar_forms(draw):
+    """(kind, b): a form with integer coefficients, a power of a linear form, or a monomial."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5 if n < 3 else 4))
+    kind = draw(st.sampled_from(["integer", "power", "monomial"]))
+    monos = mono_basis(n, m)
+    if kind == "integer":
+        terms = {alpha: draw(st.integers(-3, 3)) for alpha in monos}
+    elif kind == "power":
+        # (c . x)^m = sum over alpha of m! / alpha! c^alpha x^alpha
+        c = [draw(st.integers(-2, 2)) for _ in range(n + 1)]
+        terms = {
+            alpha: factorial(m) // prod(map(factorial, alpha)) * prod(x**a for x, a in zip(c, alpha))
+            for alpha in monos
+        }
+    else:
+        terms = {draw(st.sampled_from(monos)): draw(st.sampled_from([-2, -1, 1, 3]))}
+    assume(any(terms.values()))
+    return kind, HomogeneousPolynomial(n, m, terms)
+
+
+def kernel_rref_by_sympy(matrix, width: int) -> tuple:
+    """The RREF basis of sympy's kernel of a dense rational matrix, as tuples of Fractions."""
+    entries = [[QQ(int(x.numerator), int(x.denominator)) for x in row] for row in matrix]
+    kernel = DomainMatrix(entries, (len(matrix), width), QQ).nullspace().rref()[0]
+    rows = tuple(
+        tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row) for row in kernel.to_list()
+    )
+    return tuple(row for row in rows if any(row))
+
+
+@SETTINGS
+@given(drawn=apolar_forms())
+def test_apolar_pieces_are_the_kernels_of_the_dense_catalecticant(drawn):
+    kind, b = drawn
+    n, m = b.n, b.degree
+    event(kind)
+    for k in range(m + 1):
+        piece = apolar_piece(b, k)
+        assert piece.rows == kernel_rref_by_sympy(catalecticant_matrix(b, k), dim_graded(n, k)), k
+        if kind == "power":  # every catalecticant of L^m has rank 1
+            assert piece.dim == dim_graded(n, k) - 1
+        elif kind == "monomial":  # x^beta annihilates x^alpha unless beta divides alpha
+            (alpha,) = b.terms
+            outside = [
+                [int(i == j) for j in range(dim_graded(n, k))]
+                for i, beta in enumerate(mono_basis(n, k))
+                if any(x > y for x, y in zip(beta, alpha))
+            ]
+            assert piece == span_vectors(n, k, outside)
+    assert apolar_piece(b, m + 1).is_full()

@@ -29,8 +29,7 @@ from milnoralg import (
 )
 import milnoralg.reconstruction as reconstruction
 from milnoralg.ideals import generated_piece
-from milnoralg.linalg import annihilator
-from milnoralg.reconstruction import colon_rows
+from milnoralg.linalg import annihilator, colon_rows
 from milnoralg.rationals import Q
 
 from conftest import PAIRS
