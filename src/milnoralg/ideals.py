@@ -7,13 +7,14 @@ Macaulay's resultant construction: each piece is grown from the one below
 by the n+1 variables (``generated_piece``) and kept as integer RREF rows
 in one cache. The products x_i * r enter by leading column, largest
 first; ordering Macaulay-matrix rows by leading monomial is the idea
-behind F4 (Faugere 1999). When a lead first comes up every stored row
-pivots right of it, so that product becomes a new pivot at which no
-stored row has an entry, and clears nothing; only products repeating a
-lead can clear stored rows. The rows are sparse: an RREF row vanishes at every
-other pivot, so a row of I_k has at most a(k) + 1 nonzero entries, a(k)
-being the Hilbert function of the quotient. Once a degree is full, so is
-every degree above it.
+behind F4 (Faugere 1999). No product is sorted: each goes into a bucket
+for its lead, and the buckets are read from the last column down. When a
+lead first comes up every stored row pivots right of it, so that product
+becomes a new pivot at which no stored row has an entry, and clears
+nothing; only products repeating a lead can clear stored rows. The rows
+are sparse: an RREF row vanishes at every other pivot, so a row of I_k
+has at most a(k) + 1 nonzero entries, a(k) being the Hilbert function of
+the quotient. Once a degree is full, so is every degree above it.
 
 Each degree also stops at a bound known in advance. r <= n+1 forms of
 degree j generate at most dim S_k - [t^k] (1 - t^j)^r / (1 - t)^(n+1)
@@ -36,7 +37,7 @@ walk stops at the first degree that falls short of b(k): the reduced
 tuple is then no regular sequence over F_p, so it would not fill S_{T+1}
 either. Where the walk falls short the exact relay to T+1 decides, so the
 answer is always exact. ``relay_step`` hands each product to its builder
-with the lead it already knows from the sort: the walk's
+with the lead of its bucket: the walk's
 ``linalg.ModularEchelon`` stores a product at a new lead as it is, since
 a product of stored rows is already in stored form, and reduces only the
 products that repeat a lead. The tangent kernels of ``deformation`` need
@@ -54,7 +55,17 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .linalg import ModularEchelon, SpanBuilder, Subspace, full_subspace, span_polys, zero_subspace
+from .linalg import (
+    ModularEchelon,
+    SpanBuilder,
+    Subspace,
+    derivative_rows,
+    full_subspace,
+    poly_row,
+    span_polys,
+    span_vectors,
+    zero_subspace,
+)
 from .monomials import dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial, partial
 
@@ -114,17 +125,35 @@ class HilbertProfile(NamedTuple):
 
 @lru_cache(maxsize=None)
 def hilbert_profile(n: int, d: int) -> HilbertProfile:
-    """Coefficients of ((1 - t^(d-1)) / (1 - t))^(n+1).
+    """Coefficients of P(t) = ((1 - t^(d-1)) / (1 - t))^(n+1).
 
     This is the Hilbert series of the quotient by any complete
     intersection of n+1 forms of degree d-1; its coefficient sum is
-    (d-1)^(n+1). Each a(k) is dim S_k - ``generic_piece_dim(n, d-1, n+1, k)``,
-    the piece a regular sequence of n+1 such forms reaches. Cached per
+    (d-1)^(n+1), and a(k) = dim S_k - ``generic_piece_dim(n, d-1, n+1, k)``,
+    the piece a regular sequence of n+1 such forms reaches. The values
+    come from a three-term recurrence, a constant number of big-integer
+    operations per k rather than that sum of n+1 binomials. With m = d-1
+    and N = n+1, P'/P = N (1/(1 - t) - m t^(m-1)/(1 - t^m)), so
+    (1 - t)(1 - t^m) P' = N (1 - m t^(m-1) + (m-1) t^m) P, whose
+    coefficient of t^k reads
+
+        (k+1) a(k+1) = (k+N) a(k) + (k+1-m-N m) a(k+1-m) + (N(m-1)+m-k) a(k-m),
+
+    a(j) = 0 for j < 0; the division by k+1 is exact. Only k <= T/2 is
+    computed: P is a palindrome of degree T, so a(k) = a(T-k). Cached per
     (n, d); the cache is read-safe and idempotent under concurrent fills.
     """
     check_size(n, d)
-    top = socle_degree(n, d)
-    vals = [dim_graded(n, k) - generic_piece_dim(n, d - 1, n + 1, k) for k in range(top + 1)]
+    top, m, r = socle_degree(n, d), d - 1, n + 1
+    vals = [1]
+    for k in range(top // 2):
+        step = (k + r) * vals[k]
+        if k + 1 >= m:
+            step += (k + 1 - m - r * m) * vals[k + 1 - m]
+        if k >= m:
+            step += (r * (m - 1) + m - k) * vals[k - m]
+        vals.append(step // (k + 1))
+    vals += reversed(vals[: top + 1 - len(vals)])
     assert vals[0] == 1 and vals[top] == 1
     return HilbertProfile(n, d, top, tuple(vals) + (0,))
 
@@ -136,8 +165,8 @@ def generic_piece_dim(n: int, j: int, r: int, k: int) -> int:
     regular sequence reaches, and dim S_k for r > n+1. The dimension is the
     rank of a matrix polynomial in the coefficients, so it is largest on a
     Zariski-open set, where r <= n+1 forms are a regular sequence (Froberg
-    1985). At r = n+1, j = d-1 this is ``hilbert_profile(n, d).b(k)``, and
-    ``hilbert_profile`` reads its values off it.
+    1985). At r = n+1, j = d-1 this is ``hilbert_profile(n, d).b(k)``,
+    which ``hilbert_profile`` computes by a recurrence instead of this sum.
     """
     if r > n + 1:
         return dim_graded(n, k)
@@ -151,7 +180,7 @@ class GeneratorTuple:
     independence; dependent tuples are rejected with PreconditionError.
     """
 
-    __slots__ = ("n", "d", "_gens", "_span")
+    __slots__ = ("n", "d", "_gens", "_span", "_make_gens")
 
     def __init__(self, n: int, d: int, gens):
         gens = tuple(gens)
@@ -172,22 +201,24 @@ class GeneratorTuple:
         self._span = span
 
     @classmethod
-    def _from_span(cls, span: Subspace) -> "GeneratorTuple":
-        """The tuple of the RREF basis of an (n+1)-dimensional span of S_{d-1}, no elimination.
+    def _from_span(cls, span: Subspace, make_gens=None) -> "GeneratorTuple":
+        """The tuple spanning an (n+1)-dimensional span of S_{d-1}, no elimination.
 
-        The generators are the basis rows, so ``span`` is their span as it
-        is; they are formed on first read of ``gens``.
+        The generators are ``make_gens()``, or by default the RREF basis
+        rows of ``span``, which must be their span; they are formed on
+        first read of ``gens``.
         """
         if span.dim != span.n + 1:
             raise ValueError(f"expected a span of dimension {span.n + 1}, got {span.dim}")
         w = cls.__new__(cls)
         w.n, w.d, w._gens, w._span = span.n, span.k + 1, None, span
+        w._make_gens = make_gens or span.basis_polynomials
         return w
 
     @property
     def gens(self) -> tuple:
         if self._gens is None:
-            self._gens = self._span.basis_polynomials()
+            self._gens = self._make_gens()
         return self._gens
 
     @property
@@ -232,13 +263,17 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
     ``below`` maps each leading column of the rows one degree below to its
     row. The products enter by leading column, largest first. Multiplying
     by x_i keeps the monomial order, so x_i * r leads at the image of r's
-    lead. Each earlier product led further right, and reduction only moves
-    a lead right, so when a lead first comes up every stored row leads
-    right of it: that product sets a new pivot left of them all and, as
-    none has an entry there, clears none of them. Only a product repeating
-    a lead is reduced past it and can land on a pivot that stored rows must
-    be cleared at. So the rows stored plus the leads still to come bound
-    the final dimension from below, and ``bound``, an upper bound such as
+    lead: each product goes into the bucket of that column, the rows of
+    ``below`` visited by descending lead, and the buckets are read from
+    the last column to the first, so a lead's products come in descending
+    order of their parent's lead and no product is sorted. Each earlier
+    product led further right, and reduction only moves a lead right, so
+    when a lead first comes up every stored row leads right of it: that
+    product sets a new pivot left of them all and, as none has an entry
+    there, clears none of them. Only a product repeating a lead is reduced
+    past it and can land on a pivot that stored rows must be cleared at.
+    So the rows stored plus the leads still to come bound the final
+    dimension from below, and ``bound``, an upper bound such as
     ``generic_piece_dim``, bounds it from above. Once the two meet the
     degree is exactly the bound: the products repeating a lead are skipped,
     as they add nothing, and the first-lead ones are inserted for their
@@ -246,7 +281,8 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
     span falling short of the bound, such as a tuple with a common zero at
     T+1, never meets it and inserts every product there. Inserting all
     first-lead products before any repeated one was tried: it leaves many
-    late pivots to clear, and is slower.
+    late pivots to clear, and is slower; so is a sort of every product by
+    (lead, parent), which this bucketing replaces with the same order.
 
     The builder is an exact ``SpanBuilder`` or a ``linalg.ModularEchelon``;
     both set a new pivot at a lead that no stored row has, which is all the
@@ -255,19 +291,25 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
     one at a new lead as it is, with no arithmetic. Returns the builder, or
     None once it is full.
     """
-    table = product_index_table(n, 1, k - 1)
-    leads = sorted(((tu[p], p, tu) for p in below for tu in table), reverse=True)
-    todo, last = len({lead for lead, _, _ in leads}), None
-    for lead, p, tu in leads:
-        first = lead != last
-        if len(builder.int_rows) + todo == bound:
-            if bound == builder.length:
-                return None
-            if not first:
-                continue
-        if first:
-            todo, last = todo - 1, lead
-        builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
+    table, rows = product_index_table(n, 1, k - 1), builder.int_rows
+    buckets, todo = [None] * builder.length, 0
+    for p in sorted(below, reverse=True):
+        for tu in table:
+            if (bucket := buckets[tu[p]]) is None:
+                buckets[tu[p]], todo = [(p, tu)], todo + 1
+            else:
+                bucket.append((p, tu))
+    for lead in range(len(buckets) - 1, -1, -1):
+        if (bucket := buckets[lead]) is None:
+            continue
+        # todo still counts this lead: its first product sets a new pivot
+        if len(rows) + todo == bound and bound == builder.length:
+            return None
+        todo -= 1
+        for p, tu in bucket:
+            builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
+            if len(rows) + todo == bound:
+                break
     return None if builder.is_full() else builder
 
 
@@ -295,16 +337,30 @@ def ideal_piece(w: GeneratorTuple, k: int) -> Subspace:
     return generated_piece(w.span, k)
 
 
+def _partials_span(f: HomogeneousPolynomial) -> Subspace:
+    """The span in S_{d-1} of the partials of a form f of degree d >= 1, no partial formed.
+
+    The integer row D f of ``poly_row`` maps straight to the rows D d f / d x_i.
+    """
+    row, _ = poly_row(f)
+    return span_vectors(f.n, f.degree - 1, derivative_rows(row, f.n, f.degree))
+
+
 @lru_cache(maxsize=256)
 def jacobian_gens(f: HomogeneousPolynomial) -> GeneratorTuple:
     """The tuple of first partial derivatives of f.
 
     Rejects forms whose partials are linearly dependent (cones): those lie
     outside the smooth locus and none of the reconstruction theory applies.
-    Cached on f, so the checks at every k over one form share one tuple.
+    The span comes from f's integer row (``_partials_span``); the partials
+    themselves are formed only when ``gens`` is first read. Cached on f, so
+    the checks at every k over one form share one tuple.
     """
     check_size(f.n, f.degree)
-    return GeneratorTuple(f.n, f.degree, [partial(f, i) for i in range(f.n + 1)])
+    span = _partials_span(f)
+    if span.dim != f.n + 1:
+        raise PreconditionError("generators are linearly dependent")
+    return GeneratorTuple._from_span(span, lambda: tuple(partial(f, i) for i in range(f.n + 1)))
 
 
 def jacobian_piece(f: HomogeneousPolynomial, k: int) -> Subspace:
@@ -320,7 +376,7 @@ def partials_piece(f: HomogeneousPolynomial, k: int) -> Subspace:
     """
     if f.degree < 1:
         raise ValueError("need degree >= 1")
-    return generated_piece(span_polys([partial(f, i) for i in range(f.n + 1)], f.n, f.degree - 1), k)
+    return generated_piece(_partials_span(f), k)
 
 
 @lru_cache(maxsize=256)

@@ -47,8 +47,8 @@ from .linalg import (
     colon_rows,
     full_subspace,
     in_colon,
-    integer_row,
     map_kernel,
+    poly_row,
 )
 from .monomials import dim_graded, factorial_weights, mono_basis
 from .polynomials import HomogeneousPolynomial
@@ -130,7 +130,7 @@ def _weighted_coefficients(b: HomogeneousPolynomial) -> dict:
     c are the coefficients of b, m its degree, and D the lcm of their
     denominators.
     """
-    coeffs, _ = integer_row(b.coords())
+    coeffs, _ = poly_row(b)
     weights = factorial_weights(b.n, b.degree)
     return {j: x * weights[j] for j, x in coeffs.items()}
 

@@ -17,17 +17,24 @@ row with a positive pivot entry (the row times the lcm of its
 denominators), so the canonical basis is unchanged while the elimination
 pays one gcd per row instead of one per rational operation. These integer
 rows are the only stored form of a subspace, in ``SpanBuilder`` and
-``Subspace`` alike; rationals are formed only when ``rows`` is read. One
-routine, ``reduce_row``, reduces a vector against them: insertion and
-membership both go through it.
+``Subspace`` alike; rationals are formed only when ``rows`` is read. A
+form enters as the row of ``poly_row``, read off its terms, and its
+partials as the rows of ``derivative_rows``. One routine,
+``reduce_row``, reduces a vector against them: insertion and membership
+both go through it.
 
 Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
-basis of integer rows reduced modulo the prime ``PRIME``. Every minor of
-an integer matrix that is nonzero mod p is nonzero over Q, so the rank mod
-p is at most the rank over Q. It has three users. ``certify_rank`` decides
-a rank claim: a caller that already knows an exact upper bound on the
-rank over Q learns the rank exactly when the rank mod p reaches that
-bound, and runs the exact code whenever it falls short. ``ideals`` walks
+basis of integer rows reduced modulo the prime ``PRIME``, the largest
+prime below 2^30. CPython stores an int in 30-bit digits, so every
+residue is one digit and each ``% p`` divides by a one-digit divisor,
+which CPython does in one pass over the dividend instead of by long
+division; a 31-bit prime would make every residue two digits. Every
+minor of an integer matrix that is nonzero mod p is nonzero over Q, so
+the rank mod p is at most the rank over Q. It has three users.
+``certify_rank`` decides a rank claim: a caller that already knows an
+exact upper bound on the rank over Q learns the rank exactly when the
+rank mod p reaches that bound, and runs the exact code whenever it falls
+short. ``ideals`` walks
 its relay mod p through it, once per tuple, to decide that the tuple is a
 complete intersection; where the walk falls short, the exact relay
 decides. ``kernel_mod_p`` finds a kernel basis mod p, bounds the kernel's
@@ -54,12 +61,16 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
-from .monomials import dim_graded, product_index_table
+from .monomials import derivative_table, dim_graded, mono_index, product_index_table
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q, ZERO
 
-# The modulus of ``ModularEchelon``, the Mersenne prime 2^31 - 1.
-PRIME = 2**31 - 1
+# The modulus of ``ModularEchelon`` and of every walk, rank and kernel mod p:
+# 2^30 - 35, the largest prime below 2^30, so that every residue is a
+# one-digit CPython int and each reduction mod p divides by one digit. Its
+# lift bound isqrt(p // 2) = 23,170 is above the canonical W entries, which
+# take at most 14 bits.
+PRIME = 1_073_741_789
 
 
 def integer_row(vec) -> tuple:
@@ -67,6 +78,23 @@ def integer_row(vec) -> tuple:
     v = {j: x if isinstance(x, (int, Q)) else Q(x) for j, x in enumerate(vec) if x}
     den = lcm(*{x.denominator for x in v.values()})
     return {j: int(x.numerator) * (den // int(x.denominator)) for j, x in v.items()}, den
+
+
+def poly_row(f: HomogeneousPolynomial) -> tuple:
+    """(D * f, D): ``integer_row(f.coords())``, read straight off the terms of f.
+
+    The sparse {column: int} row of f in mono_basis(n, degree) coordinates,
+    times the lcm D of its coefficients' denominators; no dense vector and
+    no new rational is formed.
+    """
+    idx, terms = mono_index(f.n, f.degree), f.terms
+    den = lcm(*{c.denominator for c in terms.values()})
+    return {idx[a]: c.numerator * (den // c.denominator) for a, c in terms.items()}, den
+
+
+def derivative_rows(row: dict, n: int, k: int) -> list:
+    """The rows d v / d x_0, ..., d v / d x_n in S_{k-1} of a sparse integer row v of S_k, k >= 1."""
+    return [{hit[0]: hit[1] * x for j, x in row.items() if (hit := di[j])} for di in derivative_table(n, k)]
 
 
 def _rational_row(row: dict, den: int, length: int) -> list:
@@ -440,7 +468,7 @@ class Subspace:
     def contains_poly(self, f: HomogeneousPolynomial) -> bool:
         if (f.n, f.degree) != self.ambient:
             raise ValueError(f"ambient mismatch: {(f.n, f.degree)} vs {self.ambient}")
-        return self.contains_vector(f.coords())
+        return not reduce_row(self.int_rows, poly_row(f)[0])[0]
 
     def basis_polynomials(self) -> tuple:
         return tuple(HomogeneousPolynomial.from_coords(self.n, self.k, row) for row in self.rows)
@@ -495,7 +523,7 @@ def span_polys(polys, n: Optional[int] = None, k: Optional[int] = None) -> Subsp
                 raise ValueError(f"ambient mismatch: {(f.n, f.degree)} vs {(n, k)}")
     elif n is None or k is None:
         raise ValueError("empty span needs explicit ambient (n, k)")
-    return span_vectors(n, k, (f.coords() for f in polys))
+    return span_vectors(n, k, (poly_row(f)[0] for f in polys))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:

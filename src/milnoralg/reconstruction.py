@@ -52,12 +52,14 @@ from .linalg import (
     certify_rank,
     colon_rows,
     contains,
+    derivative_rows,
     in_colon,
     kernel_builder,
     kernel_mod_p,
+    span_polys,
     span_vectors,
 )
-from .monomials import derivative_table, dim_graded, product_index_table
+from .monomials import dim_graded, product_index_table
 from .polynomials import HomogeneousPolynomial
 
 
@@ -81,8 +83,7 @@ class FiberResult(NamedTuple):
     def spanned(self) -> Subspace:
         if not self.basis:
             raise ValueError("empty fiber has no span")
-        n = self.basis[0].n
-        return span_vectors(n, self.d, [g.coords() for g in self.basis])
+        return span_polys(self.basis)
 
 
 class ContainmentCheck(NamedTuple):
@@ -154,19 +155,16 @@ def partials_rows(e: Subspace):
         return
     n, m = e.n, e.dim
     last = (n + 1) * m - 1
-    # d w_j / d x_i for each variable and basis row, as {monomial of S_{k-1}: int}
-    partials = [
-        [{hit[0]: hit[1] * x for s, x in e.int_rows[p].items() if (hit := di[s])} for p in e.pivots]
-        for di in derivative_table(n, e.k)
-    ]
+    # d w_j / d x_i for each basis row and variable, as {monomial of S_{k-1}: int}
+    partials = [derivative_rows(e.int_rows[p], n, e.k) for p in e.pivots]
     for i in range(n + 1):
         for l in range(i + 1, n + 1):
             rows: dict = {}
-            for j, dw in enumerate(partials[l]):
-                for t, x in dw.items():
+            for j, dw in enumerate(partials):
+                for t, x in dw[l].items():
                     rows.setdefault(t, {})[last - i * m - j] = x
-            for j, dw in enumerate(partials[i]):
-                for t, x in dw.items():
+            for j, dw in enumerate(partials):
+                for t, x in dw[i].items():
                     rows.setdefault(t, {})[last - l * m - j] = -x
             yield from rows.values()
 

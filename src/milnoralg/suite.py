@@ -30,7 +30,7 @@ from .ideals import (
     socle_degree,
 )
 from .inverse_systems import verify_inverse_system
-from .linalg import SpanBuilder, certify_rank, integer_row, reduce_row
+from .linalg import SpanBuilder, certify_rank, poly_row, reduce_row
 from .monomials import dim_graded, mono_basis, product_index_table
 from .polynomials import HomogeneousPolynomial, fermat
 from .rationals import Q
@@ -87,8 +87,8 @@ def koszul_check(w: GeneratorTuple, k: int, parts) -> int:
     piece = ideal_piece(w, k)
     dim_u = dim_graded(n, k - (d - 1))
     degree = k - 2 * (d - 1)
-    gens, scales = zip(*(integer_row(g.coords()) for g in w.gens))
-    hs = [integer_row(h.coords()) for h in parts]
+    gens, scales = zip(*(poly_row(g) for g in w.gens))
+    hs = [poly_row(h) for h in parts]
     c = lcm(*(den for _, den in hs))
     hs = [{j: x * (c // den) * L for j, x in h.items()} for (h, den), L in zip(hs, scales)]
     times = product_index_table(n, k - (d - 1), d - 1)

@@ -26,13 +26,14 @@ def clear_prime_caches():
         cache.cache_clear()
 
 
-def recorded_walk(span) -> tuple:
+def recorded_walk(span, relay=None) -> tuple:
     """(verdict, {k: stored rows}) of an uncached ``ideals.ci_walk_mod_p``.
 
-    Each degree is read off ``relay_step``: the rows it was handed, one
-    degree below, and the rows its builder holds when it returns.
+    Each degree is read off ``relay_step``, or off ``relay`` standing in for
+    it: the rows it was handed, one degree below, and the rows its builder
+    holds when it returns.
     """
-    kept, real = {}, ideals.relay_step
+    kept, real = {}, relay or ideals.relay_step
 
     def step(builder, below, n, k, bound):
         kept[k - 1] = below

@@ -13,7 +13,8 @@ exact colon piece (``tuple_kernel_by_colon``, ``poly_kernel_by_colon``),
 the fiber by annihilator rows (``forms_with_partials_in_by_annihilator``),
 ``modular_annihilator``, the walk mod p by rescanning each row
 (``ScanningEchelon``, ``relay_step_by_scan``, ``ci_walk_by_scan``,
-``ci_walk_by_scan_cut``) and the former library helpers moved here when
+``ci_walk_by_scan_cut``), the sorted relay step (``relay_step_by_sort``)
+and the former library helpers moved here when
 no library path ran them any more (``QuotientMap``, ``rref``,
 ``orthogonal_complement``, ``subspace_sum``, ``subspace_intersect``,
 ``map_image``, ``catalecticant_matrix``, ``apolar_inner``,
@@ -651,6 +652,30 @@ def relay_step_by_scan(builder, below: dict, n: int, k: int, bound: int):
         if first:
             todo, last = todo - 1, lead
         builder.insert({tu[j]: x for j, x in below[p].items()})
+    return None if builder.is_full() else builder
+
+
+# -- the sorted relay step --------------------------------------------------------------------
+# The library's relay step before it bucketed the products by leading column: the
+# (lead, parent, table row) tuple of every product, sorted in descending order, ties in
+# the lead broken by the parent's lead, largest first.
+
+
+def relay_step_by_sort(builder, below: dict, n: int, k: int, bound: int):
+    """The former ``ideals.relay_step``: every product sorted by (lead, parent) before any is inserted."""
+    table = product_index_table(n, 1, k - 1)
+    leads = sorted(((tu[p], p, tu) for p in below for tu in table), reverse=True)
+    todo, last = len({lead for lead, _, _ in leads}), None
+    for lead, p, tu in leads:
+        first = lead != last
+        if len(builder.int_rows) + todo == bound:
+            if bound == builder.length:
+                return None
+            if not first:
+                continue
+        if first:
+            todo, last = todo - 1, lead
+        builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
     return None if builder.is_full() else builder
 
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+from unittest import mock
 
 import pytest
 
@@ -22,15 +24,17 @@ from milnoralg import (
     random_smooth,
     recover_generators,
     socle_degree,
+    span_polys,
     st_report,
     tangent_kernel_at_poly,
     tangent_kernel_at_tuple,
     zero_subspace,
 )
 import milnoralg.ideals as ideals
-from milnoralg.ideals import _relay, check_degree, ci_walk_mod_p, generated_piece
+from milnoralg.ideals import _relay, check_degree, ci_walk_mod_p, generated_piece, generic_piece_dim
 from milnoralg.linalg import ModularEchelon
 from milnoralg.polynomials import HomogeneousPolynomial
+from milnoralg.serialize import gens_to_dict
 
 from conftest import recorded_walk
 from oracles import ci_walk_by_scan, ci_walk_by_scan_cut, evaluate
@@ -88,6 +92,16 @@ def test_hilbert_low_degrees_match_ambient():
     for k in range(3):  # below the generator degree nothing is removed
         assert profile.a(k) == dim_graded(2, k)
         assert profile.b(k) == 0
+
+
+def test_hilbert_profile_recurrence_matches_the_binomial_sums():
+    # the recurrence against generic_piece_dim's alternating sum, which the relay bounds read
+    for n in range(1, 7):
+        for d in range(2, 8):
+            profile = hilbert_profile(n, d)
+            assert len(profile.values) == profile.socle + 2
+            for k in range(profile.socle + 3):
+                assert profile.b(k) == generic_piece_dim(n, d - 1, n + 1, k), (n, d, k)
 
 
 def test_hilbert_rejects_bad_sizes():
@@ -216,8 +230,43 @@ def test_jacobian_piece_dimension_quartic():
 
 
 def test_jacobian_gens_rejects_cone():
-    with pytest.raises(PreconditionError):
-        jacobian_gens(parse_poly("x0^3", n=2))
+    # with the message of the tuple of partials, which jacobian_gens no longer builds
+    for text, n in [("x0^3", 2), ("x0^3 + x1^3", 2), ("x0^2*x1 + 1/3*x1^3", 2), ("0", 1)]:
+        f = parse_poly(text, n=n, degree=3)
+        with pytest.raises(PreconditionError) as direct:
+            GeneratorTuple(n, 3, [partial(f, i) for i in range(n + 1)])
+        with pytest.raises(PreconditionError, match=f"^{direct.value}$"):
+            jacobian_gens(f)
+
+
+def test_jacobian_gens_is_the_tuple_of_partials_formed_on_first_read():
+    forms = [
+        fermat(2, 3),
+        random_smooth(2, 4, seed=5),
+        random_smooth(3, 3, seed=2),
+        parse_poly("1/2*x0^3 + 2/3*x1^3 - 3/7*x2^3 + x0*x1*x2"),
+    ]
+    for f in forms:
+        expected = GeneratorTuple(f.n, f.degree, [partial(f, i) for i in range(f.n + 1)])
+        with mock.patch.object(ideals, "partial", wraps=partial) as spy:
+            w = jacobian_gens.__wrapped__(f)
+            assert (w.n, w.d) == (expected.n, expected.d) and w.span == expected.span
+            assert spy.call_count == 0
+            assert w.gens == expected.gens and spy.call_count == f.n + 1
+            assert w.gens is w.gens and spy.call_count == f.n + 1
+        assert w == expected and hash(w) == hash(expected) and repr(w) == repr(expected)
+        assert json.dumps(gens_to_dict(w)) == json.dumps(gens_to_dict(expected))
+
+
+def test_partials_piece_is_the_piece_of_the_partials_as_forms():
+    # dependent, zero and constant partials, rational coefficients
+    texts = [("0", 2, 3), ("x0^3", 2, 3), ("x0^3 + x1^3", 2, 3), ("x0*x1", 2, 2), ("x0 + 2*x1", 2, 1),
+             ("1/2*x0^2*x1 - 2/3*x1^3", 2, 3), ("x0^4 + 4*x0^3*x1 + 6*x0^2*x1^2 + 4*x0*x1^3 + x1^4", 1, 4)]
+    for text, n, d in texts:
+        f = parse_poly(text, n=n, degree=d)
+        span = span_polys([partial(f, i) for i in range(n + 1)], n, d - 1)
+        for k in range(d + 3):
+            assert partials_piece(f, k) == generated_piece(span, k), (text, k)
 
 
 def test_partials_piece_accepts_anything():

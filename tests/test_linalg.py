@@ -12,6 +12,7 @@ from milnoralg import (
     dim_graded,
     full_subspace,
     ideal_piece,
+    jacobian_gens,
     map_kernel,
     multiply,
     parse_poly,
@@ -643,9 +644,24 @@ def test_rational_lift_finds_the_one_small_fraction_mod_101(patched_prime):
 
 
 def test_rational_lift_inverts_fractions_up_to_the_bound():
+    # each pair in lowest terms whatever the bound: consecutive integers are coprime
     p, bound = linalg.PRIME, math.isqrt(linalg.PRIME // 2)
-    for a, b in [(0, 1), (1, 1), (-1, 1), (3, 7), (-bound, bound - 1), (bound, 2), (-12, 35)]:
+    pairs = [(0, 1), (1, 1), (-1, 1), (3, 7), (-bound, bound - 1), (bound, 1), (1 - bound, bound), (-12, 35)]
+    for a, b in pairs:
         assert rational_lift(a * pow(b, -1, p) % p, bound) == (a, b)
+
+
+def test_prime_is_one_digit_and_its_lift_bound_covers_the_seeded_spans(ci_pools, smooth_pools, nonst_pools):
+    # a residue below 2^30 is one CPython digit; kernel_mod_p lifts the canonical W of a
+    # valid piece only when its numerators and denominators are within isqrt(p // 2)
+    p = linalg.PRIME
+    assert sympy.isprime(p) and p < 2**30 and sympy.nextprime(p) > 2**30
+    bound = math.isqrt(p // 2)
+    spans = [w.span for pool in ci_pools.values() for w in pool]
+    forms = [f for pools in (smooth_pools, nonst_pools) for pool in pools.values() for f in pool]
+    spans += [jacobian_gens(f).span for f in forms]
+    top = max(max(abs(x.numerator), x.denominator) for span in spans for row in span.rows for x in row)
+    assert top < bound
 
 
 def test_kernel_mod_p_is_the_canonical_kernel_when_its_entries_lift():

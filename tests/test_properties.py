@@ -5,9 +5,13 @@ coefficient away from a tuple with a common zero, and integer matrices
 with rows of any width. The walk of ``ci_walk_mod_p`` must keep the rows
 of the walk by rescanning each row (``oracles.ci_walk_by_scan``) and give
 its verdict, at ``linalg.PRIME`` and at small primes that make it fall
-short; ``is_complete_intersection`` must give the exact fill's answer
-either way; ``certify_rank`` must reach a bound exactly when sympy's rank
-mod p does, and never past the rank over Q. On direct sums of two seeded
+short; ``relay_step``, which buckets the products by lead, must keep
+the rows of the step that sorts them (``oracles.relay_step_by_sort``),
+exactly and in the walk, at every prime; ``is_complete_intersection``
+must give the exact fill's answer either way; ``poly_row`` must be
+``integer_row`` of a rational form's coordinates; ``certify_rank`` must
+reach a bound exactly when sympy's rank mod p does, and never past the
+rank over Q. On direct sums of two seeded
 non-direct-sum blocks, some moved by a unimodular change of coordinates,
 the tangent kernels at every k must be those read off the exact colon
 piece (``oracles.poly_kernel_by_colon``), and ``fiber_is_line`` must
@@ -57,7 +61,8 @@ from milnoralg import (
     tangent_kernel_at_poly,
     verify_inverse_system,
 )
-from milnoralg.linalg import certify_rank
+from milnoralg.ideals import generic_piece_dim
+from milnoralg.linalg import SpanBuilder, certify_rank
 from milnoralg.monomials import mono_basis
 from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
 from milnoralg.suite import koszul_check
@@ -70,6 +75,7 @@ from oracles import (
     poly_kernel_by_colon,
     random_unimodular,
     recover_generators_by_lift,
+    relay_step_by_sort,
     verify_inverse_system_by_pieces,
 )
 
@@ -123,6 +129,47 @@ def test_ci_walk_keeps_the_rows_of_the_scanning_walk(w, p):
 
 @SETTINGS
 @given(w=generator_tuples(), p=st.sampled_from(PRIMES))
+def test_relay_step_keeps_the_order_of_the_sorted_relay(w, p):
+    # the exact relay: the same rows at every degree, whether the step stops or not
+    n, span = w.n, w.span
+    below = span.int_rows
+    for k in range(span.k + 1, socle_degree(n, w.d) + 2):
+        bound = generic_piece_dim(n, span.k, span.dim, k)
+        builders = [SpanBuilder(dim_graded(n, k)) for _ in range(2)]
+        steps = (ideals.relay_step, relay_step_by_sort)
+        ends = [step(b, below, n, k, bound) for step, b in zip(steps, builders)]
+        assert [end is None for end in ends] == [end is not b for end, b in zip(ends, builders)]
+        assert (ends[0] is None) == (ends[1] is None)
+        assert builders[0].int_rows == builders[1].int_rows and builders[0].pivots == builders[1].pivots
+        if ends[0] is None:
+            break
+        below = builders[0].int_rows
+    # the walk mod p: the same verdict and the same rows, so the same dimension, per degree
+    with prime(p):
+        walk = recorded_walk(span)
+        assert walk == recorded_walk(span, relay_step_by_sort)
+    event(f"walk at {'PRIME' if p == linalg.PRIME else p} {'proves the fill' if walk[0] else 'falls short'}")
+
+
+@st.composite
+def rational_forms(draw):
+    """A form of degree 0..4 in up to 4 variables, rational coefficients, some of them 0."""
+    n, degree = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    coeff = st.one_of(st.just(0), st.fractions(min_value=-50, max_value=50, max_denominator=40))
+    return HomogeneousPolynomial(n, degree, {alpha: draw(coeff) for alpha in mono_basis(n, degree)})
+
+
+@SETTINGS
+@given(f=rational_forms())
+def test_poly_row_is_the_integer_row_of_the_coordinates(f):
+    row, den = linalg.poly_row(f)
+    assert (row, den) == linalg.integer_row(f.coords())
+    assert all(type(x) is int for x in row.values()) and type(den) is int
+    event(f"denominator lcm {'1' if den == 1 else 'above 1'}")
+
+
+@SETTINGS
+@given(w=generator_tuples(), p=st.sampled_from(PRIMES))
 def test_complete_intersection_is_the_exact_fill_at_every_prime(w, p):
     exact = ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
     event(f"complete intersection: {exact}")
@@ -141,9 +188,10 @@ def rank_mod(rows: list, width: int, p=None) -> int:
 
 @st.composite
 def sparse_rows(draw):
-    """Up to 7 integer rows of any width up to 60, some entries past 2^31."""
+    """Up to 7 integer rows of any width up to 60, some entries p, 2p or past 2^30, p = PRIME."""
     width = draw(st.integers(1, 60))
-    entry = st.one_of(st.integers(-4, 4), st.sampled_from([2**31 - 1, 2**31, 3 * 2**40 + 1]))
+    big = [linalg.PRIME, 2 * linalg.PRIME, 2**31, 3 * 2**40 + 1]
+    entry = st.one_of(st.integers(-4, 4), st.sampled_from(big))
     columns = st.lists(st.integers(0, width - 1), max_size=6, unique=True)
     rows = [{j: x for j in draw(columns) if (x := draw(entry))} for _ in range(draw(st.integers(0, 7)))]
     return [row for row in rows if row], width
