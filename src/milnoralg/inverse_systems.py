@@ -19,7 +19,9 @@ functional on S_m, and the x^beta coefficient of g applied to b is
 G(g * x^beta) / (D beta!). So g in S_k annihilates b exactly when G
 vanishes on g * S_{m-k}: Ann(b)_k is the colon (G^perp : S_{m-k})_k, and
 the rows ``linalg.colon_rows`` builds for it are the catalecticant rows
-of b at k. ``apolar_piece`` is their kernel. ``verify_inverse_system``
+of b at k. ``apolar_piece`` is their kernel, read off one elimination
+with the columns reversed (``linalg.kernel_builder``), which gives the
+canonical basis with no second elimination. ``verify_inverse_system``
 checks the ideal against the annihilator by catalecticant ranks, the
 Hilbert function of the annihilator (Iarrobino and Kanev 1999): an exact
 check (``in_colon``) that W annihilates the form, then one rank per
@@ -141,7 +143,8 @@ def apolar_piece(b, k: int) -> Subspace:
     The kernel of ``colon_rows([G], n, m, k, ...)``, m = deg(b) and G the
     functional of b's weighted coefficients: the colon (G^perp : S_{m-k})_k,
     whose rows are the catalecticant rows of b at k, each scaled by a
-    nonzero integer. For k > deg(b) every form annihilates, so the piece
+    nonzero integer. One elimination (``map_kernel``) gives its canonical
+    basis. For k > deg(b) every form annihilates, so the piece
     is all of S_k.
     """
     if isinstance(b, AssociatedForm):

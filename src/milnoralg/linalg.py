@@ -21,7 +21,12 @@ rows are the only stored form of a subspace, in ``SpanBuilder`` and
 form enters as the row of ``poly_row``, read off its terms, and its
 partials as the rows of ``derivative_rows``. One routine,
 ``reduce_row``, reduces a vector against them: insertion and membership
-both go through it.
+both go through it. Every kernel over Q is one elimination:
+``kernel_builder`` inserts the rows with their columns reversed into one
+``SpanBuilder`` and reads the kernel's canonical RREF basis straight off
+its free columns, with no second elimination to canonicalize it (the
+argument is written once, in ``_kernel_vectors``); ``kernel_mod_p``
+reads its kernel mod p off the same reversed elimination.
 
 Arithmetic leaves Q in one place only: ``ModularEchelon``, an echelon
 basis of integer rows reduced modulo the prime ``PRIME``, the largest
@@ -103,6 +108,12 @@ def _rational_row(row: dict, den: int, length: int) -> list:
     for j, x in row.items():
         out[j] = Q(x, den)
     return out
+
+
+def _primitive(v: dict, pivot: int) -> dict:
+    """The primitive integer multiple of a nonzero sparse row ``v``, positive at ``pivot``."""
+    g = gcd(*v.values()) if v[pivot] > 0 else -gcd(*v.values())
+    return {j: x // g for j, x in v.items()} if g != 1 else v
 
 
 def reduce_row(rows: dict, v: dict) -> tuple:
@@ -241,8 +252,10 @@ def kernel_mod_p(rows: Iterable, n: int, k: int, rank: int) -> Optional[Subspace
     gives the kernel vector of each free column q: 1 at q, 0 at every other
     free column, and, the columns being reversed, 0 left of q. In the
     normal column order that is a row of the RREF basis of the kernel mod
-    p. Each entry is lifted by ``rational_lift`` with bound
-    floor(sqrt(p / 2)); None if one does not lift.
+    p, by the argument of ``_kernel_vectors``; over Q, ``kernel_builder``
+    reads the kernel the same way. Each entry is lifted by
+    ``rational_lift`` with bound floor(sqrt(p / 2)); None if one does not
+    lift.
 
     The result is the span of the lifted rows, which are in RREF, so it is
     canonical; but nothing proves it is the kernel over Q. The caller must
@@ -330,17 +343,11 @@ class SpanBuilder:
         if not v:
             return False
         pivot = min(v)
-        g = gcd(*v.values())
-        if v[pivot] < 0:
-            g = -g
-        if g != 1:
-            v = {j: x // g for j, x in v.items()}
+        v = _primitive(v, pivot)
         new = {pivot: v}
         for p, r in rows.items():
             if pivot in r:
-                r, _ = reduce_row(new, r)
-                h = gcd(*r.values())
-                rows[p] = {j: x // h for j, x in r.items()} if h != 1 else r
+                rows[p] = _primitive(reduce_row(new, r)[0], p)
         rows[pivot] = v
         insort(self.pivots, pivot)
         return True
@@ -354,34 +361,56 @@ def _kernel_vectors(rows: dict, length: int):
     """For integer RREF ``rows``, one primitive kernel vector per free column q.
 
     Positive at q and zero at every other free column: L at q and
-    -(L / a_p) row_p[q] at each pivot p, L the lcm of the a_p met.
+    -(L / a_p) row_p[q] at each pivot p, L the lcm of the a_p met. An RREF
+    row is zero left of its pivot, so only pivots p < q are met, and the
+    vector is zero right of q. So where the RREF was taken with the columns
+    reversed, the vector read in the normal order is zero left of q and at
+    every other free column, and positive at q: it is the primitive row at
+    q of the kernel's RREF basis, and these rows are that basis, with no
+    second elimination. ``kernel_builder`` reads the exact kernel this way,
+    and ``kernel_mod_p`` the kernel mod p.
     """
     for q in range(length):
         if q not in rows:
             hits = [(p, r[q], r[p]) for p, r in rows.items() if q in r]
             scale = lcm(*(a for _, _, a in hits))
-            v = {q: scale, **{p: -c * (scale // a) for p, c, a in hits}}
-            g = gcd(*v.values())
-            yield {j: x // g for j, x in v.items()} if g != 1 else v
+            yield _primitive({q: scale, **{p: -c * (scale // a) for p, c, a in hits}}, q)
 
 
-def kernel_builder(rows: Iterable, ncols: int, rank: Optional[int] = None) -> SpanBuilder:
-    """Canonical integer basis of {x : M x = 0} for M given by ``rows``.
+def kernel_vectors(rows: Iterable, ncols: int, rank: Optional[int] = None) -> list:
+    """``_kernel_vectors`` of the RREF of ``rows``: one elimination, a kernel basis of M.
 
-    Standard free-variable construction followed by a canonicalizing
-    re-reduction, so the result is the RREF basis of the kernel. With
-    ``rank`` given, no row is read once the rows so far reach that rank:
-    the result is then the kernel of the rows read, which contains the
-    kernel of M, and equals it when M has that rank.
+    The rows of M, dense vectors or sparse {column: int} dicts, go into one
+    ``SpanBuilder``. With ``rank`` given, no row is read once the rows so
+    far reach that rank: the vectors then span the kernel of the rows read,
+    which contains the kernel of M, and equals it when M has that rank.
+    Each vector is that of its free column, in the columns as given; they
+    are the kernel's RREF rows only where the columns were reversed, as in
+    ``kernel_builder``. ``forms_with_partials_in`` reads them as they are,
+    in the column order ``partials_rows`` chose for its speed.
     """
     reduced = SpanBuilder(ncols)
     for r in rows if rank != 0 else ():
         if reduced.insert(r) and reduced.dim == rank:
             break
-    builder = SpanBuilder(ncols)
-    for v in _kernel_vectors(reduced.int_rows, ncols):
-        builder.insert(v)
-    return builder
+    return list(_kernel_vectors(reduced.int_rows, ncols))
+
+
+def kernel_builder(rows: Iterable, ncols: int, rank: Optional[int] = None) -> SpanBuilder:
+    """Canonical integer RREF basis of {x : M x = 0} for M given by ``rows``, one elimination.
+
+    ``kernel_vectors`` of the rows with their columns reversed, mapped back
+    to the normal order: by the argument of ``_kernel_vectors`` each is
+    already the primitive RREF row of the kernel at its free column, so the
+    returned builder holds the kernel's unique RREF basis with no
+    re-reduction. ``rank`` is read as by ``kernel_vectors``.
+    """
+    last, kernel = ncols - 1, SpanBuilder(ncols)
+    flip = ({last - j: x for j, x in r.items()} if isinstance(r, dict) else r[::-1] for r in rows)
+    for v in kernel_vectors(flip, ncols, rank):
+        kernel.int_rows[last - max(v)] = {last - j: x for j, x in v.items()}
+    kernel.pivots = sorted(kernel.int_rows)
+    return kernel
 
 
 class Subspace:

@@ -56,6 +56,7 @@ from .linalg import (
     in_colon,
     kernel_builder,
     kernel_mod_p,
+    kernel_vectors,
     span_polys,
     span_vectors,
 )
@@ -102,8 +103,9 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     dim C <= n+1, and lifts the canonical basis K of the kernel mod p to
     Q. ``in_colon`` then proves K in C, so K = C, with no exact
     elimination. Where the rank mod p falls short, a lift fails or the
-    check fails, the rows are eliminated exactly up to the same rank: the
-    kernel K of the rows read contains C, and ``in_colon`` proves K = C.
+    check fails, the rows are eliminated exactly up to the same rank, once
+    (``kernel_builder``): the kernel K of the rows read contains C, and
+    ``in_colon`` proves K = C.
 
     Valid input E = (I_W')_k has C = W' of dimension n+1, so it is never
     rejected. A colon of any other size is refused before a piece is grown
@@ -149,7 +151,11 @@ def partials_rows(e: Subspace):
     E^{n+1} that are the partials of one form. The unknowns are numbered
     last to first, A_ij at column (n+1) * dim E - 1 - (i * dim E + j): that
     order eliminates faster than the natural one, by about a quarter at
-    (3,3) and (4,4), mod p and exactly alike.
+    (3,3) and (4,4), mod p and exactly alike. The exact fiber takes the
+    free-column kernel vectors of one elimination in this order
+    (``linalg.kernel_vectors``), not the kernel's RREF: reversing the
+    columns once more, as ``kernel_builder`` does, would eliminate in the
+    slow order.
     """
     if e.k == 0:  # constant h_i have zero partials: every tuple is a gradient
         return
@@ -177,8 +183,9 @@ def forms_with_partials_in(e: Subspace) -> tuple:
     of ``partials_rows``: a tuple (h_i) with d h_i / d x_l = d h_l / d x_i
     is the gradient of g = sum_i x_i h_i / (k+1), since (k+1) d g / d x_l =
     h_l + sum_i x_i d h_i / d x_l = h_l + sum_i x_i d h_l / d x_i, which is
-    (k+1) h_l by Euler's identity on h_l. So the fiber is that exact kernel
-    mapped through sum_i x_i h_i, brought to its RREF basis. Cached on E, so
+    (k+1) h_l by Euler's identity on h_l. So the fiber is that exact kernel,
+    one elimination of the rows and a vector per free column, mapped through
+    sum_i x_i h_i and brought to its RREF basis. Cached on E, so
     the reconstructions and direct-sum tangent kernels at every k over one
     W, which all ask for the same E = span(W), solve it once.
     """
@@ -187,7 +194,7 @@ def forms_with_partials_in(e: Subspace) -> tuple:
     basis = [e.int_rows[p] for p in e.pivots]
     times = product_index_table(n, 1, e.k)
     forms = []
-    for a in kernel_builder(partials_rows(e), last + 1).int_rows.values():
+    for a in kernel_vectors(partials_rows(e), last + 1):
         g = {}
         for col, c in a.items():
             i, j = divmod(last - col, m)

@@ -45,6 +45,40 @@ def recorded_walk(span, relay=None) -> tuple:
         return ideals.ci_walk_mod_p.__wrapped__(span), kept
 
 
+def record_eliminations(monkeypatch, scope=()) -> list:
+    """Record the width of every exact elimination: each ``SpanBuilder`` that rows go into.
+
+    A builder counts once, at its first ``insert``, by its ``length``; a
+    builder filled without ``insert``, as ``kernel_builder`` fills its
+    result, is no elimination. With ``scope`` a sequence of (module, name)
+    pairs, each function there is wrapped, and only builders first filled
+    while one of them runs are recorded; with none, every builder is.
+    """
+    widths, seen, active = [], {}, [not scope]
+    real = linalg.SpanBuilder.insert
+
+    def insert(self, vec):
+        if active[-1] and id(self) not in seen:
+            seen[id(self)] = self  # held, so no later builder reuses the id
+            widths.append(self.length)
+        return real(self, vec)
+
+    def scoped(function):
+        def run(*args, **kwargs):
+            active.append(True)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return run
+
+    monkeypatch.setattr(linalg.SpanBuilder, "insert", insert)
+    for module, name in scope:
+        monkeypatch.setattr(module, name, scoped(getattr(module, name)))
+    return widths
+
+
 @pytest.fixture
 def patched_prime(monkeypatch):
     """``patched_prime(p)`` sets ``linalg.PRIME`` to p for this test, with fresh caches.

@@ -19,14 +19,16 @@ no library path ran them any more (``QuotientMap``, ``rref``,
 ``orthogonal_complement``, ``subspace_sum``, ``subspace_intersect``,
 ``map_image``, ``catalecticant_matrix``, ``apolar_inner``,
 ``euler_check``, ``euler_recover``, ``evaluate``, ``random_unimodular``,
-``TupleTangentVector`` and ``colon_piece``)
+``TupleTangentVector`` and ``colon_piece``), and the generator of forms
+singular at one rational point (``singular_at_point``), which moves a
+seeded form with ``linear_change``,
 deliberately avoids the package's
 own linear algebra and polynomial machinery: enumeration by itertools,
 determinants by permutation expansion, symbolic differentiation and
 matrix work by sympy. Expected values frozen into tests were computed by
 these routes. Those exceptions are routes the library took before it
-found a cheaper one, or helpers it no longer needs; they share its
-elimination, which is itself checked against sympy in test_linalg.
+found a cheaper one, helpers it no longer needs, or an input generator;
+they share its elimination, which is itself checked against sympy in test_linalg.
 """
 
 from fractions import Fraction
@@ -50,9 +52,11 @@ from milnoralg import (
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
+    linear_change,
     map_kernel,
     multiply,
     partial,
+    random_smooth,
     socle_degree,
     span_polys,
     span_vectors,
@@ -896,6 +900,28 @@ def evaluate(f: HomogeneousPolynomial, point):
                 val *= p ** e
         total += val
     return total
+
+
+def singular_at_point(n: int, d: int, seed: int) -> tuple:
+    """(g, P): a seeded integer form of degree d singular at a rational point P.
+
+    The seeded smooth form ``random_smooth(n, d, seed)`` with its x0^d and
+    x0^(d-1) x_i terms dropped is singular at e_0, as f(e_0) and each
+    partial there is a multiple of one of those coefficients. P has
+    coordinates in [-3, 3], P_0 != 0, and ``linear_change`` substitutes
+    x -> A x with A P = e_0: A is the inverse of the identity with its
+    first column replaced by P. The result is scaled to integer
+    coefficients; the gradient of g at P is A^T times that of f at e_0, zero.
+    """
+    rng = random.Random(seed)
+    f = random_smooth(n, d, seed=seed)
+    dropped = HomogeneousPolynomial(n, d, {a: c for a, c in f.terms.items() if a[0] < d - 1})
+    point = [rng.choice([-3, -2, -1, 1, 2, 3])] + [rng.randint(-3, 3) for _ in range(n)]
+    inverse = [[Q(1, point[0])] + [0] * n]
+    for i in range(1, n + 1):
+        inverse.append([Q(-point[i], point[0])] + [int(i == j) for j in range(1, n + 1)])
+    g = linear_change(dropped, inverse)
+    return g * math.lcm(*(c.denominator for c in g.terms.values())), point
 
 
 def random_unimodular(n: int, seed: int, steps: int = 12) -> list:

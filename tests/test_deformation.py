@@ -43,7 +43,7 @@ from milnoralg.linalg import kernel_builder
 from milnoralg.rationals import Q
 from milnoralg.suite import koszul_check
 
-from conftest import clear_prime_caches
+from conftest import clear_prime_caches, record_eliminations
 from oracles import (
     QuotientMap,
     TupleTangentVector,
@@ -519,21 +519,16 @@ def report_text(report):
 
 
 def count_exact_kernels(monkeypatch) -> list:
-    """Record the width of every exact kernel ``reconstruction`` eliminates.
+    """Record the width of every exact kernel elimination ``reconstruction`` runs.
 
     These are the exact fiber of ``forms_with_partials_in``, on (n+1)^2
     columns at a Jacobian span, and the exact colon that
-    ``recover_generators`` falls back to, on dim S_{d-1} columns.
+    ``recover_generators`` falls back to, on dim S_{d-1} columns: every
+    builder filled inside ``kernel_vectors`` or ``kernel_builder``, so an
+    exact kernel solved by two eliminations would count twice.
     """
-    calls = []
-    real = reconstruction.kernel_builder
-
-    def counted(rows, ncols, rank=None):
-        calls.append(ncols)
-        return real(rows, ncols, rank)
-
-    monkeypatch.setattr(reconstruction, "kernel_builder", counted)
-    return calls
+    scope = [(reconstruction, "kernel_vectors"), (reconstruction, "kernel_builder")]
+    return record_eliminations(monkeypatch, scope)
 
 
 def all_reports(w, f, tuple_kernel=tangent_kernel_at_tuple, poly_kernel=tangent_kernel_at_poly):

@@ -21,6 +21,7 @@ from milnoralg import (
     partial,
     partials_piece,
     fermat,
+    format_poly,
     random_smooth,
     recover_generators,
     socle_degree,
@@ -37,7 +38,8 @@ from milnoralg.polynomials import HomogeneousPolynomial
 from milnoralg.serialize import gens_to_dict
 
 from conftest import recorded_walk
-from oracles import ci_walk_by_scan, ci_walk_by_scan_cut, evaluate
+from oracles import ci_walk_by_scan, ci_walk_by_scan_cut, evaluate, singular_at_point
+from test_cli import run
 
 
 def monomial_tuple(*texts):
@@ -397,6 +399,20 @@ def test_non_ci_input_keeps_its_refusals():
     assert not is_smooth(hesse)
     with pytest.raises(PreconditionError, match="^form is not smooth$"):
         st_report(hesse)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (2, 5)])
+def test_a_form_singular_at_one_rational_point_is_not_smooth(n, d, capsys):
+    for seed in (1, 2, 3):
+        g, point = singular_at_point(n, d, seed=100 * n + 10 * d + seed)
+        values = [evaluate(h, point) for h in (g, *(partial(g, i) for i in range(n + 1)))]
+        assert values == [0] * (n + 2)
+        # the walk mod p cannot reach a bound the exact ideal falls short of
+        assert not ci_walk_mod_p(partials_piece(g, d - 1))
+        exact_fill = partials_piece(g, socle_degree(n, d) + 1).is_full()
+        assert is_smooth(g) is exact_fill is False
+        code, out, err = run(capsys, "smooth", "--poly", format_poly(g))
+        assert (code, out, err) == (0, "false\n", "")
 
 
 # -- the walk mod p against the walk by rescanning each row --------------------------------

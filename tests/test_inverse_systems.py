@@ -28,6 +28,7 @@ from milnoralg.ideals import generated_piece
 from milnoralg.polynomials import HomogeneousPolynomial
 from milnoralg.rationals import Q
 
+from conftest import record_eliminations
 from oracles import (
     catalecticant_matrix,
     orthogonal_complement,
@@ -203,6 +204,21 @@ def test_apolar_piece_matches_the_dense_catalecticant_kernel():
     for b in forms:
         for k in range(b.degree + 1):
             assert apolar_piece(b, k) == map_kernel(catalecticant_matrix(b, k), b.n, k)
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (2, 5)])
+def test_apolar_piece_is_one_elimination(n, d, monkeypatch):
+    w = random_ci_tuple(n, d, seed=17 + n + d)
+    form = associated_form(w).form
+    top = form.degree
+    pieces = {k: ideal_piece(w, k) for k in range(1, top)}
+    widths = record_eliminations(monkeypatch)
+    for k in range(1, top):
+        widths.clear()
+        assert apolar_piece(form, k) == pieces[k]
+        # the catalecticant rows are eliminated once, on dim S_k columns, and the
+        # kernel is read off that elimination with no second one
+        assert widths == [dim_graded(n, k)], k
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4)])

@@ -29,12 +29,13 @@ from milnoralg.linalg import (
     certify_rank,
     kernel_builder,
     kernel_mod_p,
+    kernel_vectors,
     rational_lift,
 )
 from milnoralg.rationals import Q
 from milnoralg.serialize import subspace_from_dict, subspace_to_dict
 
-from conftest import PAIRS
+from conftest import PAIRS, record_eliminations
 from oracles import (
     QuotientMap,
     ScanningEchelon,
@@ -527,6 +528,28 @@ def test_nullspace_rank_stop_below_the_rank_gives_a_larger_kernel():
 
 def test_nullspace_rank_zero_reads_nothing():
     assert kernel_builder(guarded_rows([[1, 2]], 0), 2, 0).rows == [[1, 0], [0, 1]]
+
+
+def test_nullspace_is_one_elimination_of_dense_or_sparse_rows(monkeypatch):
+    widths = record_eliminations(monkeypatch)
+    for _, mat, ncols in matrix_cases(127):
+        want = kernel_builder(mat, ncols).rows
+        sparse = [linalg.integer_row(row)[0] for row in mat]
+        widths.clear()
+        assert kernel_builder(sparse, ncols).rows == want
+        assert map_kernel(sparse, 1, ncols - 1).rows == tuple(map(tuple, want))
+        # one elimination each, and no second one to bring the kernel to RREF
+        assert widths == ([ncols, ncols] if mat else [])
+        widths.clear()
+        vectors = kernel_vectors(sparse, ncols)
+        assert widths == ([ncols] if mat else [])
+        # in the columns as given, one vector per free column q of the RREF of the
+        # rows, positive there and zero at every other free column
+        free = [j for j in range(ncols) if j not in rref(mat)[1]]
+        assert len(vectors) == len(free)
+        for q, v in zip(free, vectors):
+            assert v[q] > 0 and not any(j in free for j in v if j != q)
+        assert spans_equal([[v.get(j, 0) for j in range(ncols)] for v in vectors], want, ncols)
 
 
 def test_builder_accepts_what_q_accepts():

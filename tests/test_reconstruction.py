@@ -32,7 +32,7 @@ from milnoralg.ideals import generated_piece
 from milnoralg.linalg import annihilator, colon_rows
 from milnoralg.rationals import Q
 
-from conftest import PAIRS
+from conftest import PAIRS, record_eliminations
 from oracles import (
     euler_recover,
     fiber_dimension_oracle,
@@ -235,6 +235,18 @@ def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch, patched
     assert 0 < len(exact) < len(all_rows)
 
 
+def test_recovery_fallback_is_one_elimination(monkeypatch, patched_prime):
+    n, d, k = 2, 4, 4
+    w = random_ci_tuple(n, d, seed=3)
+    e = ideal_piece(w, k)
+    widths = record_eliminations(monkeypatch, [(reconstruction, "kernel_builder")])
+    # mod 3 the lifted kernel fails the product check: the exact colon decides,
+    # read off one elimination of its rows on dim S_{d-1} columns
+    patched_prime(3)
+    assert recover_generators(e, k, n, d).span == w.span
+    assert widths == [dim_graded(n, d - 1)]
+
+
 def test_recovery_needs_no_exact_elimination_on_seeded_pools(ci_pools, nonst_pools, monkeypatch):
     exact = count_rows(monkeypatch, "kernel_builder")
     recovered = 0
@@ -268,6 +280,21 @@ def test_fiber_of_fermat_cubic():
         parse_poly("x1^3", n=2),
         parse_poly("x2^3", n=2),
     }
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_smooth(2, 4, seed=5), random_smooth(3, 3, seed=5), fermat(2, 4), fermat(3, 3)],
+    ids=["seeded(2,4)", "seeded(3,3)", "fermat(2,4)", "fermat(3,3)"],
+)
+def test_exact_fiber_is_one_elimination(f, monkeypatch):
+    e = jacobian_gens(f).span
+    want = forms_with_partials_in_by_annihilator(e)
+    widths = record_eliminations(monkeypatch)
+    assert reconstruction.forms_with_partials_in.__wrapped__(e) == want
+    # the integrability rows are eliminated once, on (n+1) * dim E columns, and the
+    # forms their kernel vectors map to are brought to RREF in S_d
+    assert widths == [(e.n + 1) * e.dim, dim_graded(e.n, f.degree)]
 
 
 def test_fiber_always_contains_source():

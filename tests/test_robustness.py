@@ -2,19 +2,27 @@
 
 Every case is drawn from ``random.Random`` with a fixed seed at each size
 in ``PAIRS``, with signed fractional coefficients, so a failure names its
-seed and reruns exactly.
+seed and reruns exactly. The refusal fuzzing of the CLI draws with
+hypothesis, derandomized and with a fixed number of examples, so it too
+draws the same cases on every run.
 """
 
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 import importlib
+import io
 import json
+from pathlib import Path
 import random
 from dataclasses import make_dataclass
 
+from hypothesis import given, settings, strategies as st
 import pytest
 from conftest import PAIRS
 from test_cli import run
 
 import milnoralg
+from milnoralg.cli import main
 from milnoralg import (
     AssociatedForm,
     FiberResult,
@@ -223,6 +231,184 @@ def test_malformed_input_exits_2(tmp_path, capsys, n, d):
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), (argv, err)
         assert "Traceback" not in err and err.count("\n") == 1
+
+
+# -- refusal fuzzing: generated malformed text and JSON through every command ---------------
+#
+# Sizes stay at n <= 3: a larger --n can still overflow the recursion of
+# ``monomials.mono_basis`` before any size guard refuses it.
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+# characters outside the polynomial grammar; any one of them breaks a term
+FOREIGN = "#$%&!?;:,.=<>()[]{}_~|'yzX"
+RATIONALS = [-3, -2, -1, 1, 2, 3, Q(1, 2), Q(-2, 3), Q(5, 7)]
+
+
+def call_main(*argv) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main`` in-process; argparse's exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(argv, argparse_exit: bool = False):
+    """Exit 2 or 3, nothing on stdout and one line on stderr naming the fault, no traceback.
+
+    argparse refuses an option value it takes for an option (text starting
+    with "-") with exit 2, its usage and one ``error:`` line of its own.
+    """
+    code, out, err = call_main(*argv)
+    assert code in (2, 3) and out == "" and "Traceback" not in err, (argv, code, out, err)
+    lines = err.splitlines()
+    if argparse_exit and code == 2 and lines and lines[0].startswith("usage: "):
+        assert f"milnoralg {argv[0]}: error: " in lines[-1], (argv, err)
+    else:
+        assert len(lines) == 1 and err.endswith("\n"), (argv, err)
+        assert lines[0].startswith(("error: ", "precondition violated: ")), (argv, err)
+
+
+@st.composite
+def form_text(draw, n: int, degree: int) -> str:
+    """The text of a nonzero form of ``degree`` in x0..xn with one to four terms."""
+    monos = st.sampled_from(mono_basis(n, degree))
+    monos = draw(st.lists(monos, min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.sampled_from(RATIONALS), min_size=len(monos), max_size=len(monos)))
+    return format_poly(HomogeneousPolynomial(n, degree, dict(zip(monos, coeffs))))
+
+
+@st.composite
+def malformed_poly(draw, n: int, degree: int, missing: str) -> str:
+    """Polynomial text that no command may accept for a form of ``degree`` in x0..xn.
+
+    Each kind breaks a form of that degree in one way the parser or the
+    size check must refuse; ``missing`` is a path that does not exist.
+    """
+    base = draw(form_text(n, degree))
+    kinds = ["foreign", "suffix", "prefix", "exceeds", "inhomogeneous", "degree", "blank"]
+    kind = draw(st.sampled_from(kinds + ["rational", "file"]))
+    if kind == "foreign":
+        at = draw(st.integers(0, len(base)))
+        return base[:at] + draw(st.sampled_from(FOREIGN)) + base[at:]
+    if kind == "suffix":
+        return base + draw(st.sampled_from(["+", "-", "*", "^", "*x", "*x0^", "/0", "x0", " x1"]))
+    if kind == "prefix":
+        return draw(st.sampled_from(["*", "^", "/", "+*", "^2*"])) + base
+    if kind == "exceeds":
+        return f"{base} + x{n + draw(st.integers(1, 5))}^{degree}"
+    if kind == "inhomogeneous":
+        other = draw(st.sampled_from([0, 1, 2, degree + 1, degree + 2]).filter(degree.__ne__))
+        return f"{base} + {draw(form_text(n, other))}"
+    if kind == "degree":
+        return draw(form_text(n, draw(st.integers(0, 1))))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\n  "]))
+    if kind == "rational":
+        return f"{draw(st.integers(1, 9))}/0*{base}"
+    return "@" + draw(st.sampled_from([missing, str(Path(missing).parent)]))
+
+
+@pytest.fixture(scope="module")
+def missing_path(tmp_path_factory):
+    """A path in an empty directory of its own: the file is missing, the directory exists."""
+    return str(tmp_path_factory.mktemp("refusals") / "missing")
+
+
+@FUZZ
+@given(data=st.data())
+def test_malformed_polynomial_text_is_refused_by_every_command(missing_path, data):
+    n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(3, 4))
+    text = data.draw(malformed_poly(n, d, missing_path))
+    command = data.draw(st.sampled_from(["smooth", "st", "fiber", "tangent-kernel"]))
+    joined = data.draw(st.booleans())
+    argv = [command, *([f"--poly={text}"] if joined else ["--poly", text]), "--n", str(n)]
+    if command == "tangent-kernel":
+        argv += ["--k", str(data.draw(st.integers(0, 8)))]
+    assert_refused(argv, argparse_exit=not joined)
+
+
+@lru_cache(maxsize=None)
+def valid_documents(n: int, d: int) -> dict:
+    """The JSON text of the tuple of x_i^(d-1), i <= n, and of its piece in degree d - 1."""
+    w = GeneratorTuple(n, d, [parse_poly(f"x{i}^{d - 1}", n=n) for i in range(n + 1)])
+    piece = subspace_to_dict(ideal_piece(w, d - 1))
+    return {"gens": json.dumps(gens_to_dict(w)), "subspace": json.dumps(piece)}
+
+
+# for each key of the two schemas, values of a wrong type (or, for "order", value)
+NOT_AN_INT, NOT_A_LIST = ["2", 2.0, True, None, [2], {}], ["x0^2", 3, {}, None, True]
+WRONG_VALUES = {key: NOT_AN_INT for key in ("n", "d", "degree", "dim")}
+WRONG_VALUES.update(gens=NOT_A_LIST, basis=NOT_A_LIST, order=[0, None, ["grlex"], "lex", "GRLEX"])
+
+
+@st.composite
+def malformed_document(draw, n: int, d: int, kind: str, missing: str) -> str:
+    """The path of a generator or subspace JSON file no command may accept.
+
+    The valid document of ``valid_documents`` broken in one way: truncated,
+    not an object, a key missing or of the wrong type, another ambient
+    size, a bad entry, a wrong declared dimension, or no readable file.
+    """
+    text = valid_documents(n, d)[kind]
+    doc = json.loads(text)
+    faults = ["truncate", "not_object", "missing", "type", "ambient", "entry", "file"]
+    fault = draw(st.sampled_from(faults + (["dim"] if kind == "subspace" else [])))
+    if fault == "file":
+        return draw(st.sampled_from([missing, str(Path(missing).parent)]))
+    if fault == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif fault == "not_object":
+        text = json.dumps(draw(st.sampled_from([[], [1, 2], 3, "n", None, True, [{"n": n}]])))
+    else:
+        if fault == "missing":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif fault == "type":
+            key = draw(st.sampled_from(sorted(doc)))
+            doc[key] = draw(st.sampled_from(WRONG_VALUES[key]))
+        elif fault == "ambient":
+            key = draw(st.sampled_from(["n", "d"] if kind == "gens" else ["n", "degree"]))
+            doc[key] = draw(st.integers(-2, 5).filter(lambda v: v != doc[key]))
+        elif fault == "dim":
+            doc["dim"] += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif kind == "gens":
+            gens = doc["gens"]
+            at = draw(st.integers(0, len(gens) - 1))
+            not_text = st.sampled_from([3, None, True, [], {}])
+            bad = draw(st.one_of(malformed_poly(n, d - 1, missing), not_text))
+            # a bad generator, or one too few or too many
+            gens[at:at + 1] = draw(st.sampled_from([[bad], [], [gens[at]] * 2]))
+        else:
+            rows, amb = doc["basis"], len(doc["basis"][0])
+            i = draw(st.integers(0, len(rows) - 1))
+            if draw(st.booleans()):
+                length = draw(st.integers(0, amb + 2).filter(lambda m: m != amb))
+                resized = rows[i][:length] + ["0"] * (length - amb)
+                rows[i] = draw(st.sampled_from([resized, 1, "1", None]))
+            else:
+                bad = [None, 3, True, [], "1/0", "abc", "", "1//2", "0x10", "nan", "inf"]
+                rows[i][draw(st.integers(0, amb - 1))] = draw(st.sampled_from(bad))
+        text = json.dumps(doc)
+    path = Path(missing).with_name(f"{kind}-{fault}.json")
+    path.write_text(text)
+    return str(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_malformed_json_is_refused_by_every_command(missing_path, data):
+    n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(3, 4))
+    kind = data.draw(st.sampled_from(["gens", "subspace"]))
+    path = data.draw(malformed_document(n, d, kind, missing_path))
+    if kind == "subspace":
+        argv = ["reconstruct", "--subspace", path, "--d", str(d)]
+    elif data.draw(st.booleans()):
+        argv = ["inverse-system", "--gens", path]
+    else:
+        argv = ["tangent-kernel", "--gens", path, "--k", str(data.draw(st.integers(0, 8)))]
+    assert_refused(argv)
 
 
 # -- cache bounds ----------------------------------------------------------------------------
