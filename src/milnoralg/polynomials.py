@@ -18,7 +18,9 @@ Text grammar (used by the CLI and by test fixtures)::
     var     := 'x' int
     coeff   := int | int '/' int
 
-Whitespace is insignificant: ``"x0^3 + x1^3 + x2^3 - 3*x0*x1*x2"``.
+Whitespace is insignificant: ``"x0^3 + x1^3 + x2^3 - 3*x0*x1*x2"``. Each
+``int`` is a run of ASCII digits, and a coefficient is the one unsigned
+literal of ``rationals.UNSIGNED``, with a nonzero denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 from typing import Iterable, Mapping
 
 from .monomials import dim_graded, grlex_key, mono_basis, mono_index
-from .rationals import ONE, Q, ZERO, parse_rational
+from .rationals import ONE, Q, UNSIGNED, ZERO, parse_rational
 
 
 class HomogeneousPolynomial:
@@ -283,8 +285,7 @@ def fermat(n: int, d: int) -> HomogeneousPolynomial:
 
 # -- text format ------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def parse_poly(text: str, n: int | None = None, degree: int | None = None) -> HomogeneousPolynomial:
@@ -309,12 +310,12 @@ def parse_poly(text: str, n: int | None = None, degree: int | None = None) -> Ho
         sign = -1 if sign_text == "-" else 1
         pieces = body.split("*")
         coeff = ONE
-        if _COEFF_RE.match(pieces[0]):
+        if UNSIGNED.fullmatch(pieces[0]):
             coeff = parse_rational(pieces[0])
             pieces = pieces[1:]
         exps: dict = {}
         for piece in pieces:
-            m = _FACTOR_RE.match(piece)
+            m = _FACTOR_RE.fullmatch(piece)
             if not m:
                 raise ValueError(f"bad factor {piece!r} in {text!r}")
             var = int(m.group(1))

@@ -1,7 +1,8 @@
 """JSON document schemas for the stable external interfaces.
 
-All rationals are serialized as strings "p" or "p/q" in lowest terms, and
-every emitter builds its dict in a fixed key order, so identical inputs
+All rationals are serialized as strings "p" or "p/q" in lowest terms,
+and read back only in that form (``rationals.parse_rational``). Every
+emitter builds its dict in a fixed key order, so identical inputs
 produce byte-identical JSON. The documented schemas:
 
   subspace      {"n", "degree", "order": "grlex", "dim", "basis": [[str]]}

@@ -19,7 +19,8 @@ no library path ran them any more (``QuotientMap``, ``rref``,
 ``orthogonal_complement``, ``subspace_sum``, ``subspace_intersect``,
 ``map_image``, ``catalecticant_matrix``, ``apolar_inner``,
 ``euler_check``, ``euler_recover``, ``evaluate``, ``random_unimodular``,
-``TupleTangentVector`` and ``colon_piece``), and the generator of forms
+``TupleTangentVector`` and ``colon_piece``), the containment test on
+the degree-k pieces themselves (``containment_by_pieces``), and the generator of forms
 singular at one rational point (``singular_at_point``), which moves a
 seeded form with ``linear_change``,
 deliberately avoids the package's
@@ -47,15 +48,18 @@ from milnoralg import (
     Subspace,
     apolar_piece,
     associated_form,
+    contains,
     dim_graded,
     full_subspace,
     hilbert_profile,
     ideal_piece,
     jacobian_gens,
+    jacobian_piece,
     linear_change,
     map_kernel,
     multiply,
     partial,
+    partials_piece,
     random_smooth,
     socle_degree,
     span_polys,
@@ -1003,3 +1007,12 @@ def colon_piece(w: GeneratorTuple, k: int) -> Subspace:
     gq, extra = _colon_mod_span(w, k)
     lifted = [_from_quotient_coords(gq, w.n, w.d - 1, v).coords() for v in extra]
     return span_vectors(w.n, w.d - 1, [*w.span.int_rows.values(), *lifted])
+
+
+def containment_by_pieces(h: HomogeneousPolynomial, f: HomogeneousPolynomial, k: int) -> bool:
+    """Whether (J_h)_k lies in (J_f)_k, decided on the two exact degree-k pieces.
+
+    The route ``containment_implies_equal`` took before it read the
+    answer off the span of the partials of f.
+    """
+    return contains(jacobian_piece(f, k), partials_piece(h, k))

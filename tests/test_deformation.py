@@ -238,6 +238,50 @@ def test_suite_checks_well_definedness_by_koszul_rank():
     )
 
 
+class PhaseDone(Exception):
+    pass
+
+
+def dimension_phase_forms(monkeypatch) -> list:
+    """The forms whose Jacobian pieces the jacobian-dimensions phase builds, in order."""
+    forms, real = [], suite.jacobian_piece
+    monkeypatch.setattr(suite, "jacobian_piece", lambda f, k: forms.append(f) or real(f, k))
+
+    def stop(check):
+        assert check.ok is True, check
+        if check.name == "jacobian-dimensions":
+            raise PhaseDone
+
+    with pytest.raises(PhaseDone):
+        run_suite(2, 4, polys=4, tuples=0, progress=stop)
+    monkeypatch.setattr(suite, "jacobian_piece", real)
+    return list(dict.fromkeys(forms))
+
+
+def test_jacobian_dimensions_are_built_exactly_where_no_walk_proved_them(monkeypatch):
+    pool = [random_smooth(2, 4, seed=100 + i) for i in range(4)]  # the pool at seed 0
+    assert all(ci_walk_mod_p(jacobian_gens(f).span) for f in pool)
+    # the walk proved dim E_k = b(k); the first form keeps the exact relay at every size
+    assert dimension_phase_forms(monkeypatch) == pool[:1]
+    monkeypatch.setattr(suite, "ci_walk_mod_p", lambda span: False)
+    assert dimension_phase_forms(monkeypatch) == pool
+
+
+def test_koszul_check_builds_no_piece_of_a_complete_intersection(monkeypatch):
+    pieces, real = [], suite.ideal_piece
+    monkeypatch.setattr(suite, "ideal_piece", lambda w, k: pieces.append(k) or real(w, k))
+    w = random_ci_tuple(2, 4, seed=5)
+    assert ci_walk_mod_p(w.span)
+    _relay.cache_clear()
+    assert koszul_check(w, 6, random_parts(random.Random(31), w)) == 3
+    assert pieces == [] and _relay.cache_info().currsize == 0
+    # no walk proves (x0^2, x0*x1, x0*x2) a complete intersection: its piece is read
+    u = GeneratorTuple(2, 3, [parse_poly(t, n=2) for t in ("x0^2", "x0*x1", "x0*x2")])
+    with pytest.raises(AssertionError, match="Koszul rank 0, expected 3 at k=3"):
+        koszul_check(u, 3, zero_parts(u))
+    assert pieces == [3] and _relay.cache_info().currsize > 0
+
+
 def test_koszul_check_fails_on_a_non_koszul_syzygy():
     # x1 e_0 - x0 e_1 is a syzygy of x0^2, x0*x1, x0*x2 in degree 3 and no
     # Koszul vector exists there: rank 0 against 3 * dim S_1 - dim (I_W)_3 = 3

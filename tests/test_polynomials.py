@@ -78,6 +78,9 @@ def test_parse_errors():
         parse_poly("x5", n=2)
     with pytest.raises(ValueError):
         parse_poly("1/0*x0")
+    for text in ("x\u0661^3", "x0^\u0663", "\u0662*x0"):  # digits outside ASCII
+        with pytest.raises(ValueError):
+            parse_poly(text)
     with pytest.raises(ValueError):
         parse_poly("")
 

@@ -4,6 +4,7 @@ import pytest
 
 from milnoralg import (
     GeneratorTuple,
+    HomogeneousPolynomial,
     PreconditionError,
     containment_implies_equal,
     dim_graded,
@@ -16,6 +17,7 @@ from milnoralg import (
     is_smooth,
     jacobian_gens,
     jacobian_piece,
+    mono_basis,
     parse_poly,
     random_ci_tuple,
     random_smooth,
@@ -34,6 +36,7 @@ from milnoralg.rationals import Q
 
 from conftest import PAIRS, record_eliminations
 from oracles import (
+    containment_by_pieces,
     euler_recover,
     fiber_dimension_oracle,
     forms_with_partials_in_by_annihilator,
@@ -503,6 +506,27 @@ def test_containment_fails_for_near_miss():
     h = f + parse_poly("x0^3", n=2)
     outcome = containment_implies_equal(h, f, 2)
     assert not outcome.hypothesis_holds
+
+
+def test_containment_matches_the_exact_pieces_at_every_k(nonst_pools):
+    # (J_h)_k lies in (J_f)_k exactly when the partials of h lie in W_f, the colon of
+    # (J_f)_k at every d-1 <= k <= T: the answer read off W_f must be the pieces' answer
+    rng = random.Random(37)
+    cases = contained = 0
+    for (n, d), pool in nonst_pools.items():
+        monos = mono_basis(n, d)
+        x0_d = HomogeneousPolynomial.monomial(n, (d,) + (0,) * n)
+        for f in pool[:4]:
+            hs = [HomogeneousPolynomial(n, d, {a: rng.randint(-3, 3) for a in monos}) for _ in range(8)]
+            hs += [f * Q(-3, 5), f + x0_d, HomogeneousPolynomial.zero(n, d)]
+            for h in hs:
+                for k in range(d - 1, socle_degree(n, d) + 1):
+                    expect = containment_by_pieces(h, f, k)
+                    assert containment_implies_equal(h, f, k).hypothesis_holds == expect
+                    cases, contained = cases + 1, contained + expect
+    # of the 11 h per form, only the multiple of f and the zero form are contained, at
+    # each of the 17 (size, k) pairs
+    assert (cases, contained) == (748, 136)
 
 
 def test_containment_rejects_st_reference():

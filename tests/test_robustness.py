@@ -389,6 +389,7 @@ def malformed_document(draw, n: int, d: int, kind: str, missing: str) -> str:
                 rows[i] = draw(st.sampled_from([resized, 1, "1", None]))
             else:
                 bad = [None, 3, True, [], "1/0", "abc", "", "1//2", "0x10", "nan", "inf"]
+                bad += ["1e3", "1_000", "1.5", " 1", "+2"]
                 rows[i][draw(st.integers(0, amb - 1))] = draw(st.sampled_from(bad))
         text = json.dumps(doc)
     path = Path(missing).with_name(f"{kind}-{fault}.json")

@@ -68,6 +68,17 @@ def test_subspace_from_dict_errors():
         subspace_from_dict(bad)
 
 
+@pytest.mark.parametrize("literal", ["1e3", "1_000", "1.5", " 1", "+2", "1/0", "1/-2", "\u0661"])
+def test_subspace_from_dict_reads_only_what_format_rational_writes(literal):
+    # fractions.Fraction reads the first five as 1000, 1000, 3/2, 1 and 2
+    doc = through_json(subspace_to_dict(ideal_piece(random_ci_tuple(1, 3, seed=3), 2)))
+    doc["basis"][0][0] = literal
+    with pytest.raises(ValueError, match="bad rational literal"):
+        subspace_from_dict(doc)
+    doc["basis"][0][0] = "-7/3"
+    subspace_from_dict(doc)
+
+
 @pytest.mark.parametrize("key", ["n", "degree", "dim"])
 def test_subspace_from_dict_rejects_booleans(key):
     doc = through_json(subspace_to_dict(ideal_piece(random_ci_tuple(1, 3, seed=3), 2)))
