@@ -40,9 +40,9 @@ sum with s summands. Whether it vanishes is decided once per span by
 ``reconstruction.fiber_is_line``, a rank certificate mod p with the
 exact fiber as its fallback. When it holds, the report is the zero kernel
 at every k, and neither the fiber nor the quotient by f is built;
-otherwise the kernel does not depend on k either: its basis, the exact
-fiber reduced against the line through f and brought to RREF, is built
-once per form (``_fiber_mod_f``) and read at every k. The exact colon
+otherwise the kernel does not depend on k either: its basis, the integer
+rows of the exact fiber reduced against the row of f and brought to RREF,
+is built once per form (``_fiber_mod_f``) and read at every k. The exact colon
 piece is kept only as a reference in the tests (``tests/oracles.py``).
 """
 
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import GeneratorTuple, check_degree, is_complete_intersection, is_smooth, jacobian_gens
-from .linalg import span_polys, span_vectors
+from .linalg import poly_row, reduce_row, span_polys, span_vectors
 from .monomials import dim_graded
 from .polynomials import HomogeneousPolynomial
 from .reconstruction import fiber_is_line, forms_with_partials_in
@@ -74,6 +74,13 @@ class PolyTangentVector:
         line = span_polys([f])
         self.f = f
         self.h = HomogeneousPolynomial.from_coords(f.n, f.degree, line.reduce(h.coords()))
+
+    @classmethod
+    def _reduced(cls, f: HomogeneousPolynomial, h: HomogeneousPolynomial) -> "PolyTangentVector":
+        """The vector of an h already zero at the pivot of f's line, taken as it is, unchecked."""
+        vec = cls.__new__(cls)
+        vec.f, vec.h = f, h
+        return vec
 
     def is_zero(self) -> bool:
         return self.h.is_zero()
@@ -114,15 +121,19 @@ def tangent_kernel_at_tuple(w: GeneratorTuple, k: int) -> KernelReport:
 def _fiber_mod_f(f: HomogeneousPolynomial) -> tuple:
     """Canonical basis of the fiber of f modulo the line through f.
 
-    The kernel of ``tangent_kernel_at_poly`` at every k, built once per form:
-    each fiber form reduced against the line, then brought to RREF. Every
-    reduced form is zero at the line's pivot, so this is the RREF of the
-    quotient coordinates, lifted back.
+    The kernel of ``tangent_kernel_at_poly`` at every k, built once per form,
+    on integer rows: each fiber form's row (``poly_row``) reduced against
+    the row of f by ``reduce_row``, then the sparse rows brought to RREF.
+    Every reduced row is zero at the pivot of f's row, and so is every row
+    of their RREF basis, which is the RREF of the quotient coordinates,
+    lifted back: each basis form is already reduced against the line, and
+    is taken as it is (``PolyTangentVector._reduced``).
     """
-    line = span_polys([f])
+    row, _ = poly_row(f)
+    line = {min(row): row}
     fiber = forms_with_partials_in(jacobian_gens(f).span)
-    reduced = span_vectors(f.n, f.degree, [line.reduce(h.coords()) for h in fiber])
-    return tuple(PolyTangentVector(f, h) for h in reduced.basis_polynomials())
+    reduced = span_vectors(f.n, f.degree, (reduce_row(line, poly_row(h)[0])[0] for h in fiber))
+    return tuple(PolyTangentVector._reduced(f, h) for h in reduced.basis_polynomials())
 
 
 def tangent_kernel_at_poly(f: HomogeneousPolynomial, k: int) -> KernelReport:

@@ -37,10 +37,13 @@ walk stops at the first degree that falls short of b(k): the reduced
 tuple is then no regular sequence over F_p, so it would not fill S_{T+1}
 either. Where the walk falls short the exact relay to T+1 decides, so the
 answer is always exact. ``relay_step`` hands each product to its builder
-with the lead of its bucket: the walk's
-``linalg.ModularEchelon`` stores a product at a new lead as it is, since
-a product of stored rows is already in stored form, and reduces only the
-products that repeat a lead. The tangent kernels of ``deformation`` need
+with the lead of its bucket, as a handle: the rows one degree below, the
+parent's lead and the variable's column map. The walk's
+``linalg.ModularEchelon`` stores a product at a new lead as that handle,
+since a product of stored rows is already in stored form, forms its row
+only when a reduction reads it, and reduces only the products that
+repeat a lead; the exact ``SpanBuilder`` reduces every product, so it
+forms each at once. The tangent kernels of ``deformation`` need
 nothing more: at a complete intersection Gorenstein duality makes each
 colon ((I_W)_k : S_{k-d+1})_{d-1}, d-1 <= k <= T, the span of W itself.
 For the Jacobian ideal of a smooth degree-d form the codimension of the
@@ -286,19 +289,22 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
 
     The builder is an exact ``SpanBuilder`` or a ``linalg.ModularEchelon``;
     both set a new pivot at a lead that no stored row has, which is all the
-    argument needs. Each product goes to ``insert_product`` with its lead:
-    the exact builder reduces it as any row, and the echelon mod p stores
-    one at a new lead as it is, with no arithmetic. Returns the builder, or
-    None once it is full.
+    argument needs. Each product goes to ``insert_product`` with its lead,
+    as a handle (below, p, tu): x_i's column map tu from
+    ``product_index_table`` applied to the row at p of ``below``. The
+    exact builder forms its row at once and reduces it as any row; the
+    echelon mod p stores one at a new lead as the handle itself, with no
+    arithmetic, and forms its row only when a reduction reads it. Returns
+    the builder, or None once it is full.
     """
     table, rows = product_index_table(n, 1, k - 1), builder.int_rows
     buckets, todo = [None] * builder.length, 0
     for p in sorted(below, reverse=True):
         for tu in table:
             if (bucket := buckets[tu[p]]) is None:
-                buckets[tu[p]], todo = [(p, tu)], todo + 1
+                buckets[tu[p]], todo = [(below, p, tu)], todo + 1
             else:
-                bucket.append((p, tu))
+                bucket.append((below, p, tu))
     for lead in range(len(buckets) - 1, -1, -1):
         if (bucket := buckets[lead]) is None:
             continue
@@ -306,8 +312,8 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
         if len(rows) + todo == bound and bound == builder.length:
             return None
         todo -= 1
-        for p, tu in bucket:
-            builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
+        for handle in bucket:
+            builder.insert_product(handle, lead)
             if len(rows) + todo == bound:
                 break
     return None if builder.is_full() else builder
@@ -396,7 +402,8 @@ def ci_walk_mod_p(span: Subspace) -> bool:
     sequence over F_p would fill to b(k), so the fill at T+1 would fall
     short too. At d = 2, T = 0 and the walk takes no step: the span itself
     must fill S_1. False proves nothing over Q. Cached per span and shared;
-    no row of the walk is kept.
+    the handles of each degree hold the rows below it until the walk
+    returns, and no row of the walk is kept after.
     """
     n, d = span.n, span.k + 1
     top = socle_degree(n, d)

@@ -26,12 +26,15 @@ def clear_prime_caches():
         cache.cache_clear()
 
 
-def recorded_walk(span, relay=None) -> tuple:
+def recorded_walk(span, relay=None, form=True) -> tuple:
     """(verdict, {k: stored rows}) of an uncached ``ideals.ci_walk_mod_p``.
 
     Each degree is read off ``relay_step``, or off ``relay`` standing in for
     it: the rows it was handed, one degree below, and the rows its builder
-    holds when it returns.
+    holds when it returns. The walk stores a product at a new lead as a
+    handle; once it is done, ``linalg.formed_row`` forms every handle in
+    place, so the rows read are dicts, unless ``form`` is False, which
+    leaves each row as the walk left it.
     """
     kept, real = {}, relay or ideals.relay_step
 
@@ -42,7 +45,12 @@ def recorded_walk(span, relay=None) -> tuple:
         return out
 
     with mock.patch.object(ideals, "relay_step", step):
-        return ideals.ci_walk_mod_p.__wrapped__(span), kept
+        verdict = ideals.ci_walk_mod_p.__wrapped__(span)
+    if form:
+        for rows in kept.values():
+            for lead in rows:
+                linalg.formed_row(rows, lead)
+    return verdict, kept
 
 
 def record_eliminations(monkeypatch, scope=()) -> list:

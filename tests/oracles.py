@@ -666,7 +666,8 @@ def relay_step_by_scan(builder, below: dict, n: int, k: int, bound: int):
 # -- the sorted relay step --------------------------------------------------------------------
 # The library's relay step before it bucketed the products by leading column: the
 # (lead, parent, table row) tuple of every product, sorted in descending order, ties in
-# the lead broken by the parent's lead, largest first.
+# the lead broken by the parent's lead, largest first. Each product is handed over as a
+# handle (below, parent, column map), as ``ideals.relay_step`` hands it.
 
 
 def relay_step_by_sort(builder, below: dict, n: int, k: int, bound: int):
@@ -683,7 +684,7 @@ def relay_step_by_sort(builder, below: dict, n: int, k: int, bound: int):
                 continue
         if first:
             todo, last = todo - 1, lead
-        builder.insert_product({tu[j]: x for j, x in below[p].items()}, lead)
+        builder.insert_product((below, p, tu), lead)
     return None if builder.is_full() else builder
 
 

@@ -22,6 +22,7 @@ from milnoralg import (
     partials_piece,
     fermat,
     format_poly,
+    random_ci_tuple,
     random_smooth,
     recover_generators,
     socle_degree,
@@ -456,9 +457,9 @@ def test_ci_walk_stores_each_first_lead_product_as_it_is(monkeypatch):
         assert not first or (grew and echelon.int_rows[lead] is row)
         return grew
 
-    def reduce(echelon, row, lead):
+    def reduce(echelon, lead):
         counts["reduced"] += 1
-        return real_reduce(echelon, row, lead)
+        return real_reduce(echelon, lead)
 
     monkeypatch.setattr(ModularEchelon, "insert_product", product)
     monkeypatch.setattr(ModularEchelon, "_reduce", reduce)
@@ -466,6 +467,19 @@ def test_ci_walk_stores_each_first_lead_product_as_it_is(monkeypatch):
     # only the rows of span at d-1 and the products repeating a lead are reduced
     assert counts["first"] > counts["repeated"] > 0
     assert counts["reduced"] == span.dim + counts["repeated"]
+
+
+def test_ci_walk_forms_only_the_rows_its_reductions_read():
+    # a product stored at a new lead stays a handle until a reduction reads its row;
+    # a formed row is a dict, with its parents formed along with it
+    span = random_ci_tuple(3, 4, seed=1).span
+    verdict, kept = recorded_walk(span, form=False)
+    assert verdict is True and max(kept) == socle_degree(3, 4) + 1
+    stored = [row for rows in kept.values() for row in rows.values()]
+    formed = [row for row in stored if type(row) is dict]
+    assert len(stored) == 417 and 0 < 3 * len(formed) < len(stored)
+    # forming the handles afterwards gives the rows of the scanning walk
+    assert recorded_walk(span) == ci_walk_by_scan_cut(span)
 
 
 def test_ci_walk_stops_at_the_first_degree_short_of_the_bound():

@@ -725,12 +725,28 @@ def test_modular_echelon_leads_match_the_exact_pivots():
 
 
 def test_modular_echelon_stores_a_row_in_stored_form_as_it_is():
-    # a product handed over with a lead no stored row has is stored as it is, shared
+    # a product handed over as a handle with a lead no stored row has is stored as it
+    # is, the handle itself; a handle (below, parent, column map) here maps columns
+    # identically, so its row is its parent's
     p = linalg.PRIME
-    product = {1: 1, 2: p - 1}
-    echelon = ModularEchelon(4)
-    assert echelon.insert({2: 3, 3: 5}) and echelon.insert_product(product, 1)
-    assert echelon.int_rows[1] is product
+    product, times = {1: 1, 2: p - 1}, (0, 1, 2, 3)
+
+    def handle(row, lead):
+        return {lead: row}, lead, times
+
+    echelon, stored = ModularEchelon(4), handle(product, 1)
+    assert echelon.insert({2: 3, 3: 5}) and echelon.insert_product(stored, 1)
+    assert echelon.int_rows[1] is stored
+    # a reduction that reads it forms it in place, once, into a new dict
+    assert not echelon.insert({1: 2, 2: -2})
+    formed = echelon.int_rows[1]
+    assert formed == product and formed is not product and type(formed) is dict
+    assert linalg.formed_row(echelon.int_rows, 1) is formed
+    # a handle whose parent is a handle: the parent is formed in place too
+    inner = {1: handle(product, 1)}
+    outer = ModularEchelon(4)
+    assert outer.insert_product((inner, 1, times), 1)
+    assert linalg.formed_row(outer.int_rows, 1) == product == inner[1] == outer.int_rows[1]
     # a product at a lead already taken is reduced, and so is every row given to
     # insert, even one in stored form: each becomes a fresh row in stored form,
     # the same rows the former insert kept
@@ -739,11 +755,13 @@ def test_modular_echelon_stores_a_row_in_stored_form_as_it_is():
             other, oracle = ModularEchelon(4), ScanningEchelon(4)
             for echelon_ in (other, oracle):
                 assert echelon_.insert({2: 3, 3: 5}) and echelon_.insert(dict(product))
-            taken = lead in other.int_rows
-            grew = other.insert_product(row, lead) if as_product else other.insert(row)
-            assert grew == oracle.insert(dict(row)) and other.int_rows == oracle.int_rows
-            shared = any(kept is row for kept in other.int_rows.values())
+            taken, given = lead in other.int_rows, handle(row, lead)
+            grew = other.insert_product(given, lead) if as_product else other.insert(row)
+            shared = any(kept is given for kept in other.int_rows.values())
             assert shared == (as_product and not taken)
+            for lead_ in other.int_rows:
+                linalg.formed_row(other.int_rows, lead_)
+            assert grew == oracle.insert(dict(row)) and other.int_rows == oracle.int_rows
             for lead_, kept in other.int_rows.items():
                 assert kept[lead_] == 1 and min(kept) == lead_ and all(0 < x < p for x in kept.values())
     # entries outside [1, p) or a lead entry other than 1: reduced into stored form

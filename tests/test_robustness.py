@@ -342,6 +342,9 @@ def valid_documents(n: int, d: int) -> dict:
 NOT_AN_INT, NOT_A_LIST = ["2", 2.0, True, None, [2], {}], ["x0^2", 3, {}, None, True]
 WRONG_VALUES = {key: NOT_AN_INT for key in ("n", "d", "degree", "dim")}
 WRONG_VALUES.update(gens=NOT_A_LIST, basis=NOT_A_LIST, order=[0, None, ["grlex"], "lex", "GRLEX"])
+# basis entries no subspace file may hold: not text, or text outside the rational
+# literal grammar, the last five of which ``fractions.Fraction`` would read
+BAD_ENTRIES = (None, 3, True, [], "1/0", "abc", "", "1//2", "0x10", "nan", "inf", "1e3", "1_000", "1.5", " 1", "+2")
 
 
 @st.composite
@@ -388,9 +391,7 @@ def malformed_document(draw, n: int, d: int, kind: str, missing: str) -> str:
                 resized = rows[i][:length] + ["0"] * (length - amb)
                 rows[i] = draw(st.sampled_from([resized, 1, "1", None]))
             else:
-                bad = [None, 3, True, [], "1/0", "abc", "", "1//2", "0x10", "nan", "inf"]
-                bad += ["1e3", "1_000", "1.5", " 1", "+2"]
-                rows[i][draw(st.integers(0, amb - 1))] = draw(st.sampled_from(bad))
+                rows[i][draw(st.integers(0, amb - 1))] = draw(st.sampled_from(BAD_ENTRIES))
         text = json.dumps(doc)
     path = Path(missing).with_name(f"{kind}-{fault}.json")
     path.write_text(text)
@@ -410,6 +411,23 @@ def test_malformed_json_is_refused_by_every_command(missing_path, data):
     else:
         argv = ["tangent-kernel", "--gens", path, "--k", str(data.draw(st.integers(0, 8)))]
     assert_refused(argv)
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+def test_each_bad_basis_entry_is_refused_by_reconstruct(tmp_path, entry):
+    # in the pivot cell "1" of the valid (2,4) file, and in a "0" cell right of it:
+    # a value read where the grammar refuses would keep or change an RREF basis
+    text = valid_documents(2, 4)["subspace"]
+    (tmp_path / "ok.json").write_text(text)
+    assert call_main("reconstruct", "--subspace", str(tmp_path / "ok.json"), "--d", "4")[0] == 0
+    for at in (0, 1):
+        doc = json.loads(text)
+        doc["basis"][0][at] = entry
+        path = tmp_path / f"bad-{at}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call_main("reconstruct", "--subspace", str(path), "--d", "4")
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (at, err)
+        assert err.endswith("\n") and "Traceback" not in err
 
 
 # -- cache bounds ----------------------------------------------------------------------------
