@@ -4,10 +4,11 @@ A generator tuple is a basis (g_0, ..., g_n) of an (n+1)-dimensional
 subspace W of the degree d-1 forms. An ideal generated in one degree j is
 zero below j and satisfies I_{k+1} = S_1 * I_k for k >= j, the relay of
 Macaulay's resultant construction: each piece is grown from the one below
-by the n+1 variables (``generated_piece``) and kept as integer RREF rows
-in one cache. The products x_i * r enter by leading column, largest
-first; ordering Macaulay-matrix rows by leading monomial is the idea
-behind F4 (Faugere 1999). No product is sorted: each goes into a bucket
+by the n+1 variables (``generated_piece``). Degree j is the generating
+span itself; each degree above it is kept as integer RREF rows in one
+cache of relay steps. The products x_i * r enter by leading column,
+largest first; ordering Macaulay-matrix rows by leading monomial is the
+idea behind F4 (Faugere 1999). No product is sorted: each goes into a bucket
 for its lead, and the buckets are read from the last column down. When a
 lead first comes up every stored row pivots right of it, so that product
 becomes a new pivot at which no stored row has an entry, and clears
@@ -244,20 +245,19 @@ class GeneratorTuple:
 
 @lru_cache(maxsize=32)
 def _relay(span: Subspace, k: int) -> SpanBuilder | None:
-    """Integer RREF rows of degree k of the ideal generated by span, None if full.
+    """Integer RREF rows of degree k > span.k of the ideal generated by span, None if full.
 
-    Above span.k: ``relay_step`` from the rows one degree below, against
-    ``generic_piece_dim``. Shared, so read only. ``generated_piece`` walks
-    up to a full degree, so this recurses one level and needs only the
-    degree below cached: the bound just drops old spans.
+    One ``relay_step`` from the rows one degree below, against
+    ``generic_piece_dim``: span's own rows at k = span.k + 1, which are
+    already the canonical RREF of degree span.k, so the cache holds relay
+    steps only and never a copy of span. Shared, so read only.
+    ``generated_piece`` walks up to a full degree, so this recurses one
+    level and needs only the degree below cached: the bound just drops old
+    spans.
     """
-    builder = SpanBuilder(dim_graded(span.n, k))
-    if k == span.k:
-        for row in span.int_rows.values():
-            builder.insert(row)
-        return None if builder.is_full() else builder
+    below = span.int_rows if k == span.k + 1 else _relay(span, k - 1).int_rows
     bound = generic_piece_dim(span.n, span.k, span.dim, k)
-    return relay_step(builder, _relay(span, k - 1).int_rows, span.n, k, bound)
+    return relay_step(SpanBuilder(dim_graded(span.n, k)), below, span.n, k, bound)
 
 
 def relay_step(builder, below: dict, n: int, k: int, bound: int):
@@ -322,13 +322,17 @@ def relay_step(builder, below: dict, n: int, k: int, bound: int):
 def generated_piece(span: Subspace, k: int) -> Subspace:
     """Degree-k piece of the ideal generated by a subspace of S_j, canonical.
 
-    Zero below j, and the shared full subspace once a degree up to k is full.
+    Zero below j, span itself at j, and the shared full subspace once a
+    degree up to k is full; the degrees above j are the relay's.
     """
     if k < span.k or span.is_zero():
         return zero_subspace(span.n, k)
-    for j in range(span.k, k + 1):
-        builder = _relay(span, j)
-        if builder is None:
+    if span.is_full():
+        return full_subspace(span.n, k)
+    if k == span.k:
+        return span
+    for j in range(span.k + 1, k + 1):
+        if (builder := _relay(span, j)) is None:
             return full_subspace(span.n, k)
     return Subspace.from_builder(span.n, k, builder)
 
@@ -434,12 +438,13 @@ def is_complete_intersection(w: GeneratorTuple) -> bool:
     return ideal_piece(w, socle_degree(w.n, w.d) + 1).is_full()
 
 
-@lru_cache(maxsize=256)
 def is_smooth(f: HomogeneousPolynomial) -> bool:
     """Whether the projective hypersurface f = 0 is smooth.
 
     Smoothness of a degree-d form is equivalent to its partials forming a
     complete intersection, which ``is_complete_intersection`` decides.
+    Not cached: ``jacobian_gens`` and the walk mod p it reads are, so a
+    repeated call redoes no elimination.
     """
     try:
         w = jacobian_gens(f)

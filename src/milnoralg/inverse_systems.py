@@ -52,7 +52,7 @@ from .linalg import (
     map_kernel,
     poly_row,
 )
-from .monomials import dim_graded, factorial_weights, mono_basis
+from .monomials import factorial_weights, mono_basis
 from .polynomials import HomogeneousPolynomial
 from .rationals import Q
 
@@ -140,7 +140,7 @@ def _weighted_coefficients(b: HomogeneousPolynomial) -> dict:
 def apolar_piece(b, k: int) -> Subspace:
     """Degree-k piece of the apolar ideal of b: forms annihilating b.
 
-    The kernel of ``colon_rows([G], n, m, k, ...)``, m = deg(b) and G the
+    The kernel of ``colon_rows([G], n, m, k)``, m = deg(b) and G the
     functional of b's weighted coefficients: the colon (G^perp : S_{m-k})_k,
     whose rows are the catalecticant rows of b at k, each scaled by a
     nonzero integer. One elimination (``map_kernel``) gives its canonical
@@ -153,7 +153,7 @@ def apolar_piece(b, k: int) -> Subspace:
         raise ValueError("negative degree")
     if k > b.degree:
         return full_subspace(b.n, k)
-    rows = colon_rows([_weighted_coefficients(b)], b.n, b.degree, k, range(dim_graded(b.n, k)))
+    rows = colon_rows([_weighted_coefficients(b)], b.n, b.degree, k)
     return map_kernel(rows, b.n, k)
 
 
@@ -179,7 +179,7 @@ def verify_inverse_system(w: GeneratorTuple) -> bool:
         return False
     profile = hilbert_profile(n, w.d)
     for k in range(1, top // 2 + 1):
-        if not certify_rank(colon_rows(duals, n, top, k, range(dim_graded(n, k))), profile.a(k)):
+        if not certify_rank(colon_rows(duals, n, top, k), profile.a(k)):
             if any(apolar_piece(form, j) != ideal_piece(w, j) for j in (k, top - k)):
                 return False
     return True

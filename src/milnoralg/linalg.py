@@ -67,7 +67,6 @@ entries it reads.
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
@@ -348,28 +347,33 @@ def certify_rank(rows: Iterable, bound: int) -> bool:
 class SpanBuilder:
     """Incremental reduced row-echelon basis of a growing row space.
 
-    The state is always a full RREF (pivot columns strictly increasing and
-    cleared elsewhere, no zero rows). ``int_rows`` maps each pivot to its
-    row's primitive integer multiple as a sparse {column: entry} dict; an
-    RREF row is zero at every other pivot, so rows thin out as the span
-    fills. The basis is the unique RREF of the row space, independent of
-    insertion order, so results are deterministic and canonical. A stored
-    row is replaced, never changed in place, so rows may be shared.
+    The state is always a full RREF (pivot columns cleared elsewhere, no
+    zero rows). ``int_rows``, the only state besides ``length``, maps each
+    pivot to its row's primitive integer multiple as a sparse {column:
+    entry} dict; an RREF row is zero at every other pivot, so rows thin out
+    as the span fills. Its keys are the pivots, which ``pivots`` reads in
+    increasing order. The basis is the unique RREF of the row space,
+    independent of insertion order, so results are deterministic and
+    canonical. A stored row is replaced, never changed in place, so rows
+    may be shared.
     """
 
-    __slots__ = ("length", "int_rows", "pivots")
+    __slots__ = ("length", "int_rows")
 
     def __init__(self, length: int):
         self.length = length
         self.int_rows: dict = {}
-        self.pivots: list = []
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self.int_rows)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self.int_rows)
 
     def is_full(self) -> bool:
-        return len(self.pivots) == self.length
+        return len(self.int_rows) == self.length
 
     @property
     def rows(self) -> list:
@@ -390,7 +394,6 @@ class SpanBuilder:
             if pivot in r:
                 rows[p] = _primitive(reduce_row(new, r)[0], p)
         rows[pivot] = v
-        insort(self.pivots, pivot)
         return True
 
     def insert_product(self, handle: tuple, lead: int) -> bool:
@@ -455,7 +458,6 @@ def kernel_builder(rows: Iterable, ncols: int, rank: Optional[int] = None) -> Sp
     flip = ({last - j: x for j, x in r.items()} if isinstance(r, dict) else r[::-1] for r in rows)
     for v in kernel_vectors(flip, ncols, rank):
         kernel.int_rows[last - max(v)] = {last - j: x for j, x in v.items()}
-    kernel.pivots = sorted(kernel.int_rows)
     return kernel
 
 
@@ -616,14 +618,14 @@ def annihilator(e: Subspace) -> list:
     return list(_kernel_vectors(e.int_rows, e.ambient_dim))
 
 
-def colon_rows(duals, n: int, k: int, degree: int, columns):
+def colon_rows(duals, n: int, k: int, degree: int):
     """Integer rows of c |-> (c * u mod E) over u in S_{k-degree}, E in S_k, lazily.
 
     ``duals`` are functionals on S_k, sparse {column: int} dicts, that cut
     out E. One row per monomial u and functional nu, with entry
-    nu(u * m_j) at each column j of S_degree in ``columns``: the kernel on
-    ``columns`` is the part of the colon (E : S_{k-degree}) supported
-    there. Each u adds its rows only when they are read.
+    nu(u * m_j) at each column j of S_degree: the kernel is the colon
+    (E : S_{k-degree}) in S_degree. Each u adds its rows only when they
+    are read.
 
     Three users: ``recover_generators`` reads W = (E : S_{k-d+1})_{d-1}
     with E cut out by ``annihilator(E)``; ``apolar_piece`` and
@@ -632,9 +634,8 @@ def colon_rows(duals, n: int, k: int, degree: int, columns):
     the rows are then F's catalecticant at k.
     """
     for tu in product_index_table(n, k - degree, degree):
-        targets = [tu[j] for j in columns]
         for nu in duals:
-            yield {i: nu[t] for i, t in enumerate(targets) if t in nu}
+            yield {i: nu[t] for i, t in enumerate(tu) if t in nu}
 
 
 def in_colon(duals, n: int, k: int, degree: int, span: Subspace) -> bool:

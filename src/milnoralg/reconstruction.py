@@ -126,9 +126,9 @@ def recover_generators(e: Subspace, k: int, n: int, d: int) -> GeneratorTuple:
     duals = annihilator(e)
     width = dim_graded(n, d - 1)
     rank = width - (n + 1)
-    span = kernel_mod_p(colon_rows(duals, n, k, d - 1, range(width)), n, d - 1, rank)
+    span = kernel_mod_p(colon_rows(duals, n, k, d - 1), n, d - 1, rank)
     if span is None or not in_colon(duals, n, k, d - 1, span):
-        kernel = kernel_builder(colon_rows(duals, n, k, d - 1, range(width)), width, rank)
+        kernel = kernel_builder(colon_rows(duals, n, k, d - 1), width, rank)
         span = Subspace.from_builder(n, d - 1, kernel)
         if span.dim != n + 1 or not in_colon(duals, n, k, d - 1, span):
             raise PreconditionError(
@@ -243,9 +243,12 @@ def reconstruct_poly(e: Subspace, k: int, n: int, d: int) -> FiberResult:
     return fiber(recover_generators(e, k, n, d), d)
 
 
-@lru_cache(maxsize=256)
 def _reference_fault(f: HomogeneousPolynomial) -> Optional[str]:
-    """Why f cannot be a containment reference, or None; checked once per f."""
+    """Why f cannot be a containment reference, or None.
+
+    Not cached: the walk and the fiber certificate it reads are, so each
+    reference is decided once.
+    """
     if not is_smooth(f):
         return "reference polynomial is not smooth"
     if not fiber_is_line(jacobian_gens(f).span):

@@ -33,6 +33,9 @@ from .monomials import mono_basis
 from .polynomials import HomogeneousPolynomial, fermat
 from .reconstruction import FiberResult, fiber, fiber_is_line
 
+# Candidates each sampler draws before it gives up.
+MAX_ATTEMPTS = 200
+
 
 class STReport(NamedTuple):
     """Summand count and fiber of a smooth form; is_st means s >= 2."""
@@ -101,7 +104,6 @@ def random_smooth(
     seed: int,
     require_non_st: bool = False,
     coeff_bound: int = 3,
-    max_attempts: int = 200,
 ) -> HomogeneousPolynomial:
     """Seeded random smooth form, optionally avoiding direct sums.
 
@@ -110,7 +112,7 @@ def random_smooth(
     monomial; candidates failing the smoothness (or non-direct-sum) test
     are rejected and the loop retries. Deterministic in the seed.
 
-    Exhausting the attempt cap raises PreconditionError: the parameters
+    Exhausting ``MAX_ATTEMPTS`` raises PreconditionError: the parameters
     admit no example under the cap (for instance coeff_bound=0 leaves only
     the Fermat form, always a direct sum; and every smooth binary cubic is
     a direct sum, so n=1, d=3 with require_non_st can never succeed).
@@ -124,7 +126,7 @@ def random_smooth(
     rng = random.Random(seed)
     anchor = fermat(n, d)
     monomials = mono_basis(n, d)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         bump = {alpha: rng.randint(-coeff_bound, coeff_bound) for alpha in monomials}
         candidate = anchor + HomogeneousPolynomial(n, d, bump)
         try:
@@ -137,7 +139,7 @@ def random_smooth(
             continue
         return candidate
     raise PreconditionError(
-        f"no suitable form found in {max_attempts} attempts (n={n}, d={d}, "
+        f"no suitable form found in {MAX_ATTEMPTS} attempts (n={n}, d={d}, "
         f"coeff_bound={coeff_bound}, require_non_st={require_non_st})"
     )
 
@@ -147,7 +149,6 @@ def random_ci_tuple(
     d: int,
     seed: int,
     coeff_bound: int = 2,
-    max_attempts: int = 200,
 ) -> GeneratorTuple:
     """Seeded random complete-intersection tuple of degree d-1 forms.
 
@@ -160,7 +161,7 @@ def random_ci_tuple(
         raise ValueError(f"need coeff_bound >= 0, got {coeff_bound}")
     rng = random.Random(seed)
     monomials = mono_basis(n, d - 1)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         gens = []
         for i in range(n + 1):
             alpha = tuple(d - 1 if j == i else 0 for j in range(n + 1))
@@ -174,6 +175,6 @@ def random_ci_tuple(
         if is_complete_intersection(w):
             return w
     raise PreconditionError(
-        f"no complete intersection found in {max_attempts} attempts (n={n}, d={d})"
+        f"no complete intersection found in {MAX_ATTEMPTS} attempts (n={n}, d={d})"
     )
 

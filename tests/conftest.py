@@ -2,8 +2,11 @@ from unittest import mock
 
 import pytest
 
+import milnoralg.deformation as deformation
 import milnoralg.ideals as ideals
+import milnoralg.inverse_systems as inverse_systems
 import milnoralg.linalg as linalg
+import milnoralg.monomials as monomials
 import milnoralg.reconstruction as reconstruction
 from milnoralg import random_ci_tuple, random_smooth
 
@@ -15,9 +18,25 @@ PAIRS = [(1, 4), (2, 3), (2, 4), (2, 5), (3, 3)]
 # or it reads an answer found at the old prime, and no fallback runs.
 PRIME_CACHES = (
     ideals.ci_walk_mod_p,
-    ideals.is_smooth,
     reconstruction.fiber_is_line,
-    reconstruction._reference_fault,
+)
+
+# Every other cache of the library: its answer is exact, the same at every
+# prime. Each cache is in exactly one of the two tuples, which
+# test_package checks, so a new cache needs that decision.
+EXACT_CACHES = (
+    monomials.mono_basis,
+    monomials.mono_index,
+    monomials.factorial_weights,
+    monomials.product_index_table,
+    monomials.derivative_table,
+    linalg.full_subspace,
+    ideals.hilbert_profile,
+    ideals._relay,
+    ideals.jacobian_gens,
+    inverse_systems._associated_form,
+    reconstruction.forms_with_partials_in,
+    deformation._fiber_mod_f,
 )
 
 

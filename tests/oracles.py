@@ -140,13 +140,6 @@ def sympy_nullspace_dim(rows, ncols: int) -> int:
     return ncols - sympy_matrix(rows).rank()
 
 
-def sympy_rowspace(rows):
-    """Row space as a sympy-reduced matrix, for span comparisons."""
-    reduced, _ = sympy_matrix(rows).rref()
-    out = [list(reduced.row(i)) for i in range(reduced.rows) if any(reduced.row(i))]
-    return out
-
-
 def spans_equal(rows_a, rows_b, ncols: int) -> bool:
     """Whether two row sets span the same space (sympy route)."""
     if not rows_a and not rows_b:
@@ -983,13 +976,15 @@ class TupleTangentVector:
 def _colon_mod_span(w: GeneratorTuple, k: int) -> tuple:
     """C / W for the colon piece C, in ``QuotientMap(w.span)`` coordinates.
 
-    Returns (that quotient map, canonical basis): the kernel of
-    ``colon_rows`` on the nonpivot monomials of span(W). C contains W, so
-    these columns see all of C / W, and rows stop being read once they
-    have full rank, which leaves no kernel to miss.
+    Returns (that quotient map, canonical basis): the kernel of the rows
+    of ``colon_rows`` restricted to the nonpivot monomials of span(W). C
+    contains W, so these columns see all of C / W, and rows stop being
+    read once they have full rank, which leaves no kernel to miss.
     """
     gq = QuotientMap(w.span)
-    rows = colon_rows(annihilator(ideal_piece(w, k)), w.n, k, w.d - 1, gq.nonpivots)
+    place = {j: i for i, j in enumerate(gq.nonpivots)}
+    full = colon_rows(annihilator(ideal_piece(w, k)), w.n, k, w.d - 1)
+    rows = ({place[j]: x for j, x in r.items() if j in place} for r in full)
     return gq, kernel_builder(rows, gq.dim, gq.dim).rows
 
 

@@ -637,8 +637,8 @@ def test_certified_kernels_match_the_exact_path_at_every_k(w, f, monkeypatch, wa
     assert work() == (fibers, 0)  # no colon, no exact piece: the walk and the fiber decide
     walk_fails()
     assert all_reports(w, f) == certified
-    # each complete-intersection test fell back to the exact relay d-1..T+1, once per span
-    assert work() == (fibers, (socle_degree(n, d) - d + 3) * ((w is not None) + (f is not None)))
+    # each complete-intersection test fell back to the exact relay d..T+1, once per span
+    assert work() == (fibers, (socle_degree(n, d) - d + 2) * ((w is not None) + (f is not None)))
     assert certified == colon_reports(w, f)
     if f is not None and w is None:  # fermat(2, 4): s = 3 summands, kernel dimension n
         assert {kernel_dim for _, _, kernel_dim, _ in certified} == {2}
@@ -670,9 +670,9 @@ def test_fallback_when_the_tuple_is_no_complete_intersection_mod_p(monkeypatch, 
     assert not ci_walk_mod_p(w.span)
     work = kernel_path_work(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, 2)), report_text(tangent_kernel_at_poly(f, 2))] == exact
-    # the exact fill decided both preconditions: the relay at d-1 = 2 and T+1 = 3, once;
+    # the exact fill decided both preconditions: the relay at T+1 = 3, once;
     # f is a direct sum, so its fiber was solved exactly, on (n+1)^2 = 4 columns
-    assert work() == ([4], 2)
+    assert work() == ([4], 1)
 
 
 def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(monkeypatch, patched_prime):
@@ -686,7 +686,7 @@ def test_fallback_when_a_pivot_entry_of_w_is_divisible_by_p(monkeypatch, patched
     work = kernel_path_work(monkeypatch)
     assert [report_text(tangent_kernel_at_tuple(w, k)) for k in k_range(2, 3)] == exact
     assert not ci_walk_mod_p(w.span)
-    assert work() == ([], 3)  # the exact relay at 2, 3 and T+1 = 4
+    assert work() == ([], 2)  # the exact relay at 3 and T+1 = 4
 
 
 def test_tuple_kernel_asks_no_rank_past_the_ci_test(monkeypatch, walk_fails):
@@ -705,7 +705,7 @@ def test_tuple_kernel_asks_no_rank_past_the_ci_test(monkeypatch, walk_fails):
     assert asked == [] and work() == ([], 0)
     walk_fails()
     assert report_text(tangent_kernel_at_tuple(w, 4)) == exact
-    assert asked == [] and work() == ([], socle_degree(2, 4) + 1 - 2)  # the exact relay 3..T+1
+    assert asked == [] and work() == ([], socle_degree(2, 4) + 1 - 3)  # the exact relay 4..T+1
 
 
 def test_certificate_keeps_the_refusals():

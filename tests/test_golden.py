@@ -4,8 +4,8 @@ Each case runs ``cli.main`` in-process and compares its standard output,
 byte for byte, with ``tests/golden/<name>.txt``. The inputs are the files
 in ``tests/golden/inputs``: generator tuples and graded pieces at (2,3),
 (2,4) and (3,3), one non-direct-sum form at each size and its Jacobian
-piece. ``suite`` is compared on its detail lines, with the times
-stripped.
+piece. ``suite`` at (2,4), (3,3) and (2,5) is compared on its detail
+lines, with the times stripped.
 
 After a change that is meant to alter the output, rewrite the expected
 files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
@@ -60,7 +60,8 @@ def _cases() -> dict:
             cases[f"{name}_{size}"] = argv
             cases[f"{name}_{size}_json"] = argv + ["--format", "json"]
     cases["singular_2_3"] = ["smooth", "--poly", "x0^3 + x1^3 + x2^3 - 3*x0*x1*x2"]
-    cases["suite_2_4"] = ["suite", "--n", "2", "--d", "4", "--seed", "0"]
+    for n, d in [(2, 4), (3, 3), (2, 5)]:
+        cases[f"suite_{n}_{d}"] = ["suite", "--n", str(n), "--d", str(d), "--seed", "0"]
     return cases
 
 

@@ -92,8 +92,9 @@ def random_subspace(n: int, k: int, count: int, seed: int):
 def test_relay_order_does_not_change_the_rows(n, d):
     """Leading-column order gives the rows of pivot-major and of shuffled insertion.
 
-    From d-1 to T+1, for a complete intersection (full at T+1) and a tuple
-    with a common zero (never full).
+    From d to T+1, for a complete intersection (full at T+1) and a tuple
+    with a common zero (never full); the relay starts from the rows of the
+    span itself at d-1.
     """
     top = socle_degree(n, d) + 1
     ci = random_ci_tuple(n, d, seed=700 + 10 * n + d)
@@ -103,7 +104,7 @@ def test_relay_order_does_not_change_the_rows(n, d):
         _relay.cache_clear()
         orders = [relay_rows(w.span, top)]
         orders += [relay_rows(w.span, top, random.Random(f"relay:{n}:{d}:{s}")) for s in range(3)]
-        for degrees in zip(*orders):
+        for degrees in list(zip(*orders))[1:]:
             k = degrees[0][0]
             builder = _relay(w.span, k)
             got = full if builder is None else builder.int_rows

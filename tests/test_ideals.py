@@ -349,7 +349,7 @@ def test_ci_falls_back_to_the_exact_fill_where_the_walk_mod_p_falls_short(patche
     _relay.cache_clear()
     assert not ci_walk_mod_p(w.span)
     assert is_complete_intersection(w)
-    assert _relay.cache_info().misses == 2  # the exact relay at d-1 = 2 and T+1 = 3 decided it
+    assert _relay.cache_info().misses == 1  # the exact relay at T+1 = 3 decided it
     assert is_smooth(f)
     back = recover_generators(e, 2, 1, 3)
     assert back == exact and back.span == w.span

@@ -3,8 +3,10 @@
 ``milnoralg`` resolves its exports lazily (see its docstring); these
 tests pin the exported names, check that every name is the defining
 module's own object, check that every definition in the package is
-reached from the library, a demo or the benchmark, and check in fresh
-interpreters that a command loads only the modules it runs.
+reached from the library, a demo or the benchmark, check that every
+cache is listed in ``conftest`` as one whose answer depends on the prime
+or as an exact one, and check in fresh interpreters that a command loads
+only the modules it runs.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import milnoralg
+from conftest import EXACT_CACHES, PRIME_CACHES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -170,6 +173,33 @@ def test_every_definition_is_reached_from_the_library_demos_or_benchmark():
                 if total[name] + total[qualified] == own[name] + own[qualified]:
                     unreached.append(qualified)
     assert sorted(unreached) == UNREACHED
+
+
+# -- every cache is sorted by the prime ------------------------------------------------
+
+
+def library_caches() -> dict:
+    """Every ``lru_cache`` in the library's module and class namespaces, by qualified name."""
+    found = {}
+    for path in (ROOT / "src" / "milnoralg").glob("[!_]*.py"):
+        module = importlib.import_module(f"milnoralg.{path.stem}")
+        spaces = [vars(module)]
+        spaces += [
+            vars(obj)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        for space in spaces:
+            for obj in space.values():
+                if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info"):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_cache_is_listed_once_as_prime_or_exact():
+    listed = {f"{c.__module__}.{c.__qualname__}": c for c in (*PRIME_CACHES, *EXACT_CACHES)}
+    assert len(listed) == len(PRIME_CACHES) + len(EXACT_CACHES)
+    assert listed == library_caches()
 
 
 # -- what each command imports ---------------------------------------------------------

@@ -184,8 +184,9 @@ def test_recovery_builds_each_relay_degree_once():
         _relay.cache_clear()
         for k in range(d - 1, top + 1):
             assert recover_generators(ideal_piece(w, k), k, n, d).span == w.span
-        # degrees d-1..T of W, grown by ideal_piece; recovery grows none, not even T+1
-        assert _relay.cache_info().misses == top - (d - 1) + 1
+        # degrees d..T of W, grown by ideal_piece from W itself at d-1; recovery
+        # grows none, not even T+1
+        assert _relay.cache_info().misses == top - d + 1
 
 
 def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
@@ -194,7 +195,7 @@ def test_cold_smoothness_and_reconstruction_grow_no_exact_relay():
     for n, d in [(2, 4), (3, 3), (2, 5)]:
         f = random_smooth(n, d, seed=31 * n + d, require_non_st=True)
         pieces = {k: jacobian_piece(f, k) for k in range(d - 1, socle_degree(n, d) + 1)}
-        for cache in (_relay, ci_walk_mod_p, is_smooth):
+        for cache in (_relay, ci_walk_mod_p):
             cache.cache_clear()
         assert is_smooth(f)
         for k, e in pieces.items():
@@ -225,7 +226,7 @@ def test_recovery_eliminates_colon_rows_only_up_to_the_rank(monkeypatch, patched
     n, d, k = 2, 4, 4
     w = random_ci_tuple(n, d, seed=3)
     e = ideal_piece(w, k)
-    all_rows = list(colon_rows(annihilator(e), n, k, d - 1, range(dim_graded(n, d - 1))))
+    all_rows = list(colon_rows(annihilator(e), n, k, d - 1))
     modular = count_rows(monkeypatch, "kernel_mod_p")
     exact = count_rows(monkeypatch, "kernel_builder")
     # the kernel found mod p is proved exactly: no exact elimination at all
@@ -540,42 +541,50 @@ def test_containment_rejects_singular_reference():
         containment_implies_equal(hesse, hesse, 2)
 
 
-def test_containment_checks_each_reference_once(monkeypatch):
-    import milnoralg.reconstruction as reconstruction
+def test_containment_checks_each_reference_once():
+    from milnoralg.reconstruction import fiber_is_line
 
-    real_test = reconstruction.fiber_is_line
-    calls = []
-
-    def counted_test(span):
-        calls.append(span)
-        return real_test(span)
-
-    monkeypatch.setattr(reconstruction, "fiber_is_line", counted_test)
-    reconstruction._reference_fault.cache_clear()
     refs = [random_smooth(2, 3, seed=s, require_non_st=True) for s in (71, 73)]
     others = [random_smooth(2, 3, seed=s) for s in range(80, 86)]
+    fiber_is_line.cache_clear()
     for f in refs:
         for h in others + [f, f * Q(2, 5)]:
             for k in (2, 3):
                 containment_implies_equal(h, f, k)
-    assert len(calls) == len(refs)
+    assert fiber_is_line.cache_info().misses == len(refs)
+
+
+def test_containment_grows_no_relay():
+    # the partials of h are compared with W_f in S_{d-1}, where the piece of the
+    # ideal they generate is their span itself: no relay step is taken or cached
+    from milnoralg.ideals import _relay
+
+    f = random_smooth(2, 4, seed=71, require_non_st=True)
+    others = [random_smooth(2, 4, seed=s) for s in range(80, 90)]
+    _relay.cache_clear()
+    for h in others:
+        for k in (3, 4, 6):
+            assert containment_implies_equal(h, f, k) == (False, None)
+    info = _relay.cache_info()
+    assert info.misses == info.currsize == 0
+    w = jacobian_gens(f)
+    assert ideal_piece(w, w.d - 1) is w.span
 
 
 def test_containment_reads_no_reference_verdict_found_at_another_prime(patched_prime):
-    # _reference_fault caches a verdict read off the walk and the fiber certificate
+    # the reference check reads verdicts the walk and the fiber certificate cache
     # mod p; at 3 both fall short for this form, so after the prime changes the
     # verdict must be found again, by the exact fallbacks
     from milnoralg.ideals import ci_walk_mod_p
-    from milnoralg.reconstruction import _reference_fault, forms_with_partials_in
+    from milnoralg.reconstruction import fiber_is_line, forms_with_partials_in
 
     f = random_smooth(1, 4, seed=1, require_non_st=True)
     assert containment_implies_equal(f, f, 3) == (True, True)
-    assert _reference_fault.cache_info().currsize == 1
     patched_prime(3)
     forms_with_partials_in.cache_clear()
     assert containment_implies_equal(f, f, 3) == (True, True)
     assert containment_implies_equal(f * Q(2, 5), f, 4) == (True, True)
-    assert (_reference_fault.cache_info().misses, _reference_fault.cache_info().hits) == (1, 1)
+    assert (fiber_is_line.cache_info().misses, fiber_is_line.cache_info().hits) == (1, 1)
     assert ci_walk_mod_p.cache_info().misses == 1 and forms_with_partials_in.cache_info().misses == 1
     assert not ci_walk_mod_p(jacobian_gens(f).span)
 
@@ -595,7 +604,6 @@ def test_reference_fault_matches_the_exact_fiber(smooth_pools):
     forms = [f for pool in smooth_pools.values() for f in pool[:4]]
     forms += [fermat(2, 3), fermat(2, 4), fermat(3, 3), parse_poly("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2")]
     forms += [parse_poly("x0^4 + x1^4 + x2^4 + x1^2*x2^2"), parse_poly("x0^3 + x1^3", n=2)]
-    reconstruction._reference_fault.cache_clear()
     verdicts = [reconstruction._reference_fault(f) for f in forms]
     assert verdicts == [exact_reference_fault(f) for f in forms]
     assert {None, "reference polynomial is a direct sum", "reference polynomial is not smooth"} == set(verdicts)

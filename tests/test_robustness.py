@@ -445,9 +445,7 @@ def quadric_tuple(c):
 @pytest.mark.parametrize(
     "module, name, args",
     [
-        ("ideals", "is_smooth", lambda i: (binary_cubic(0, i + 1),)),
-        ("ideals", "_relay", lambda i: (quadric_tuple(i + 1).span, 2)),
-        ("reconstruction", "_reference_fault", lambda i: (binary_cubic(i + 1, 0),)),
+        ("ideals", "_relay", lambda i: (quadric_tuple(i + 1).span, 3)),
         ("ideals", "jacobian_gens", lambda i: (binary_cubic(0, i + 1),)),
         ("reconstruction", "forms_with_partials_in", lambda i: (quadric_tuple(i + 1).span,)),
     ],

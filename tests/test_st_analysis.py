@@ -135,8 +135,8 @@ def test_random_smooth_binary_quartic():
 
 def test_random_smooth_cap_exhaustion():
     # coeff_bound=0 leaves only the Fermat form, which is always a direct sum
-    with pytest.raises(PreconditionError):
-        random_smooth(2, 3, seed=5, require_non_st=True, coeff_bound=0, max_attempts=10)
+    with pytest.raises(PreconditionError, match="in 200 attempts"):
+        random_smooth(2, 3, seed=5, require_non_st=True, coeff_bound=0)
 
 
 def test_random_smooth_rejects_bad_parameters():
